@@ -17,7 +17,12 @@ from cct.authority import (
     token_hash,
     verify_report,
 )
-from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
+from cct.client import (
+    EnclaveClient,
+    LoopbackTransport,
+    RecordingTransport,
+    TcpTransport,
+)
 from cct.config import DeploymentConfig
 from cct.contact_log import ContactLog, ContactTuple
 from cct.enclave import (
@@ -67,6 +72,7 @@ __all__ = [
     "MatchResult",
     "Measurement",
     "ProtocolError",
+    "RecordingTransport",
     "RemoteError",
     "SealError",
     "SignedReport",

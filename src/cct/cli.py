@@ -148,7 +148,7 @@ def _load_trace(path: str) -> list[GpsPoint]:
         raise ProtocolError("trace file must contain a JSON array")
     for entry in entries:
         wire.validate_gps_point(entry)
-    return [GpsPoint(lat=e["lat"], lon=e["lon"], t=e["t"]) for e in entries]
+    return [GpsPoint.from_wire(e) for e in entries]
 
 
 def _cmd_device(args: argparse.Namespace) -> int:

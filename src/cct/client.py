@@ -30,22 +30,30 @@ from cct.errors import ProtocolError, RemoteError
 
 
 class LoopbackTransport:
-    """In-process transport; optionally records the raw traffic.
+    """In-process transport: hands raw request bytes straight to the service.
 
     What goes through here is byte-for-byte what a TCP socket would carry,
-    so a transcript recorded at this seam is a faithful eavesdropper's view.
+    so a transcript recorded around it is a faithful eavesdropper's view.
     """
 
-    def __init__(self, service, transcript: wire.Transcript | None = None) -> None:
+    def __init__(self, service) -> None:
         self._service = service
+
+    def request(self, raw: bytes) -> bytes:
+        return self._service.handle(raw)
+
+
+class RecordingTransport:
+    """Wraps any transport and appends its raw traffic to a transcript."""
+
+    def __init__(self, inner, transcript: wire.Transcript) -> None:
+        self._inner = inner
         self._transcript = transcript
 
     def request(self, raw: bytes) -> bytes:
-        if self._transcript is not None:
-            self._transcript.append("c2e", raw)
-        response = self._service.handle(raw)
-        if self._transcript is not None:
-            self._transcript.append("e2c", response)
+        self._transcript.append("c2e", raw)
+        response = self._inner.request(raw)
+        self._transcript.append("e2c", response)
         return response
 
 
@@ -195,7 +203,7 @@ class EnclaveClient:
             {
                 "type": "gps_upload_req",
                 "token": token.hex(),
-                "trace": _trace_wire(trace),
+                "trace": [p.to_wire() for p in trace],
             },
             "ack",
         )
@@ -211,12 +219,9 @@ class EnclaveClient:
                 "type": "gps_poll_req",
                 "d_max": d_max,
                 "tau": tau,
-                "trace": _trace_wire(trace),
+                "trace": [p.to_wire() for p in trace],
             },
             "gps_poll_resp",
         )
         return [(e["t_infected"], e["t_poller"]) for e in resp["events"]]
 
-
-def _trace_wire(trace: list[GpsPoint]) -> list[dict]:
-    return [{"lat": p.lat, "lon": p.lon, "t": p.t} for p in trace]

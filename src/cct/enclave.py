@@ -60,6 +60,13 @@ class GpsPoint:
         if not -180.0 < self.lon <= 180.0:
             raise ValueError("longitude out of range")
 
+    def to_wire(self) -> dict:
+        return {"lat": self.lat, "lon": self.lon, "t": self.t}
+
+    @classmethod
+    def from_wire(cls, obj: dict) -> "GpsPoint":
+        return cls(lat=obj["lat"], lon=obj["lon"], t=obj["t"])
+
 
 def validate_trace(points: Sequence[GpsPoint]) -> None:
     for a, b in zip(points, points[1:]):
@@ -389,7 +396,7 @@ class Enclave:
             (
                 {
                     "expiry": expiry,
-                    "points": [{"lat": p.lat, "lon": p.lon, "t": p.t} for p in stored],
+                    "points": [p.to_wire() for p in stored],
                 }
                 for expiry, stored in self._gps
             ),
@@ -405,9 +412,6 @@ class Enclave:
     def serialize_state(self) -> bytes:
         """Canonical plaintext form of all long-lived enclave state."""
         return canonical_encode(self._state_value())
-
-    def state_digest(self) -> bytes:
-        return hashlib.sha256(self.serialize_state()).digest()
 
     def sealed_bytes(self) -> bytes:
         """The sealed blob exactly as persisted."""
@@ -431,20 +435,11 @@ class Enclave:
                 upload_used=entry["upload_used"],
             )
         for entry in state["tuples"]:
-            self._insert_tuple(
-                ContactTuple(
-                    interval=entry["interval"],
-                    sent=bytes.fromhex(entry["sent"]),
-                    received=bytes.fromhex(entry["received"]),
-                ),
-                entry["expiry"],
-            )
+            self._insert_tuple(ContactTuple.from_wire(entry), entry["expiry"])
         for entry in state["derived_ids"]:
             self._derived[bytes.fromhex(entry["id"])] = entry["expiry"]
             self._note_expiry(entry["expiry"])
         for entry in state["gps_traces"]:
-            points = tuple(
-                GpsPoint(lat=p["lat"], lon=p["lon"], t=p["t"]) for p in entry["points"]
-            )
+            points = tuple(GpsPoint.from_wire(p) for p in entry["points"])
             self._gps.append((entry["expiry"], points))
             self._note_expiry(entry["expiry"])

@@ -142,7 +142,8 @@ class EnclaveService:
             return {"type": "result_resp", "result": result}
         if mtype == "upload_req":
             self.enclave.upload_contact_log(
-                bytes.fromhex(msg["token"]), _parse_tuples(msg["tuples"])
+                bytes.fromhex(msg["token"]),
+                [ContactTuple.from_wire(e) for e in msg["tuples"]],
             )
             return {"type": "ack"}
         if mtype == "secret_upload_req":
@@ -154,7 +155,9 @@ class EnclaveService:
             )
             return {"type": "ack"}
         if mtype == "poll_req":
-            result = self.enclave.match_poll(_parse_tuples(msg["tuples"]))
+            result = self.enclave.match_poll(
+                [ContactTuple.from_wire(e) for e in msg["tuples"]]
+            )
             return {
                 "type": "poll_resp",
                 "matched": result.matched,
@@ -162,33 +165,21 @@ class EnclaveService:
             }
         if mtype == "gps_upload_req":
             self.enclave.upload_gps_trace(
-                bytes.fromhex(msg["token"]), _parse_trace(msg["trace"])
+                bytes.fromhex(msg["token"]),
+                [GpsPoint.from_wire(e) for e in msg["trace"]],
             )
             return {"type": "ack"}
         if mtype == "gps_poll_req":
             events = self.enclave.match_gps(
-                _parse_trace(msg["trace"]), d_max=msg["d_max"], tau=msg["tau"]
+                [GpsPoint.from_wire(e) for e in msg["trace"]],
+                d_max=msg["d_max"],
+                tau=msg["tau"],
             )
             return {
                 "type": "gps_poll_resp",
                 "events": [{"t_infected": a, "t_poller": b} for a, b in events],
             }
         raise ProtocolError("unexpected message type")
-
-
-def _parse_tuples(entries: list[dict]) -> list[ContactTuple]:
-    return [
-        ContactTuple(
-            interval=e["interval"],
-            sent=bytes.fromhex(e["sent"]),
-            received=bytes.fromhex(e["received"]),
-        )
-        for e in entries
-    ]
-
-
-def _parse_trace(entries: list[dict]) -> list[GpsPoint]:
-    return [GpsPoint(lat=e["lat"], lon=e["lon"], t=e["t"]) for e in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,14 @@ def audit_transcript(
     privacy failure. Handshake messages (attestation and session setup)
     carry no application data and are skipped.
     """
-    id_hex = frozenset(i.hex().encode("ascii") for i in identifiers)
+    id_raw = frozenset(bytes(i) for i in identifiers)
+    id_hex = frozenset(i.hex().encode("ascii") for i in id_raw)
     secret_list = [bytes(s) for s in secrets]
     sec_hex = frozenset(s.hex().encode("ascii") for s in secret_list)
     # one 32-wide scan covers both: secrets are checked via their 32-char
     # hex prefix, then confirmed at full width (never hit on honest runs)
     sec_prefix = {p[:32]: p for p in sec_hex}
     scan32 = id_hex | frozenset(sec_prefix)
-    id_raw = frozenset(bytes(i) for i in identifiers)
     sec_raw = frozenset(secret_list)
 
     leaks = 0

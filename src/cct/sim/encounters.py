@@ -2,7 +2,7 @@
 
 Random encounters use a pinned PRNG (splitmix64-seeded xoshiro256**) and a
 pinned draw order (per interval, then per ordered device pair), so the same
-seed yields the same encounter list in any implementation or backend. The
+seed yields the same encounter list in any implementation. The
 per-pair hit probability is the Poisson thinning rate/(n-1), capped at 1;
 one 64-bit draw per pair per interval, hit iff draw < p * 2^64.
 """

@@ -29,7 +29,12 @@ from cct.authority import (
     HealthAuthorityCredential,
     token_hash,
 )
-from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
+from cct.client import (
+    EnclaveClient,
+    LoopbackTransport,
+    RecordingTransport,
+    TcpTransport,
+)
 from cct.contact_log import ContactLog, ContactTuple
 from cct.enclave import Enclave, EnclaveConfig
 from cct.errors import RemoteError
@@ -103,20 +108,6 @@ class _Device:
     client: EnclaveClient
 
 
-class _RecordingTransport:
-    """Wraps any transport and appends raw traffic to the shared transcript."""
-
-    def __init__(self, inner, transcript: wire.Transcript) -> None:
-        self._inner = inner
-        self._transcript = transcript
-
-    def request(self, raw: bytes) -> bytes:
-        self._transcript.append("c2e", raw)
-        response = self._inner.request(raw)
-        self._transcript.append("e2c", response)
-        return response
-
-
 def run_scenario(
     config: ScenarioConfig,
     insecure_plaintext: bool = False,
@@ -158,12 +149,12 @@ def run_scenario(
             def new_transport():
                 transport = TcpTransport(host, port)
                 tcp_transports.append(transport)
-                return _RecordingTransport(transport, transcript)
+                return RecordingTransport(transport, transcript)
 
         else:
 
             def new_transport():
-                return _RecordingTransport(LoopbackTransport(service), transcript)
+                return RecordingTransport(LoopbackTransport(service), transcript)
 
         verify_key = platform_verify_key(platform_secret)
 

@@ -1,29 +1,14 @@
-"""Kernel backends must agree with pinned reference vectors and each other.
+"""The encounter kernel must reproduce pinned reference vectors.
 
 The splitmix64 and xoshiro256** expectations below were produced with an
 independent implementation of the published reference algorithms and frozen.
 """
 
 import itertools
-import os
-import subprocess
-import sys
 
 import pytest
 
-import cct._kernels_py as kernels_py
 from cct import rng
-
-try:
-    import cct._kernels_cy as kernels_cy
-except ImportError:  # pragma: no cover - build without the extension
-    kernels_cy = None
-
-BACKENDS = [pytest.param(kernels_py, id="py")]
-if kernels_cy is not None:
-    BACKENDS.append(pytest.param(kernels_cy, id="cy"))
-
-backend = pytest.mark.parametrize("kernels", BACKENDS)
 
 SPLITMIX_VECTORS = {
     0: [
@@ -96,33 +81,28 @@ XOSHIRO_VECTORS = {
 }
 
 
-@backend
 @pytest.mark.parametrize("seed", sorted(SPLITMIX_VECTORS))
-def test_splitmix_pinned(kernels, seed):
-    assert kernels.splitmix_stream(seed, 4) == SPLITMIX_VECTORS[seed]
+def test_splitmix_pinned(seed):
+    assert rng.splitmix_stream(seed, 4) == SPLITMIX_VECTORS[seed]
 
 
-@backend
 @pytest.mark.parametrize("seed", sorted(XOSHIRO_VECTORS))
-def test_xoshiro_pinned(kernels, seed):
-    assert kernels.xoshiro_stream(seed, 8) == XOSHIRO_VECTORS[seed]
+def test_xoshiro_pinned(seed):
+    assert rng.xoshiro_stream(seed, 8) == XOSHIRO_VECTORS[seed]
 
 
-@backend
-def test_outputs_are_uint64(kernels):
-    for value in kernels.xoshiro_stream(99, 64):
+def test_outputs_are_uint64():
+    for value in rng.xoshiro_stream(99, 64):
         assert 0 <= value < 1 << 64
 
 
-@backend
-def test_stream_prefix_stable(kernels):
-    long = kernels.xoshiro_stream(5, 100)
-    assert kernels.xoshiro_stream(5, 10) == long[:10]
+def test_stream_prefix_stable():
+    long = rng.xoshiro_stream(5, 100)
+    assert rng.xoshiro_stream(5, 10) == long[:10]
 
 
-@backend
-def test_pair_events_pinned(kernels):
-    assert kernels.poisson_pair_events(7, 4, 6, 1 << 62) == [
+def test_pair_events_pinned():
+    assert rng.poisson_pair_events(7, 4, 6, 1 << 62) == [
         (1, 0),
         (1, 1),
         (1, 3),
@@ -130,78 +110,27 @@ def test_pair_events_pinned(kernels):
         (3, 1),
         (3, 2),
     ]
-    assert kernels.poisson_pair_events(3, 2, 3, 1 << 63) == [
+    assert rng.poisson_pair_events(3, 2, 3, 1 << 63) == [
         (0, 2),
         (1, 1),
         (1, 2),
     ]
 
 
-@backend
-def test_pair_events_threshold_edges(kernels):
-    assert kernels.poisson_pair_events(7, 10, 10, 0) == []
+def test_pair_events_threshold_edges():
+    assert rng.poisson_pair_events(7, 10, 10, 0) == []
     full = (1 << 64) - 1
-    assert kernels.poisson_pair_events(5, 3, 3, full) == [
+    assert rng.poisson_pair_events(5, 3, 3, full) == [
         (k, p) for k in range(3) for p in range(3)
     ]
 
 
-@backend
-def test_pair_events_consume_stream_interval_major(kernels):
+def test_pair_events_consume_stream_interval_major():
     threshold = 1 << 62
-    draws = kernels.xoshiro_stream(7, 24)
+    draws = rng.xoshiro_stream(7, 24)
     expected = [
         (k, p)
         for idx, (k, p) in enumerate(itertools.product(range(4), range(6)))
         if draws[idx] < threshold
     ]
-    assert kernels.poisson_pair_events(7, 4, 6, threshold) == expected
-
-
-@pytest.mark.skipif(kernels_cy is None, reason="compiled backend not built")
-def test_backends_agree():
-    for seed in (0, 1, 2, 41, 2**63):
-        assert kernels_py.xoshiro_stream(seed, 32) == kernels_cy.xoshiro_stream(seed, 32)
-        assert kernels_py.poisson_pair_events(
-            seed, 20, 45, 1 << 59
-        ) == kernels_cy.poisson_pair_events(seed, 20, 45, 1 << 59)
-
-
-def test_facade_matches_selected_backend():
-    assert rng.BACKEND in ("py", "cy")
-    selected = kernels_py if rng.BACKEND == "py" else kernels_cy
-    assert rng.xoshiro_stream(17, 4) == selected.xoshiro_stream(17, 4)
-    assert rng.splitmix_stream(17, 4) == selected.splitmix_stream(17, 4)
-
-
-def _backend_in_subprocess(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("CCT_KERNELS", None)
-    else:
-        env["CCT_KERNELS"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "from cct import rng; print(rng.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_env_forces_pure_python():
-    proc = _backend_in_subprocess("py")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "py"
-
-
-@pytest.mark.skipif(kernels_cy is None, reason="compiled backend not built")
-def test_env_forces_compiled():
-    proc = _backend_in_subprocess("cy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "cy"
-
-
-def test_env_rejects_unknown_backend():
-    proc = _backend_in_subprocess("fortran")
-    assert proc.returncode != 0
-    assert "ImportError" in proc.stderr
+    assert rng.poisson_pair_events(7, 4, 6, threshold) == expected

@@ -14,7 +14,7 @@ from cct.attestation import (
     platform_verify_key,
 )
 from cct.authority import RESULT_POSITIVE, token_hash
-from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
+from cct.client import EnclaveClient, LoopbackTransport, RecordingTransport, TcpTransport
 from cct.contact_log import ContactTuple
 from cct.enclave import GpsPoint
 from cct.errors import AttestationError, RemoteError
@@ -260,7 +260,7 @@ def test_transcript_shows_only_handshake_and_envelopes(service, enclave_config, 
     clock.set_interval(0)
     transcript = wire.Transcript()
     client = EnclaveClient(
-        LoopbackTransport(service, transcript),
+        RecordingTransport(LoopbackTransport(service), transcript),
         enclave_config.measurement(),
         platform_verify_key(PLATFORM_SECRET),
     )

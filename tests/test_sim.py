@@ -278,6 +278,13 @@ def test_audit_flags_raw_bytes_in_binary_message():
     assert audit_transcript(transcript, [identifier], []) == 1
 
 
+def test_audit_accepts_one_shot_identifier_iterable():
+    identifier = derive_identifier(b"\x0a" * 32, 0)
+    transcript = wire.Transcript()
+    transcript.append("c2e", b"\x00\x01" + identifier + b"\xff")
+    assert audit_transcript(transcript, (i for i in [identifier]), []) == 1
+
+
 def test_audit_flags_secret_hex():
     secret = b"\x0b" * 32
     transcript = wire.Transcript()
