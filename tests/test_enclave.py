@@ -339,6 +339,21 @@ def test_sealed_store_round_trip(ha, platform_secret, clock, tmp_path):
     assert reloaded.match_poll(poll).matched
 
 
+def test_sealed_store_round_trip_with_gps_trace(ha, platform_secret, clock, tmp_path):
+    path = tmp_path / "state.sealed"
+    config = EnclaveConfig(ha_verify_key=ha.verify_key, time=TimeParams(t0=0))
+    enclave = Enclave(config, platform_secret, store_path=path, clock=clock)
+    clock.set_interval(0)
+    register_positive(enclave, ha, TOKEN, 0)
+    trace = [GpsPoint(lat=1.5, lon=-2.25, t=100.0), GpsPoint(lat=1.5, lon=-2.0, t=160.0)]
+    enclave.upload_gps_trace(TOKEN, trace)
+    expected = enclave.serialize_state()
+
+    reloaded = Enclave(config, platform_secret, store_path=path, clock=clock)
+    assert reloaded.serialize_state() == expected
+    assert reloaded.match_gps([trace[1]], d_max=10.0, tau=300.0) == [(160.0, 160.0)]
+
+
 def test_sealed_store_bound_to_measurement(ha, platform_secret, clock, tmp_path):
     path = tmp_path / "state.sealed"
     config = EnclaveConfig(ha_verify_key=ha.verify_key, time=TimeParams(t0=0))
@@ -394,6 +409,14 @@ def test_gps_point_validation():
     with pytest.raises(ValueError, match="longitude"):
         GpsPoint(lat=0.0, lon=-180.0, t=0.0)
     GpsPoint(lat=0.0, lon=180.0, t=0.0)
+
+
+def test_gps_point_wire_round_trip():
+    point = GpsPoint(lat=-33.5, lon=151.25, t=42.0)
+    assert point.to_wire() == {"lat": -33.5, "lon": 151.25, "t": 42.0}
+    assert GpsPoint.from_wire(point.to_wire()) == point
+    with pytest.raises(ValueError):
+        GpsPoint.from_wire({"lat": 91.0, "lon": 0.0, "t": 0.0})
 
 
 def _gps_enclave(enclave, ha, clock, trace):

@@ -9,6 +9,8 @@ import itertools
 import pytest
 
 from cct import rng
+from cct.sim.encounters import generate_encounters
+from cct.sim.scenario import ScenarioConfig
 
 SPLITMIX_VECTORS = {
     0: [
@@ -134,3 +136,19 @@ def test_pair_events_consume_stream_interval_major():
         if draws[idx] < threshold
     ]
     assert rng.poisson_pair_events(7, 4, 6, threshold) == expected
+
+
+def test_encounters_draw_through_rng_module(monkeypatch):
+    # the benchmark tracer times the kernel by patching this module attribute
+    calls = []
+    kernel = rng.poisson_pair_events
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(rng, "poisson_pair_events", counting)
+    config = ScenarioConfig(n_devices=6, n_intervals=5, seed=3, encounter_rate=0.5)
+    assert generate_encounters(config) == generate_encounters(config)
+    assert len(calls) == 2
+    assert rng.BACKEND == "py"

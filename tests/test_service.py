@@ -274,6 +274,32 @@ def test_transcript_shows_only_handshake_and_envelopes(service, enclave_config, 
 
 # -- TCP front-end ------------------------------------------------------------------
 
+def test_recording_transport_wraps_tcp(service, enclave_config, ha, clock):
+    clock.set_interval(0)
+    server = EnclaveServer(service, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    transport = TcpTransport("127.0.0.1", server.server_address[1])
+    transcript = wire.Transcript()
+    try:
+        client = EnclaveClient(
+            RecordingTransport(transport, transcript),
+            enclave_config.measurement(),
+            platform_verify_key(PLATFORM_SECRET),
+        )
+        client.register_report(ha.sign_report(token_hash(TOKEN), RESULT_POSITIVE, 0))
+        assert client.poll_result(TOKEN) == RESULT_POSITIVE
+    finally:
+        transport.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert [direction for direction, _ in transcript] == ["c2e", "e2c"] * 4
+    types = [wire.canonical_decode(raw)["type"] for raw in transcript.messages()]
+    assert types[:4] == ["attest_req", "attest_resp", "session_req", "session_resp"]
+    assert set(types[4:]) == {"envelope"}
+
+
 def test_tcp_round_trip(service, enclave_config, ha, clock):
     clock.set_interval(0)
     server = EnclaveServer(service, host="127.0.0.1", port=0)
