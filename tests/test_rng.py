@@ -4,12 +4,18 @@ The splitmix64 and xoshiro256** expectations below were produced with an
 independent implementation of the published reference algorithms and frozen.
 """
 
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cct import rng
-from cct.sim.encounters import generate_encounters
+from cct.sim.encounters import generate_encounters, pair_threshold
 from cct.sim.scenario import ScenarioConfig
 
 SPLITMIX_VECTORS = {
@@ -151,4 +157,74 @@ def test_encounters_draw_through_rng_module(monkeypatch):
     config = ScenarioConfig(n_devices=6, n_intervals=5, seed=3, encounter_rate=0.5)
     assert generate_encounters(config) == generate_encounters(config)
     assert len(calls) == 2
-    assert rng.BACKEND == "py"
+    assert rng.BACKEND == "numpy"
+
+
+def _filtered_stream(seed, n_intervals, n_pairs, threshold):
+    """The scalar reference: filter one draw per cell of the pinned stream."""
+    draws = rng.xoshiro_stream(seed, n_intervals * n_pairs)
+    return [divmod(pos, n_pairs) for pos, draw in enumerate(draws) if draw < threshold]
+
+
+def _assert_plain_ints(events):
+    assert all(type(e) is tuple and len(e) == 2 for e in events)
+    assert all(type(v) is int for e in events for v in e)
+
+
+LANE_SHAPES = [
+    (1, 1),
+    (3, 5),
+    (1, rng.LANES - 1),
+    (1, rng.LANES),
+    (8, rng.LANES // 8),
+    (1, rng.LANES + 1),
+    (7, 1237),
+    (3, rng.LANES),
+]
+
+
+def test_lane_shapes_cover_the_lane_count():
+    totals = [k * p for k, p in LANE_SHAPES]
+    assert min(totals) < rng.LANES < max(totals)
+    assert rng.LANES in totals
+    assert 7 * 1237 > rng.LANES and 7 * 1237 % rng.LANES != 0
+
+
+@pytest.mark.parametrize("threshold", [0, 1, 1 << 63, (1 << 64) - 1])
+@pytest.mark.parametrize("n_intervals, n_pairs", LANE_SHAPES)
+def test_lanes_match_scalar_stream(n_intervals, n_pairs, threshold):
+    events = rng.poisson_pair_events(19, n_intervals, n_pairs, threshold)
+    assert events == _filtered_stream(19, n_intervals, n_pairs, threshold)
+    _assert_plain_ints(events)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    n_intervals=st.integers(min_value=0, max_value=12),
+    n_pairs=st.integers(min_value=0, max_value=40),
+    threshold=st.integers(min_value=0, max_value=1 << 64),
+)
+def test_lanes_match_scalar_stream_property(seed, n_intervals, n_pairs, threshold):
+    events = rng.poisson_pair_events(seed, n_intervals, n_pairs, threshold)
+    assert events == _filtered_stream(seed, n_intervals, n_pairs, threshold)
+    _assert_plain_ints(events)
+
+
+def test_scale_size_output_pinned():
+    # recorded from the one-draw-at-a-time kernel this lane kernel replaced
+    events = rng.poisson_pair_events(11, 500, 4950, pair_threshold(0.05, 100))
+    assert len(events) == 1255
+    assert hashlib.sha256(repr(events).encode()).hexdigest() == (
+        "00e96c105226bf1aa1038d557318e7002a17f2a817091bed041d63a2a31be9ed"
+    )
+    _assert_plain_ints(events)
+
+
+def test_importing_the_simulator_does_not_import_numpy():
+    # the benchmark's set-up time is a cold `import cct, cct.sim`
+    src = str(Path(rng.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, cct, cct.sim; assert 'numpy' not in sys.modules, 'numpy imported'"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

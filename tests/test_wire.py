@@ -118,6 +118,31 @@ def test_uppercase_hex_rejected():
         wire.decode(b'{"token":"%s","type":"result_req"}' % token.encode())
 
 
+@pytest.mark.parametrize(
+    "ciphertext",
+    # "abc\n" has even length, so only a full match refuses it: "$" also
+    # matches just before a final newline
+    ["ABCD", "abc", "abc\n", "ab\u0660\u0661", "\u0660\u0661"],
+    ids=["uppercase", "odd-length", "trailing-newline", "arabic-indic-digits", "only-arabic-indic"],
+)
+def test_non_hex_ciphertext_rejected(ciphertext):
+    envelope = {
+        "type": "envelope",
+        "ciphertext": ciphertext,
+        "nonce": HEX12,
+        "sequence": 1,
+        "session_id": HEX16,
+    }
+    with pytest.raises(WireError, match="not lowercase hex"):
+        wire.encode(envelope)
+
+
+def test_non_ascii_digits_rejected_at_fixed_length():
+    # right length, so only the character check can refuse it
+    with pytest.raises(WireError, match="not lowercase hex"):
+        wire.encode({"type": "session_resp", "session_id": "\u0660" * 32})
+
+
 def test_non_finite_rejected():
     with pytest.raises(WireError):
         wire.encode({"type": "gps_poll_req", "d_max": float("nan"), "tau": 1.0, "trace": []})
