@@ -70,6 +70,7 @@ def test_simulate_insecure_control_fails(capsys):
     assert main(["simulate", "--scenario", FIG1, "--insecure-plaintext"]) == 1
     report = canonical_decode(capsys.readouterr().out.strip().encode())
     assert report["transcript_leaks"] > 0
+    assert report["transcript_leaks"] == 15
     assert report["passed"] is False
 
 

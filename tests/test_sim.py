@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cct import wire
+from cct.errors import WireError
 from cct.ident import derive_identifier
 from cct.sim.audit import audit_transcript
 from cct.sim.encounters import generate_encounters, pair_threshold
@@ -303,6 +309,171 @@ def test_audit_clean_transcript():
     assert audit_transcript(transcript, [derive_identifier(secret, 0)], [secret]) == 0
 
 
+def _transcript(*messages):
+    transcript = wire.Transcript()
+    for raw in messages:
+        transcript.append("c2e", raw)
+    return transcript
+
+
+def test_audit_counts_secrets_sharing_a_hex_prefix():
+    a = b"\x01" * 16 + b"\x02" * 16
+    b = b"\x01" * 16 + b"\x03" * 16
+    transcript = _transcript(
+        wire.canonical_encode({"type": "secret_upload_req", "secret": a.hex()}),
+        wire.canonical_encode({"type": "secret_upload_req", "secret": b.hex()}),
+    )
+    assert audit_transcript(transcript, [], [a, b]) == 2
+    assert audit_transcript(transcript, [], [b, a]) == 2
+
+
+def test_audit_counts_identifier_that_is_a_secret_prefix_and_the_secret():
+    secret = b"\x01" * 16 + b"\x02" * 16
+    identifier = secret[:16]
+    both = _transcript(wire.canonical_encode({"type": "poll_req", "x": secret.hex()}))
+    assert audit_transcript(both, [identifier], [secret]) == 2
+    only_identifier = _transcript(
+        wire.canonical_encode({"type": "poll_req", "x": identifier.hex()})
+    )
+    assert audit_transcript(only_identifier, [identifier], [secret]) == 1
+
+
+def test_audit_confirms_secret_beyond_its_prefix():
+    secret = bytes(range(32))
+    prefix_only = secret.hex()[:32] + "ff" * 16
+    assert audit_transcript(_transcript(prefix_only.encode()), [], [secret]) == 0
+    # the full secret may not run past the end of its message
+    split = _transcript(secret.hex()[:40].encode(), secret.hex()[40:].encode())
+    assert audit_transcript(split, [], [secret]) == 0
+
+
+def test_audit_counts_each_message_and_each_pattern_once():
+    identifier = bytes(range(16))
+    secret = bytes(range(100, 132))
+    body = (identifier.hex() * 2 + secret.hex() * 3).encode()
+    transcript = _transcript(body, body, b"\x80" + identifier + identifier + secret)
+    # two hex leaks in each of the two hex messages, two raw leaks in the
+    # binary one; repeats within a message and in the arguments count once
+    assert audit_transcript(transcript, [identifier, identifier], [secret]) == 6
+
+
+def test_audit_imports_numpy_only_when_it_scans():
+    src = str(Path(wire.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, cct, cct.sim\n"
+        "from cct import wire\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by cct.sim'\n"
+        "transcript = wire.Transcript()\n"
+        "transcript.append('c2e', ('00' * 16).encode())\n"
+        "assert cct.sim.audit_transcript(transcript, [bytes(16)], []) == 1\n"
+        "assert 'numpy' in sys.modules, 'numpy not imported by the audit'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def _reference_audit(transcript, identifiers, secrets):
+    """The set-of-windows scan that the numpy filter replaced.
+
+    It keeps one secret per 32-char hex prefix, and it counts an identifier
+    whose hex is also a secret's hex prefix once even when the full secret
+    is present too; it is compared only on inputs where no two of those
+    prefixes coincide.
+    """
+
+    def window_hits(raw, patterns, width):
+        if not patterns or len(raw) < width:
+            return 0
+        windows = {raw[i : i + width] for i in range(len(raw) - width + 1)}
+        return len(windows & patterns)
+
+    id_raw = frozenset(bytes(i) for i in identifiers)
+    id_hex = frozenset(i.hex().encode("ascii") for i in id_raw)
+    secret_list = [bytes(s) for s in secrets]
+    sec_hex = frozenset(s.hex().encode("ascii") for s in secret_list)
+    sec_prefix = {p[:32]: p for p in sec_hex}
+    scan32 = id_hex | frozenset(sec_prefix)
+    sec_raw = frozenset(secret_list)
+
+    leaks = 0
+    for raw in transcript.messages():
+        try:
+            msg = wire.canonical_decode(raw)
+        except WireError:
+            msg = None
+        if isinstance(msg, dict) and isinstance(msg.get("type"), str):
+            if msg["type"] in wire.HANDSHAKE_TYPES:
+                continue
+        if len(raw) >= 32:
+            windows = {raw[i : i + 32] for i in range(len(raw) - 31)}
+            for hit in windows & scan32:
+                if hit in id_hex:
+                    leaks += 1
+                elif sec_prefix[hit] in raw:
+                    leaks += 1
+        if not raw.isascii():
+            leaks += window_hits(raw, id_raw, 16)
+            leaks += window_hits(raw, sec_raw, 32)
+    return leaks
+
+
+_HEX_FILLER = st.text(alphabet="0123456789abcdef", max_size=40)
+
+
+def _plant(draw, filler, plant):
+    """Put `plant` into `filler` at offset 0, at the end or anywhere between."""
+    at = draw(st.one_of(st.just(0), st.just(len(filler)), st.integers(0, len(filler))))
+    return filler[:at] + plant + filler[at:]
+
+
+@st.composite
+def _audit_inputs(draw):
+    # distinct 16-byte heads: no identifier equals a secret's first half and
+    # no two secrets share one, so the reference scan is exact
+    heads = draw(st.lists(st.binary(min_size=16, max_size=16), unique=True, max_size=6))
+    n_ids = draw(st.integers(0, len(heads)))
+    identifiers = heads[:n_ids]
+    secrets = [h + draw(st.binary(min_size=16, max_size=16)) for h in heads[n_ids:]]
+    hex_plants = [i.hex() for i in identifiers] + [s.hex() for s in secrets]
+    hex_plants += [s.hex()[:32] for s in secrets]
+    raw_plants = identifiers + secrets
+    hex_plant = st.sampled_from(hex_plants) if hex_plants else st.just("")
+    raw_plant = st.sampled_from(raw_plants) if raw_plants else st.just(b"")
+
+    messages = []
+    kinds = ["hex", "json", "binary", "handshake", "short", "split"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        if kind == "hex":
+            messages.append(_plant(draw, draw(_HEX_FILLER), draw(hex_plant)).encode())
+        elif kind in ("json", "handshake"):
+            value = _plant(draw, draw(_HEX_FILLER), draw(hex_plant))
+            msg_type = "poll_req" if kind == "json" else "attest_resp"
+            messages.append(wire.canonical_encode({"type": msg_type, "x": value, "y": [value]}))
+        elif kind == "binary":
+            raw = _plant(draw, draw(st.binary(max_size=40)), draw(st.one_of(raw_plant, hex_plant.map(str.encode))))
+            messages.append(raw if not raw.isascii() else raw + b"\x80")
+        elif kind == "short":
+            messages.append(draw(st.binary(max_size=7)))
+        else:
+            plant = draw(st.one_of(raw_plant, hex_plant.map(str.encode)))
+            cut = draw(st.integers(0, len(plant)))
+            messages.append(draw(st.binary(max_size=8)) + plant[:cut])
+            messages.append(plant[cut:] + draw(st.binary(max_size=8)))
+    repeats = draw(st.integers(0, 2))
+    return messages, identifiers + identifiers[:repeats], secrets + secrets[:repeats]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_audit_inputs())
+def test_audit_matches_window_set_reference(inputs):
+    messages, identifiers, secrets = inputs
+    transcript = _transcript(*messages)
+    assert audit_transcript(transcript, identifiers, secrets) == _reference_audit(
+        transcript, identifiers, secrets
+    )
+
+
 # -- full runs ----------------------------------------------------------------------
 
 def test_fig1_run():
@@ -344,17 +515,19 @@ def test_uploads_disabled_notifies_nobody():
     assert report.passed
 
 
+SMALL_RANDOM = ScenarioConfig(
+    name="small-random",
+    n_devices=10,
+    n_intervals=30,
+    seed=12,
+    encounter_rate=0.2,
+    infected=(InfectionSpec(device=4, test_interval=15),),
+    poll_every=5,
+)
+
+
 def test_random_scenario_matches_oracle():
-    config = ScenarioConfig(
-        name="small-random",
-        n_devices=10,
-        n_intervals=30,
-        seed=12,
-        encounter_rate=0.2,
-        infected=(InfectionSpec(device=4, test_interval=15),),
-        poll_every=5,
-    )
-    report = run_scenario(config)
+    report = run_scenario(SMALL_RANDOM)
     assert report.notified == report.oracle_notified
     assert report.passed
 
@@ -363,6 +536,22 @@ def test_insecure_plaintext_leaks():
     report = run_scenario(fig1_scenario(), insecure_plaintext=True)
     assert report.transcript_leaks > 0
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "config,leaks",
+    [
+        (fig1_scenario(), 15),
+        (fig1_scenario(mode="secret"), 13),
+        (SMALL_RANDOM, 414),
+        (SMALL_RANDOM.with_mode("secret"), 407),
+    ],
+    ids=["fig1-tuple", "fig1-secret", "small-random-tuple", "small-random-secret"],
+)
+def test_insecure_plaintext_leak_counts_pinned(config, leaks):
+    # the counts of the set-of-windows scan: a faster audit that undercounts
+    # (or overcounts) these controls fails here
+    assert run_scenario(config, insecure_plaintext=True).transcript_leaks == leaks
 
 
 def test_log_polls_breaks_flush_audit():
