@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -119,17 +119,32 @@ class AttestationQuote:
     def signed_payload(self) -> bytes:
         return self.measurement.value + self.enclave_session_pub
 
+    def to_wire(self) -> dict:
+        return {
+            "enclave_session_pub": self.enclave_session_pub.hex(),
+            "measurement": self.measurement.hex(),
+            "platform_signature": self.platform_signature.hex(),
+            "type": "attest_resp",
+        }
+
+    @classmethod
+    def from_wire(cls, msg: dict) -> "AttestationQuote":
+        return cls(
+            measurement=Measurement(bytes.fromhex(msg["measurement"])),
+            enclave_session_pub=bytes.fromhex(msg["enclave_session_pub"]),
+            platform_signature=bytes.fromhex(msg["platform_signature"]),
+        )
+
 
 def generate_quote(
     signing_key: Ed25519PrivateKey,
     measurement: Measurement,
     enclave_session_pub: bytes,
 ) -> AttestationQuote:
-    payload = measurement.value + enclave_session_pub
-    return AttestationQuote(
-        measurement=measurement,
-        enclave_session_pub=enclave_session_pub,
-        platform_signature=signing_key.sign(payload),
+    # the signature is not part of signed_payload(), so a placeholder will do
+    unsigned = AttestationQuote(measurement, enclave_session_pub, bytes(64))
+    return replace(
+        unsigned, platform_signature=signing_key.sign(unsigned.signed_payload())
     )
 
 

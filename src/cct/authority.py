@@ -57,6 +57,24 @@ class SignedReport:
     interval: int
     signature: bytes
 
+    def to_wire(self) -> dict:
+        return {
+            "interval": self.interval,
+            "result": self.result,
+            "signature": self.signature.hex(),
+            "token_hash": self.token_hash.hex(),
+            "type": "report_req",
+        }
+
+    @classmethod
+    def from_wire(cls, msg: dict) -> "SignedReport":
+        return cls(
+            token_hash=bytes.fromhex(msg["token_hash"]),
+            result=msg["result"],
+            interval=msg["interval"],
+            signature=bytes.fromhex(msg["signature"]),
+        )
+
 
 def report_signing_bytes(token_hash_: bytes, result: str, interval: int) -> bytes:
     """Canonical encoding covered by the report signature."""

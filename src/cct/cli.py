@@ -21,7 +21,7 @@ from cct.authority import HealthAuthorityCredential, issue_test_token, token_has
 from cct.client import EnclaveClient, TcpTransport
 from cct.config import DeploymentConfig
 from cct.contact_log import ContactLog
-from cct.enclave import Enclave, GpsPoint
+from cct.enclave import Enclave, GpsPoint, gps_events_to_wire
 from cct.errors import ProtocolError
 from cct.attestation import platform_verify_key
 from cct.service import EnclaveServer, EnclaveService
@@ -30,6 +30,11 @@ from cct.sim import ScenarioConfig, run_scenario
 
 def _print_json(value: dict) -> None:
     sys.stdout.write(wire.canonical_encode(value).decode("ascii") + "\n")
+
+
+def _print_response(msg: dict) -> None:
+    """A response message as command output: its fields without the type."""
+    _print_json({k: v for k, v in msg.items() if k != "type"})
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -174,13 +179,7 @@ def _cmd_device(args: argparse.Namespace) -> int:
         return 0
     if command == "poll":
         log = ContactLog.load(args.log)
-        result = client.poll(log.export())
-        _print_json(
-            {
-                "matched": result.matched,
-                "matched_intervals": list(result.matched_intervals),
-            }
-        )
+        _print_response(client.poll(log.export()).to_wire())
         return 0
     if command == "gps-upload":
         client.upload_gps(bytes.fromhex(args.token), _load_trace(args.trace))
@@ -193,9 +192,7 @@ def _cmd_device(args: argparse.Namespace) -> int:
         if args.tau is not None:
             kwargs["tau"] = args.tau
         events = client.poll_gps(_load_trace(args.trace), **kwargs)
-        _print_json(
-            {"events": [{"t_infected": a, "t_poller": b} for a, b in events]}
-        )
+        _print_response(gps_events_to_wire(events))
         return 0
     raise AssertionError(f"unhandled device command {command!r}")
 

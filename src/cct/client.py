@@ -25,7 +25,13 @@ from cct.attestation import (
 )
 from cct.authority import SignedReport
 from cct.contact_log import ContactTuple
-from cct.enclave import DEFAULT_GPS_D_MAX, DEFAULT_GPS_TAU, GpsPoint, MatchResult
+from cct.enclave import (
+    DEFAULT_GPS_D_MAX,
+    DEFAULT_GPS_TAU,
+    GpsPoint,
+    MatchResult,
+    gps_events_from_wire,
+)
 from cct.errors import ProtocolError, RemoteError
 
 
@@ -103,11 +109,7 @@ class EnclaveClient:
         resp = self._exchange_plain({"type": "attest_req"})
         if resp["type"] != "attest_resp":
             raise ProtocolError("unexpected message type")
-        quote = AttestationQuote(
-            measurement=Measurement(bytes.fromhex(resp["measurement"])),
-            enclave_session_pub=bytes.fromhex(resp["enclave_session_pub"]),
-            platform_signature=bytes.fromhex(resp["platform_signature"]),
-        )
+        quote = AttestationQuote.from_wire(resp)
         verify_quote(quote, self._expected, self._verify_key)
         private = X25519PrivateKey.generate()
         keys = establish_session(private, quote)
@@ -152,16 +154,7 @@ class EnclaveClient:
     # -- application calls -----------------------------------------------------
 
     def register_report(self, report: SignedReport) -> None:
-        self._expect(
-            {
-                "type": "report_req",
-                "interval": report.interval,
-                "result": report.result,
-                "signature": report.signature.hex(),
-                "token_hash": report.token_hash.hex(),
-            },
-            "ack",
-        )
+        self._expect(report.to_wire(), "ack")
 
     def poll_result(self, token: bytes) -> str:
         resp = self._expect({"type": "result_req", "token": token.hex()}, "result_resp")
@@ -193,10 +186,7 @@ class EnclaveClient:
         resp = self._expect(
             {"type": "poll_req", "tuples": [t.to_wire() for t in tuples]}, "poll_resp"
         )
-        return MatchResult(
-            matched=resp["matched"],
-            matched_intervals=tuple(resp["matched_intervals"]),
-        )
+        return MatchResult.from_wire(resp)
 
     def upload_gps(self, token: bytes, trace: list[GpsPoint]) -> None:
         self._expect(
@@ -223,5 +213,5 @@ class EnclaveClient:
             },
             "gps_poll_resp",
         )
-        return [(e["t_infected"], e["t_poller"]) for e in resp["events"]]
+        return gps_events_from_wire(resp)
 

@@ -4,33 +4,19 @@ One canonical-JSON file describes a deployment: protocol timing, retention,
 GPS thresholds, the health-authority verify key, the platform verify key
 (for clients checking quotes), and where to reach the service. Both sides
 derive the expected enclave measurement from this file, which is what makes
-client-side attestation checks meaningful.
+client-side attestation checks meaningful. Only the enclave fields enter the
+measurement; the host, port, store path and platform key do not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any
 
-from cct.contact_log import DEFAULT_RETENTION
-from cct.enclave import DEFAULT_GPS_D_MAX, DEFAULT_GPS_TAU, EnclaveConfig
-from cct.ident import DEFAULT_DELTA_T, TimeParams
+from cct.enclave import EnclaveConfig
 from cct.service import DEFAULT_HOST, DEFAULT_PORT
-from cct.wire import canonical_encode, lenient_decode
-
-_KNOWN_FIELDS = {
-    "delta_t",
-    "gps_d_max",
-    "gps_tau",
-    "ha_verify_key",
-    "host",
-    "platform_verify_key",
-    "port",
-    "retention",
-    "store_path",
-    "strict_interval_match",
-    "t0",
-}
+from cct.wire import canonical_encode, lenient_decode, read_object
 
 
 @dataclass(frozen=True)
@@ -42,32 +28,17 @@ class DeploymentConfig:
     store_path: str | None = None
 
     @classmethod
-    def from_value(cls, value: dict) -> "DeploymentConfig":
-        if not isinstance(value, dict):
-            raise ValueError("deployment config must be a JSON object")
-        unknown = set(value) - _KNOWN_FIELDS
-        if unknown:
-            raise ValueError(f"unknown config field: {sorted(unknown)[0]}")
-        if "ha_verify_key" not in value:
-            raise ValueError("missing config field: ha_verify_key")
-        enclave = EnclaveConfig(
-            ha_verify_key=bytes.fromhex(value["ha_verify_key"]),
-            time=TimeParams(
-                t0=value.get("t0", 0), delta_t=value.get("delta_t", DEFAULT_DELTA_T)
-            ),
-            retention=value.get("retention", DEFAULT_RETENTION),
-            strict_interval_match=value.get("strict_interval_match", False),
-            gps_d_max=value.get("gps_d_max", DEFAULT_GPS_D_MAX),
-            gps_tau=value.get("gps_tau", DEFAULT_GPS_TAU),
-        )
+    def from_value(cls, value: Any) -> "DeploymentConfig":
+        # placeholders give the optional fields their kind in the template
+        template = cls(EnclaveConfig(b""), platform_verify_key=b"", store_path="").to_value()
+        full = read_object(value, template, (), "config")
+        own = {f.name for f in fields(cls)} - {"enclave"}
         platform_hex = value.get("platform_verify_key")
         return cls(
-            enclave=enclave,
-            host=value.get("host", DEFAULT_HOST),
-            port=value.get("port", DEFAULT_PORT),
-            platform_verify_key=(
-                bytes.fromhex(platform_hex) if platform_hex is not None else None
-            ),
+            enclave=EnclaveConfig.from_value({k: v for k, v in value.items() if k not in own}),
+            host=full["host"],
+            port=full["port"],
+            platform_verify_key=None if platform_hex is None else bytes.fromhex(platform_hex),
             store_path=value.get("store_path"),
         )
 
@@ -76,17 +47,7 @@ class DeploymentConfig:
         return cls.from_value(lenient_decode(Path(path).read_bytes()))
 
     def to_value(self) -> dict:
-        value = {
-            "delta_t": self.enclave.time.delta_t,
-            "gps_d_max": float(self.enclave.gps_d_max),
-            "gps_tau": float(self.enclave.gps_tau),
-            "ha_verify_key": self.enclave.ha_verify_key.hex(),
-            "host": self.host,
-            "port": self.port,
-            "retention": self.enclave.retention,
-            "strict_interval_match": self.enclave.strict_interval_match,
-            "t0": self.enclave.time.t0,
-        }
+        value = {**self.enclave.to_value(), "host": self.host, "port": self.port}
         if self.platform_verify_key is not None:
             value["platform_verify_key"] = self.platform_verify_key.hex()
         if self.store_path is not None:

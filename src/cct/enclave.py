@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from cct import attestation
 from cct.attestation import Measurement, SealedBlob, seal, unseal
@@ -32,10 +32,10 @@ from cct.authority import (
     token_hash,
     verify_report,
 )
-from cct.contact_log import ContactTuple
+from cct.contact_log import DEFAULT_RETENTION, ContactTuple
 from cct.errors import AuthorizationError, ProtocolError
 from cct.ident import TimeParams, derive_identifier_range, interval_index
-from cct.wire import canonical_encode, canonical_decode
+from cct.wire import canonical_decode, canonical_encode, read_object
 
 ENCLAVE_CODE_VERSION = "cct-enclave/1.0"
 
@@ -105,6 +105,31 @@ class MatchResult:
         ordered = tuple(sorted(set(intervals)))
         return cls(matched=bool(ordered), matched_intervals=ordered)
 
+    def to_wire(self) -> dict:
+        return {
+            "matched": self.matched,
+            "matched_intervals": list(self.matched_intervals),
+            "type": "poll_resp",
+        }
+
+    @classmethod
+    def from_wire(cls, msg: dict) -> "MatchResult":
+        return cls(
+            matched=msg["matched"], matched_intervals=tuple(msg["matched_intervals"])
+        )
+
+
+def gps_events_to_wire(events: Iterable[tuple[float, float]]) -> dict:
+    """The gps_poll_resp message for match_gps's (t_infected, t_poller) pairs."""
+    return {
+        "events": [{"t_infected": a, "t_poller": b} for a, b in events],
+        "type": "gps_poll_resp",
+    }
+
+
+def gps_events_from_wire(msg: dict) -> list[tuple[float, float]]:
+    return [(e["t_infected"], e["t_poller"]) for e in msg["events"]]
+
 
 # ---------------------------------------------------------------------------
 # Configuration and measurement
@@ -120,13 +145,13 @@ class EnclaveConfig:
 
     ha_verify_key: bytes
     time: TimeParams = field(default_factory=lambda: TimeParams(t0=0))
-    retention: int = 1344
+    retention: int = DEFAULT_RETENTION
     strict_interval_match: bool = False
     gps_d_max: float = DEFAULT_GPS_D_MAX
     gps_tau: float = DEFAULT_GPS_TAU
 
-    def digest(self) -> bytes:
-        obj = {
+    def to_value(self) -> dict:
+        return {
             "delta_t": self.time.delta_t,
             "gps_d_max": float(self.gps_d_max),
             "gps_tau": float(self.gps_tau),
@@ -135,7 +160,23 @@ class EnclaveConfig:
             "strict_interval_match": self.strict_interval_match,
             "t0": self.time.t0,
         }
-        return hashlib.sha256(canonical_encode(obj)).digest()
+
+    @classmethod
+    def from_value(cls, value: Any) -> "EnclaveConfig":
+        """Inverse of to_value; absent fields take the defaults above."""
+        template = cls(ha_verify_key=b"").to_value()
+        full = read_object(value, template, ("ha_verify_key",), "config")
+        return cls(
+            ha_verify_key=bytes.fromhex(full["ha_verify_key"]),
+            time=TimeParams(t0=full["t0"], delta_t=full["delta_t"]),
+            retention=full["retention"],
+            strict_interval_match=full["strict_interval_match"],
+            gps_d_max=full["gps_d_max"],
+            gps_tau=full["gps_tau"],
+        )
+
+    def digest(self) -> bytes:
+        return hashlib.sha256(canonical_encode(self.to_value())).digest()
 
     def measurement(self) -> Measurement:
         return attestation.compute_measurement(ENCLAVE_CODE_VERSION, self.digest())
@@ -266,9 +307,7 @@ class Enclave:
 
     # -- matching -------------------------------------------------------------
 
-    def match_poll(
-        self, tuples: Sequence[ContactTuple], strict: bool | None = None
-    ) -> MatchResult:
+    def match_poll(self, tuples: Sequence[ContactTuple]) -> MatchResult:
         """Match poll tuples against the infected store.
 
         A poll tuple (s, r, i) matches when the swapped pair (r, s) is stored
@@ -276,8 +315,7 @@ class Enclave:
         derived identifier. Expired entries never match even if a sweep has
         not physically removed them yet. Nothing about the poll is retained.
         """
-        if strict is None:
-            strict = self.config.strict_interval_match
+        strict = self.config.strict_interval_match
         current = self.current_interval()
         hits: list[int] = []
         for t in tuples:

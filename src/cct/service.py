@@ -27,7 +27,7 @@ from cct.attestation import (
     platform_signing_key,
 )
 from cct.contact_log import ContactTuple
-from cct.enclave import Enclave, GpsPoint
+from cct.enclave import Enclave, GpsPoint, gps_events_to_wire
 from cct.errors import EnvelopeError, ProtocolError, WireError
 from cct.authority import SignedReport
 
@@ -78,12 +78,7 @@ class EnclaveService:
         public = private.public_key().public_bytes_raw()
         quote = generate_quote(self._signing_key, self.enclave.measurement, public)
         self._pending[public] = private
-        return {
-            "type": "attest_resp",
-            "enclave_session_pub": public.hex(),
-            "measurement": quote.measurement.hex(),
-            "platform_signature": quote.platform_signature.hex(),
-        }
+        return quote.to_wire()
 
     def _open_session(self, msg: dict) -> dict:
         public = bytes.fromhex(msg["enclave_session_pub"])
@@ -128,14 +123,7 @@ class EnclaveService:
     def _handle_app(self, msg: dict) -> dict:
         mtype = msg["type"]
         if mtype == "report_req":
-            self.enclave.register_test_result(
-                SignedReport(
-                    token_hash=bytes.fromhex(msg["token_hash"]),
-                    result=msg["result"],
-                    interval=msg["interval"],
-                    signature=bytes.fromhex(msg["signature"]),
-                )
-            )
+            self.enclave.register_test_result(SignedReport.from_wire(msg))
             return {"type": "ack"}
         if mtype == "result_req":
             result = self.enclave.poll_test_result(bytes.fromhex(msg["token"]))
@@ -155,14 +143,9 @@ class EnclaveService:
             )
             return {"type": "ack"}
         if mtype == "poll_req":
-            result = self.enclave.match_poll(
+            return self.enclave.match_poll(
                 [ContactTuple.from_wire(e) for e in msg["tuples"]]
-            )
-            return {
-                "type": "poll_resp",
-                "matched": result.matched,
-                "matched_intervals": list(result.matched_intervals),
-            }
+            ).to_wire()
         if mtype == "gps_upload_req":
             self.enclave.upload_gps_trace(
                 bytes.fromhex(msg["token"]),
@@ -175,10 +158,7 @@ class EnclaveService:
                 d_max=msg["d_max"],
                 tau=msg["tau"],
             )
-            return {
-                "type": "gps_poll_resp",
-                "events": [{"t_infected": a, "t_poller": b} for a, b in events],
-            }
+            return gps_events_to_wire(events)
         raise ProtocolError("unexpected message type")
 
 

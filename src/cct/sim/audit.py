@@ -40,14 +40,17 @@ def state_digest(enclave: Enclave) -> bytes:
     return hashlib.sha256(enclave.sealed_bytes() + enclave.serialize_state()).digest()
 
 
-def _message_type(raw: bytes) -> str | None:
+def _is_handshake(raw: bytes) -> bool:
+    # every canonical handshake message holds one of these byte strings, so
+    # only the few that do pay for the full decode
+    if b'"type":"attest_' not in raw and b'"type":"session_' not in raw:
+        return False
     try:
         msg = wire.canonical_decode(raw)
     except WireError:
-        return None
-    if isinstance(msg, dict) and isinstance(msg.get("type"), str):
-        return msg["type"]
-    return None
+        return False
+    mtype = msg.get("type") if isinstance(msg, dict) else None
+    return isinstance(mtype, str) and mtype in wire.HANDSHAKE_TYPES
 
 
 def _window_hits(
@@ -121,11 +124,7 @@ def audit_transcript(
         full = secret.hex().encode("ascii")
         sec_by_prefix.setdefault(full[:32], []).append(full)
 
-    messages = [
-        raw
-        for raw in transcript.messages()
-        if _message_type(raw) not in wire.HANDSHAKE_TYPES
-    ]
+    messages = [raw for raw in transcript.messages() if not _is_handshake(raw)]
     binary = [raw for raw in messages if not raw.isascii()]
 
     hex_leaks = set()

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Any
 
 from cct.contact_log import DEFAULT_RETENTION
 from cct.ident import DEFAULT_DELTA_T, TimeParams
-from cct.wire import canonical_encode, lenient_decode
+from cct.wire import canonical_encode, lenient_decode, read_object
 
 UPLOAD_MODES = ("tuple", "secret")
 
@@ -42,6 +43,19 @@ class InfectionSpec:
     uploads: bool = True
     mode: str = "tuple"
 
+    def to_value(self) -> dict:
+        return {
+            "device": self.device,
+            "mode": self.mode,
+            "test_interval": self.test_interval,
+            "uploads": self.uploads,
+        }
+
+    @classmethod
+    def from_value(cls, value: Any) -> "InfectionSpec":
+        template = cls(device=0, test_interval=0).to_value()
+        return cls(**read_object(value, template, ("device", "test_interval"), "infected"))
+
 
 @dataclass(frozen=True, order=True)
 class EncounterEvent:
@@ -59,6 +73,15 @@ class EncounterEvent:
         if i > j:
             object.__setattr__(self, "device_i", j)
             object.__setattr__(self, "device_j", i)
+
+    def to_value(self) -> dict:
+        return {"device_i": self.device_i, "device_j": self.device_j, "interval": self.interval}
+
+    @classmethod
+    def from_value(cls, value: Any) -> "EncounterEvent":
+        template = cls(interval=0, device_i=0, device_j=1).to_value()
+        # every field is required
+        return cls(**read_object(value, template, template, "encounter"))
 
 
 @dataclass(frozen=True)
@@ -128,19 +151,8 @@ class ScenarioConfig:
             "complete_graph": self.complete_graph,
             "delta_t": self.delta_t,
             "encounter_rate": float(self.encounter_rate),
-            "encounters": [
-                {"device_i": e.device_i, "device_j": e.device_j, "interval": e.interval}
-                for e in self.encounters
-            ],
-            "infected": [
-                {
-                    "device": s.device,
-                    "mode": s.mode,
-                    "test_interval": s.test_interval,
-                    "uploads": s.uploads,
-                }
-                for s in self.infected
-            ],
+            "encounters": [e.to_value() for e in self.encounters],
+            "infected": [s.to_value() for s in self.infected],
             "n_devices": self.n_devices,
             "n_intervals": self.n_intervals,
             "name": self.name,
@@ -152,47 +164,13 @@ class ScenarioConfig:
         }
 
     @classmethod
-    def from_value(cls, value: dict) -> "ScenarioConfig":
-        if not isinstance(value, dict):
-            raise ValueError("scenario must be a JSON object")
-        known = set(cls(n_devices=1, n_intervals=1).to_value())
-        unknown = set(value) - known
-        if unknown:
-            raise ValueError(f"unknown scenario field: {sorted(unknown)[0]}")
-        missing = {"n_devices", "n_intervals"} - set(value)
-        if missing:
-            raise ValueError(f"missing scenario field: {sorted(missing)[0]}")
-        config = cls(
-            n_devices=value["n_devices"],
-            n_intervals=value["n_intervals"],
-            name=value.get("name", "scenario"),
-            seed=value.get("seed", 0),
-            encounter_rate=value.get("encounter_rate", 0.0),
-            complete_graph=value.get("complete_graph", False),
-            encounters=tuple(
-                EncounterEvent(
-                    interval=e["interval"],
-                    device_i=e["device_i"],
-                    device_j=e["device_j"],
-                )
-                for e in value.get("encounters", [])
-            ),
-            infected=tuple(
-                InfectionSpec(
-                    device=s["device"],
-                    test_interval=s["test_interval"],
-                    uploads=s.get("uploads", True),
-                    mode=s.get("mode", "tuple"),
-                )
-                for s in value.get("infected", [])
-            ),
-            poll_every=value.get("poll_every", 0),
-            audit_polls=value.get("audit_polls", False),
-            delta_t=value.get("delta_t", DEFAULT_DELTA_T),
-            t0=value.get("t0", 0),
-            retention=value.get("retention", DEFAULT_RETENTION),
-            strict_interval_match=value.get("strict_interval_match", False),
-        )
+    def from_value(cls, value: Any) -> "ScenarioConfig":
+        """Inverse of to_value; absent fields take the defaults above."""
+        template = cls(n_devices=1, n_intervals=1).to_value()
+        full = read_object(value, template, ("n_devices", "n_intervals"), "scenario")
+        full["encounters"] = tuple(EncounterEvent.from_value(e) for e in full["encounters"])
+        full["infected"] = tuple(InfectionSpec.from_value(s) for s in full["infected"])
+        config = cls(**full)
         config.validate()
         return config
 

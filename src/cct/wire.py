@@ -16,7 +16,7 @@ import json
 import math
 import re
 import struct
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from cct.errors import WireError
 
@@ -68,6 +68,29 @@ def lenient_decode(raw: bytes) -> Any:
         raise
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireError(f"invalid JSON: {exc}") from exc
+
+
+def read_object(value: Any, template: dict, required: Iterable[str], what: str) -> dict:
+    """`template` overlaid with a hand-written JSON object, once it is checked.
+
+    `template` is a record's to_value() with its optional fields at their
+    defaults. The object may hold only the template's keys, must hold each
+    `required` one, and each value must have the type of the template's (an
+    int passes for a float). Raises ValueError naming the offending field.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(value) - set(template)
+    if unknown:
+        raise ValueError(f"unknown {what} field: {sorted(unknown)[0]}")
+    missing = set(required) - set(value)
+    if missing:
+        raise ValueError(f"missing {what} field: {sorted(missing)[0]}")
+    for name, v in value.items():
+        want, got = type(template[name]), type(v)
+        if got is not want and not (want is float and got is int):
+            raise ValueError(f"{what} field {name}: expected {want.__name__}, got {got.__name__}")
+    return {**template, **value}
 
 
 # ---------------------------------------------------------------------------

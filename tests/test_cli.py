@@ -1,3 +1,4 @@
+import json
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -315,8 +316,6 @@ def test_cli_rejects_unknown_config_field(tmp_path, capsys):
 
 
 def test_hand_written_config_accepted(deployment, capsys):
-    import json
-
     # configs people indent by hand must load; only the wire is canonical
     pretty = deployment.tmp / "pretty.json"
     pretty.write_text(
@@ -324,3 +323,47 @@ def test_hand_written_config_accepted(deployment, capsys):
     )
     assert main(["device", "result", "--config", str(pretty), "--token", "22" * 32]) == 0
     assert '"result":' in capsys.readouterr().out
+
+
+def _fig1_with(**fields) -> dict:
+    value = json.loads(Path(FIG1).read_text())
+    value.update(fields)
+    return value
+
+
+@pytest.mark.parametrize(
+    "command, value, reason",
+    [
+        (
+            "simulate",
+            _fig1_with(encounters=[{"device_i": 0, "device_j": 1}]),
+            "missing encounter field: interval",
+        ),
+        (
+            "simulate",
+            _fig1_with(infected=[{"test_interval": 1}]),
+            "missing infected field: device",
+        ),
+        ("simulate", _fig1_with(encounters=[5]), "encounter must be a JSON object"),
+        (
+            "device",
+            {"ha_verify_key": 5},
+            "config field ha_verify_key: expected str, got int",
+        ),
+    ],
+    ids=[
+        "encounter-without-interval",
+        "infected-without-device",
+        "encounter-not-object",
+        "ha-key-not-string",
+    ],
+)
+def test_malformed_hand_written_file_reported(tmp_path, capsys, command, value, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(canonical_encode(value))
+    if command == "simulate":
+        argv = ["simulate", "--scenario", str(path)]
+    else:
+        argv = ["device", "result", "--config", str(path), "--token", "22" * 32]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"

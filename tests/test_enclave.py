@@ -216,20 +216,26 @@ def test_matched_intervals_deduped_ascending(enclave, ha, clock):
 
 
 def test_strict_mode_requires_equal_interval(ha, platform_secret, clock):
-    config = EnclaveConfig(ha_verify_key=ha.verify_key, time=TimeParams(t0=0))
-    enclave = Enclave(config, platform_secret, clock=clock)
-    clock.set_interval(1)
-    register_positive(enclave, ha, TOKEN, 1)
-    # stored under interval 1, but the identifier pair is from interval 0
-    enclave.upload_contact_log(
-        TOKEN,
-        [ContactTuple(interval=1, sent=ident(SECRET_C, 0), received=ident(SECRET_A, 0))],
-    )
     poll = [
         ContactTuple(interval=0, sent=ident(SECRET_A, 0), received=ident(SECRET_C, 0))
     ]
-    assert enclave.match_poll(poll, strict=False).matched
-    assert not enclave.match_poll(poll, strict=True).matched
+    clock.set_interval(1)
+    matched = {}
+    for strict in (False, True):
+        config = EnclaveConfig(
+            ha_verify_key=ha.verify_key,
+            time=TimeParams(t0=0),
+            strict_interval_match=strict,
+        )
+        enclave = Enclave(config, platform_secret, clock=clock)
+        register_positive(enclave, ha, TOKEN, 1)
+        # stored under interval 1, but the identifier pair is from interval 0
+        enclave.upload_contact_log(
+            TOKEN,
+            [ContactTuple(interval=1, sent=ident(SECRET_C, 0), received=ident(SECRET_A, 0))],
+        )
+        matched[strict] = enclave.match_poll(poll).matched
+    assert matched == {False: True, True: False}
 
 
 def test_match_result_invariant(enclave, ha, clock):

@@ -111,6 +111,10 @@ def test_config_rejects_unknown_and_missing_fields():
     with pytest.raises(ValueError, match="unknown scenario field"):
         ScenarioConfig.from_value(value)
     del value["surprise"]
+    for nested, what in (("encounters", "encounter"), ("infected", "infected")):
+        entry = {**value[nested][0], "surprise": 1}
+        with pytest.raises(ValueError, match=f"unknown {what} field: surprise"):
+            ScenarioConfig.from_value({**value, nested: [entry]})
     del value["n_devices"]
     with pytest.raises(ValueError, match="missing scenario field"):
         ScenarioConfig.from_value(value)
