@@ -73,16 +73,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host = args.host or deployment.host
     port = args.port if args.port is not None else deployment.port
     store = args.store or deployment.store_path
-    enclave = Enclave(
-        deployment.enclave,
-        platform_secret,
-        store_path=store,
-        log_polls=args.log_polls,
-    )
-    service = EnclaveService(
-        enclave, platform_secret, insecure_plaintext=args.insecure_plaintext
-    )
-    server = EnclaveServer(service, host=host, port=port)
+    enclave = Enclave(deployment.enclave, platform_secret, store_path=store)
+    server = EnclaveServer(EnclaveService(enclave, platform_secret), host=host, port=port)
     actual_host, actual_port = server.server_address[:2]
     print(
         f"serving measurement {enclave.measurement.hex()} "
@@ -118,8 +110,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _client_from_config(args: argparse.Namespace) -> EnclaveClient:
-    deployment = DeploymentConfig.from_file(args.config)
+def _client_from_config(deployment: DeploymentConfig, args: argparse.Namespace) -> EnclaveClient:
     if deployment.platform_verify_key is None:
         raise ProtocolError("config lacks platform_verify_key")
     host = args.host or deployment.host
@@ -141,7 +132,7 @@ def _cmd_ha(args: argparse.Namespace) -> int:
     report = credential.sign_report(
         bytes.fromhex(args.token_hash), args.result, args.interval
     )
-    client = _client_from_config(args)
+    client = _client_from_config(DeploymentConfig.from_file(args.config), args)
     client.register_report(report)
     _print_json({"registered": report.token_hash.hex()})
     return 0
@@ -157,7 +148,8 @@ def _load_trace(path: str) -> list[GpsPoint]:
 
 
 def _cmd_device(args: argparse.Namespace) -> int:
-    client = _client_from_config(args)
+    deployment = DeploymentConfig.from_file(args.config)
+    client = _client_from_config(deployment, args)
     command = args.device_command
     if command == "result":
         result = client.poll_result(bytes.fromhex(args.token))
@@ -186,12 +178,12 @@ def _cmd_device(args: argparse.Namespace) -> int:
         _print_json({"uploaded": True})
         return 0
     if command == "gps-poll":
-        kwargs = {}
-        if args.d_max is not None:
-            kwargs["d_max"] = args.d_max
-        if args.tau is not None:
-            kwargs["tau"] = args.tau
-        events = client.poll_gps(_load_trace(args.trace), **kwargs)
+        bounds = deployment.enclave
+        events = client.poll_gps(
+            _load_trace(args.trace),
+            d_max=bounds.gps_d_max if args.d_max is None else args.d_max,
+            tau=bounds.gps_tau if args.tau is None else args.tau,
+        )
         _print_response(gps_events_to_wire(events))
         return 0
     raise AssertionError(f"unhandled device command {command!r}")
@@ -216,16 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the backend service")
     _add_endpoint_args(serve)
     serve.add_argument("--store", help="sealed state file path")
-    serve.add_argument(
-        "--insecure-plaintext",
-        action="store_true",
-        help="accept plaintext application messages (negative control)",
-    )
-    serve.add_argument(
-        "--log-polls",
-        action="store_true",
-        help="persist poll inputs, violating flush semantics (negative control)",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     simulate = sub.add_parser("simulate", help="run a scenario end to end")
@@ -299,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     gps_poll = device_sub.add_parser("gps-poll", help="poll with a GPS trace")
     _add_endpoint_args(gps_poll)
     gps_poll.add_argument("--trace", required=True)
-    gps_poll.add_argument("--d-max", type=float, dest="d_max")
-    gps_poll.add_argument("--tau", type=float)
+    gps_poll.add_argument("--d-max", type=float, dest="d_max", help="default and cap: gps_d_max")
+    gps_poll.add_argument("--tau", type=float, help="default and cap: gps_tau")
     gps_poll.set_defaults(func=_cmd_device)
 
     return parser

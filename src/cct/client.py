@@ -96,19 +96,24 @@ class EnclaveClient:
         self._channel: SecureChannel | None = None
         self.insecure_plaintext = insecure_plaintext
 
-    # -- handshake ---------------------------------------------------------
+    # -- request plumbing -----------------------------------------------------
 
-    def _exchange_plain(self, msg: dict) -> dict:
-        response = wire.decode(self._transport.request(wire.encode(msg)))
-        if response["type"] == "error":
-            raise RemoteError(response["reason"])
-        return response
+    @staticmethod
+    def _reply(raw: bytes, reply_type: str) -> dict:
+        """The one reply check: an error reply raises, so does a wrong type."""
+        reply = wire.decode(raw)
+        if reply["type"] == "error":
+            raise RemoteError(reply["reason"])
+        if reply["type"] != reply_type:
+            raise ProtocolError("unexpected message type")
+        return reply
+
+    def _exchange_plain(self, msg: dict, reply_type: str) -> dict:
+        return self._reply(self._transport.request(wire.encode(msg)), reply_type)
 
     def connect(self) -> None:
         """Verify the quote and set up the encrypted session."""
-        resp = self._exchange_plain({"type": "attest_req"})
-        if resp["type"] != "attest_resp":
-            raise ProtocolError("unexpected message type")
+        resp = self._exchange_plain({"type": "attest_req"}, "attest_resp")
         quote = AttestationQuote.from_wire(resp)
         verify_quote(quote, self._expected, self._verify_key)
         private = X25519PrivateKey.generate()
@@ -118,50 +123,35 @@ class EnclaveClient:
                 "type": "session_req",
                 "client_session_pub": private.public_key().public_bytes_raw().hex(),
                 "enclave_session_pub": quote.enclave_session_pub.hex(),
-            }
+            },
+            "session_resp",
         )
-        if resp["type"] != "session_resp":
-            raise ProtocolError("unexpected message type")
         if bytes.fromhex(resp["session_id"]) != keys.session_id:
             raise ProtocolError("session id mismatch")
         self._channel = SecureChannel(keys, CLIENT_TO_ENCLAVE)
 
-    # -- request plumbing -----------------------------------------------------
-
-    def _request(self, msg: dict) -> dict:
+    def _request(self, msg: dict, reply_type: str) -> dict:
         if self.insecure_plaintext:
-            return self._exchange_plain(msg)
+            return self._exchange_plain(msg, reply_type)
         if self._channel is None:
             self.connect()
         assert self._channel is not None
         envelope = self._channel.encrypt(wire.encode(msg))
-        outer = wire.decode(self._transport.request(wire.encode(envelope.to_wire())))
-        if outer["type"] == "error":
-            raise RemoteError(outer["reason"])
-        if outer["type"] != "envelope":
-            raise ProtocolError("unexpected message type")
-        inner = wire.decode(self._channel.decrypt(EncryptedEnvelope.from_wire(outer)))
-        if inner["type"] == "error":
-            raise RemoteError(inner["reason"])
-        return inner
-
-    def _expect(self, msg: dict, expected_type: str) -> dict:
-        response = self._request(msg)
-        if response["type"] != expected_type:
-            raise ProtocolError("unexpected message type")
-        return response
+        outer = self._exchange_plain(envelope.to_wire(), "envelope")
+        inner = self._channel.decrypt(EncryptedEnvelope.from_wire(outer))
+        return self._reply(inner, reply_type)
 
     # -- application calls -----------------------------------------------------
 
     def register_report(self, report: SignedReport) -> None:
-        self._expect(report.to_wire(), "ack")
+        self._request(report.to_wire(), "ack")
 
     def poll_result(self, token: bytes) -> str:
-        resp = self._expect({"type": "result_req", "token": token.hex()}, "result_resp")
+        resp = self._request({"type": "result_req", "token": token.hex()}, "result_resp")
         return resp["result"]
 
     def upload_tuples(self, token: bytes, tuples: list[ContactTuple]) -> None:
-        self._expect(
+        self._request(
             {
                 "type": "upload_req",
                 "token": token.hex(),
@@ -171,7 +161,7 @@ class EnclaveClient:
         )
 
     def upload_secret(self, token: bytes, secret: bytes, first: int, last: int) -> None:
-        self._expect(
+        self._request(
             {
                 "type": "secret_upload_req",
                 "from_interval": first,
@@ -183,13 +173,13 @@ class EnclaveClient:
         )
 
     def poll(self, tuples: list[ContactTuple]) -> MatchResult:
-        resp = self._expect(
+        resp = self._request(
             {"type": "poll_req", "tuples": [t.to_wire() for t in tuples]}, "poll_resp"
         )
         return MatchResult.from_wire(resp)
 
     def upload_gps(self, token: bytes, trace: list[GpsPoint]) -> None:
-        self._expect(
+        self._request(
             {
                 "type": "gps_upload_req",
                 "token": token.hex(),
@@ -204,7 +194,7 @@ class EnclaveClient:
         d_max: float = DEFAULT_GPS_D_MAX,
         tau: float = DEFAULT_GPS_TAU,
     ) -> list[tuple[float, float]]:
-        resp = self._expect(
+        resp = self._request(
             {
                 "type": "gps_poll_req",
                 "d_max": d_max,

@@ -16,7 +16,7 @@ from typing import Any
 
 from cct.enclave import EnclaveConfig
 from cct.service import DEFAULT_HOST, DEFAULT_PORT
-from cct.wire import canonical_encode, lenient_decode, read_object
+from cct.wire import canonical_encode, lenient_decode, read_key, read_object
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,11 @@ class DeploymentConfig:
         template = cls(EnclaveConfig(b""), platform_verify_key=b"", store_path="").to_value()
         full = read_object(value, template, (), "config")
         own = {f.name for f in fields(cls)} - {"enclave"}
-        platform_hex = value.get("platform_verify_key")
         return cls(
             enclave=EnclaveConfig.from_value({k: v for k, v in value.items() if k not in own}),
             host=full["host"],
             port=full["port"],
-            platform_verify_key=None if platform_hex is None else bytes.fromhex(platform_hex),
+            platform_verify_key=read_key(value, "platform_verify_key", "config"),
             store_path=value.get("store_path"),
         )
 

@@ -5,6 +5,8 @@ infected contact store (tuples uploaded by positive users, or identifiers
 derived from an uploaded secret), and infected GPS traces. State lives in
 memory inside the simulated enclave boundary and is persisted exclusively as
 a sealed blob bound to the enclave measurement, rewritten on every mutation.
+Every stored entry carries an expiry; an upload also drops the entries whose
+expiry has passed before it seals.
 
 Match polls are strictly read-only: poll inputs and results are never
 persisted, so the sealed state and the long-lived in-enclave state are
@@ -35,7 +37,7 @@ from cct.authority import (
 from cct.contact_log import DEFAULT_RETENTION, ContactTuple
 from cct.errors import AuthorizationError, ProtocolError
 from cct.ident import TimeParams, derive_identifier_range, interval_index
-from cct.wire import canonical_decode, canonical_encode, read_object
+from cct.wire import canonical_decode, canonical_encode, read_key, read_object
 
 ENCLAVE_CODE_VERSION = "cct-enclave/1.0"
 
@@ -93,6 +95,23 @@ class InfectionRecord:
     result: str
     registered_interval: int
     upload_used: bool = False
+
+    def to_value(self) -> dict:
+        return {
+            "interval": self.registered_interval,
+            "result": self.result,
+            "token_hash": self.token_hash.hex(),
+            "upload_used": self.upload_used,
+        }
+
+    @classmethod
+    def from_value(cls, value: dict) -> "InfectionRecord":
+        return cls(
+            token_hash=bytes.fromhex(value["token_hash"]),
+            result=value["result"],
+            registered_interval=value["interval"],
+            upload_used=value["upload_used"],
+        )
 
 
 @dataclass(frozen=True)
@@ -167,7 +186,7 @@ class EnclaveConfig:
         template = cls(ha_verify_key=b"").to_value()
         full = read_object(value, template, ("ha_verify_key",), "config")
         return cls(
-            ha_verify_key=bytes.fromhex(full["ha_verify_key"]),
+            ha_verify_key=read_key(full, "ha_verify_key", "config"),
             time=TimeParams(t0=full["t0"], delta_t=full["delta_t"]),
             retention=full["retention"],
             strict_interval_match=full["strict_interval_match"],
@@ -250,13 +269,49 @@ class Enclave:
 
     # -- infected uploads -----------------------------------------------------
 
-    def _authorize_upload(self, token: bytes) -> InfectionRecord:
+    def _upload(self, token: bytes, insert: Callable[[int], None]) -> None:
+        """Authorize, insert at one expiry, sweep expired entries, spend the token, seal."""
         record = self._records.get(token_hash(token))
         if record is None or record.result != RESULT_POSITIVE:
             raise AuthorizationError("not authorized to upload")
         if record.upload_used:
             raise AuthorizationError("upload already used")
-        return record
+        current = self.current_interval()
+        insert(current + self.config.retention)
+        self._sweep(current)
+        record.upload_used = True
+        self._persist()
+
+    def upload_contact_log(self, token: bytes, tuples: Sequence[ContactTuple]) -> None:
+        """Single-use upload of a positive user's contact log."""
+
+        def insert(expiry: int) -> None:
+            for t in tuples:
+                self._insert_tuple(t, expiry)
+
+        self._upload(token, insert)
+
+    def upload_secret(self, token: bytes, secret: bytes, first: int, last: int) -> None:
+        """Secret-upload mode: derive the identifiers, discard the secret.
+
+        Only the derived identifiers reach the store; the secret itself is
+        never sealed or persisted.
+        """
+
+        def insert(expiry: int) -> None:
+            identifiers = derive_identifier_range(
+                secret, first, last, max_range=self.config.retention
+            )
+            for identifier in identifiers:
+                self._insert_derived(identifier, expiry)
+
+        self._upload(token, insert)
+
+    def upload_gps_trace(self, token: bytes, trace: Sequence[GpsPoint]) -> None:
+        """GPS variant: the hospital uploads an infected patient's trace."""
+        self._upload(token, lambda expiry: self._insert_gps(trace, expiry))
+
+    # -- the stores: one insert helper per kind --------------------------------
 
     def _note_expiry(self, expiry: int) -> None:
         if self._min_expiry is None or expiry < self._min_expiry:
@@ -267,43 +322,16 @@ class Enclave:
         intervals[t.interval] = max(intervals.get(t.interval, 0), expiry)
         self._note_expiry(expiry)
 
-    def upload_contact_log(self, token: bytes, tuples: Sequence[ContactTuple]) -> None:
-        """Single-use upload of a positive user's contact log."""
-        record = self._authorize_upload(token)
-        expiry = self.current_interval() + self.config.retention
-        for t in tuples:
-            self._insert_tuple(t, expiry)
-        record.upload_used = True
-        self._persist()
+    def _insert_derived(self, identifier: bytes, expiry: int) -> None:
+        self._derived[identifier] = max(self._derived.get(identifier, 0), expiry)
+        self._note_expiry(expiry)
 
-    def upload_secret(self, token: bytes, secret: bytes, first: int, last: int) -> None:
-        """Secret-upload mode: derive the identifiers, discard the secret.
-
-        Only the derived identifiers reach the store; the secret itself is
-        never sealed or persisted.
-        """
-        record = self._authorize_upload(token)
-        identifiers = derive_identifier_range(
-            secret, first, last, max_range=self.config.retention
-        )
-        expiry = self.current_interval() + self.config.retention
-        for identifier in identifiers:
-            self._derived[identifier] = max(self._derived.get(identifier, 0), expiry)
-            self._note_expiry(expiry)
-        record.upload_used = True
-        self._persist()
-
-    def upload_gps_trace(self, token: bytes, trace: Sequence[GpsPoint]) -> None:
-        """GPS variant: the hospital uploads an infected patient's trace."""
-        record = self._authorize_upload(token)
+    def _insert_gps(self, trace: Sequence[GpsPoint], expiry: int) -> None:
         if not trace:
             raise ValueError("empty trace")
         validate_trace(trace)
-        expiry = self.current_interval() + self.config.retention
         self._gps.append((expiry, tuple(trace)))
         self._note_expiry(expiry)
-        record.upload_used = True
-        self._persist()
 
     # -- matching -------------------------------------------------------------
 
@@ -350,10 +378,16 @@ class Enclave:
         """Contact events between the poll trace and stored infected traces.
 
         An event is any point pair within tau seconds and d_max meters,
-        reported as (t_infected, t_poller). The poll trace is not persisted.
+        reported as (t_infected, t_poller). The configured gps_d_max and gps_tau
+        are the defaults and the widest thresholds a poll may ask for. The poll
+        trace is not persisted.
         """
         d_max = self.config.gps_d_max if d_max is None else d_max
         tau = self.config.gps_tau if tau is None else tau
+        if d_max > self.config.gps_d_max:
+            raise ProtocolError(f"d_max above the configured {self.config.gps_d_max} m")
+        if tau > self.config.gps_tau:
+            raise ProtocolError(f"tau above the configured {self.config.gps_tau} s")
         validate_trace(trace)
         current = self.current_interval()
         events: set[tuple[float, float]] = set()
@@ -370,6 +404,13 @@ class Enclave:
 
     def expire_store(self, current: int) -> int:
         """Physically remove entries whose expiry passed; returns count removed."""
+        removed = self._sweep(current)
+        if removed:
+            self._persist()
+        return removed
+
+    def _sweep(self, current: int) -> int:
+        """expire_store without the seal, for callers that seal anyway."""
         if self._min_expiry is None or current <= self._min_expiry:
             return 0
         removed = 0
@@ -396,8 +437,6 @@ class Enclave:
                 expiries.append(expiry)
         self._gps = kept_gps
         self._min_expiry = min(expiries) if expiries else None
-        if removed:
-            self._persist()
         return removed
 
     # -- state serialization and sealing ------------------------------------------
@@ -422,12 +461,7 @@ class Enclave:
             )
         ]
         record_entries = [
-            {
-                "interval": r.registered_interval,
-                "result": r.result,
-                "token_hash": r.token_hash.hex(),
-                "upload_used": r.upload_used,
-            }
+            r.to_value()
             for r in sorted(self._records.values(), key=lambda r: r.token_hash)
         ]
         gps_entries = sorted(
@@ -465,19 +499,12 @@ class Enclave:
         data = unseal(SealedBlob.from_bytes(raw), self.measurement, self._platform_secret)
         state = canonical_decode(data)
         for entry in state["records"]:
-            th = bytes.fromhex(entry["token_hash"])
-            self._records[th] = InfectionRecord(
-                token_hash=th,
-                result=entry["result"],
-                registered_interval=entry["interval"],
-                upload_used=entry["upload_used"],
-            )
+            record = InfectionRecord.from_value(entry)
+            self._records[record.token_hash] = record
         for entry in state["tuples"]:
             self._insert_tuple(ContactTuple.from_wire(entry), entry["expiry"])
         for entry in state["derived_ids"]:
-            self._derived[bytes.fromhex(entry["id"])] = entry["expiry"]
-            self._note_expiry(entry["expiry"])
+            self._insert_derived(bytes.fromhex(entry["id"]), entry["expiry"])
         for entry in state["gps_traces"]:
-            points = tuple(GpsPoint.from_wire(p) for p in entry["points"])
-            self._gps.append((entry["expiry"], points))
-            self._note_expiry(entry["expiry"])
+            points = [GpsPoint.from_wire(p) for p in entry["points"]]
+            self._insert_gps(points, entry["expiry"])

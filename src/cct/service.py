@@ -14,6 +14,7 @@ transcript privacy audit has something to catch.
 from __future__ import annotations
 
 import socketserver
+from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
@@ -28,8 +29,43 @@ from cct.attestation import (
 )
 from cct.contact_log import ContactTuple
 from cct.enclave import Enclave, GpsPoint, gps_events_to_wire
-from cct.errors import EnvelopeError, ProtocolError, WireError
+from cct.errors import ProtocolError, WireError
 from cct.authority import SignedReport
+
+
+def _error(reason: str) -> dict:
+    """The one error message; plaintext and enveloped errors both use it."""
+    return {"type": "error", "reason": reason}
+
+
+def _token(msg: dict) -> bytes:
+    return bytes.fromhex(msg["token"])
+
+
+def _tuples(msg: dict) -> list[ContactTuple]:
+    return [ContactTuple.from_wire(e) for e in msg["tuples"]]
+
+
+def _trace(msg: dict) -> list[GpsPoint]:
+    return [GpsPoint.from_wire(e) for e in msg["trace"]]
+
+
+# The application request types, each with the enclave call that answers it;
+# a call that returns nothing is acknowledged. Only these may cross the
+# boundary, and only inside an envelope.
+_APP_HANDLERS: dict[str, Callable[[Enclave, dict], dict | None]] = {
+    "report_req": lambda e, m: e.register_test_result(SignedReport.from_wire(m)),
+    "result_req": lambda e, m: {"type": "result_resp", "result": e.poll_test_result(_token(m))},
+    "upload_req": lambda e, m: e.upload_contact_log(_token(m), _tuples(m)),
+    "secret_upload_req": lambda e, m: e.upload_secret(
+        _token(m), bytes.fromhex(m["secret"]), m["from_interval"], m["to_interval"]
+    ),
+    "poll_req": lambda e, m: e.match_poll(_tuples(m)).to_wire(),
+    "gps_upload_req": lambda e, m: e.upload_gps_trace(_token(m), _trace(m)),
+    "gps_poll_req": lambda e, m: gps_events_to_wire(
+        e.match_gps(_trace(m), d_max=m["d_max"], tau=m["tau"])
+    ),
+}
 
 
 class EnclaveService:
@@ -50,26 +86,25 @@ class EnclaveService:
     # -- entry point ---------------------------------------------------------
 
     def handle(self, raw: bytes) -> bytes:
-        """One request in, one response out; all failures become error messages."""
+        """One request in, one response out; all failures become error messages.
+
+        Failures outside an established session are answered in plaintext;
+        inside one, _handle_envelope answers them enveloped.
+        """
         try:
             msg = wire.decode(raw)
-        except WireError as exc:
-            return self._plain_error(str(exc))
-        mtype = msg["type"]
-        if mtype == "envelope":
-            return self._handle_envelope(msg)
-        try:
+            mtype = msg["type"]
+            if mtype == "envelope":
+                return self._handle_envelope(msg)
             if mtype == "attest_req":
                 return wire.encode(self._attest())
             if mtype == "session_req":
                 return wire.encode(self._open_session(msg))
-            if mtype in wire.APP_REQUEST_TYPES:
-                if not self.insecure_plaintext:
-                    return self._plain_error("plaintext application message refused")
-                return wire.encode(self._handle_app(msg))
-            return self._plain_error("unexpected message type")
+            if mtype in _APP_HANDLERS and not self.insecure_plaintext:
+                raise ProtocolError("plaintext application message refused")
+            return wire.encode(self._dispatch(msg))
         except (ProtocolError, ValueError) as exc:
-            return self._plain_error(str(exc))
+            return wire.encode(_error(str(exc)))
 
     # -- handshake -------------------------------------------------------------
 
@@ -96,70 +131,23 @@ class EnclaveService:
         envelope = EncryptedEnvelope.from_wire(msg)
         channel = self._sessions.get(envelope.session_id)
         if channel is None:
-            return self._plain_error("unknown session")
+            raise ProtocolError("unknown session")
         try:
-            inner_raw = channel.decrypt(envelope)
-        except EnvelopeError as exc:
-            return self._enveloped(channel, {"type": "error", "reason": str(exc)})
-        try:
-            inner = wire.decode(inner_raw)
-            if inner["type"] in wire.APP_REQUEST_TYPES:
-                response = self._handle_app(inner)
-            else:
-                response = {"type": "error", "reason": "unexpected message type"}
+            response = self._dispatch(wire.decode(channel.decrypt(envelope)))
         except (ProtocolError, ValueError) as exc:
-            response = {"type": "error", "reason": str(exc)}
+            response = _error(str(exc))
         return self._enveloped(channel, response)
 
     def _enveloped(self, channel: SecureChannel, msg: dict) -> bytes:
         return wire.encode(channel.encrypt(wire.encode(msg)).to_wire())
 
-    @staticmethod
-    def _plain_error(reason: str) -> bytes:
-        return wire.encode({"type": "error", "reason": reason})
-
     # -- application dispatch -----------------------------------------------------
 
-    def _handle_app(self, msg: dict) -> dict:
-        mtype = msg["type"]
-        if mtype == "report_req":
-            self.enclave.register_test_result(SignedReport.from_wire(msg))
-            return {"type": "ack"}
-        if mtype == "result_req":
-            result = self.enclave.poll_test_result(bytes.fromhex(msg["token"]))
-            return {"type": "result_resp", "result": result}
-        if mtype == "upload_req":
-            self.enclave.upload_contact_log(
-                bytes.fromhex(msg["token"]),
-                [ContactTuple.from_wire(e) for e in msg["tuples"]],
-            )
-            return {"type": "ack"}
-        if mtype == "secret_upload_req":
-            self.enclave.upload_secret(
-                bytes.fromhex(msg["token"]),
-                bytes.fromhex(msg["secret"]),
-                msg["from_interval"],
-                msg["to_interval"],
-            )
-            return {"type": "ack"}
-        if mtype == "poll_req":
-            return self.enclave.match_poll(
-                [ContactTuple.from_wire(e) for e in msg["tuples"]]
-            ).to_wire()
-        if mtype == "gps_upload_req":
-            self.enclave.upload_gps_trace(
-                bytes.fromhex(msg["token"]),
-                [GpsPoint.from_wire(e) for e in msg["trace"]],
-            )
-            return {"type": "ack"}
-        if mtype == "gps_poll_req":
-            events = self.enclave.match_gps(
-                [GpsPoint.from_wire(e) for e in msg["trace"]],
-                d_max=msg["d_max"],
-                tau=msg["tau"],
-            )
-            return gps_events_to_wire(events)
-        raise ProtocolError("unexpected message type")
+    def _dispatch(self, msg: dict) -> dict:
+        handler = _APP_HANDLERS.get(msg["type"])
+        if handler is None:
+            raise ProtocolError("unexpected message type")
+        return handler(self.enclave, msg) or {"type": "ack"}
 
 
 # ---------------------------------------------------------------------------

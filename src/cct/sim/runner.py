@@ -1,10 +1,10 @@
 """End-to-end scenario execution over the real protocol stack.
 
 Everything a deployment would do happens here, in deterministic order: per
-interval the backend expires stale entries, devices exchange identifiers,
-scheduled positives go through the health-authority flow (report, result
-poll, upload in the configured mode), and devices poll for matches on their
-schedule. Every byte between clients and backend crosses the wire layer and
+interval devices exchange identifiers, scheduled positives go through the
+health-authority flow (report, result poll, upload in the configured mode;
+each upload also sweeps expired entries from the store), and devices poll
+for matches on their schedule. Every byte between clients and backend crosses the wire layer and
 is recorded; afterwards the transcript, flush, and authorization audits run
 and the whole outcome is reduced to a canonical SimReport.
 
@@ -190,7 +190,6 @@ def run_scenario(
 
         for k in range(config.n_intervals):
             clock.set_interval(k)
-            enclave.expire_store(k)
 
             for event in encounters_at[k]:
                 a = devices[event.device_i]

@@ -47,6 +47,13 @@ def _reject_constant(_name: str) -> None:
     raise WireError("non-finite numbers are not canonical")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise WireError(f"number out of range: {literal}")
+    return value
+
+
 def canonical_decode(raw: bytes) -> Any:
     """Parse canonical JSON, rejecting any non-canonical byte form."""
     value = lenient_decode(raw)
@@ -63,7 +70,8 @@ def lenient_decode(raw: bytes) -> Any:
     injectivity matters.
     """
     try:
-        return json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+        text = raw.decode("utf-8")
+        return json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
     except WireError:
         raise
     except (ValueError, UnicodeDecodeError) as exc:
@@ -91,6 +99,19 @@ def read_object(value: Any, template: dict, required: Iterable[str], what: str) 
         if got is not want and not (want is float and got is int):
             raise ValueError(f"{what} field {name}: expected {want.__name__}, got {got.__name__}")
     return {**template, **value}
+
+
+def read_key(value: dict, name: str, what: str) -> bytes | None:
+    """The 32-byte key in hex field `name` of a hand-written object, None if absent."""
+    if name not in value:
+        return None
+    try:
+        key = bytes.fromhex(value[name])
+    except ValueError:
+        raise ValueError(f"{what} field {name}: not hex") from None
+    if len(key) != 32:
+        raise ValueError(f"{what} field {name}: expected 32 bytes, got {len(key)}")
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +193,8 @@ _EVENT_FIELDS = {"t_infected": _number, "t_poller": _number}
 validate_tuple_entry = _obj(TUPLE_FIELDS)
 validate_gps_point = _obj(GPS_POINT_FIELDS)
 
-# Application request types must cross the enclave boundary inside envelopes;
-# attest/session are the plaintext handshake.
+# the plaintext handshake; every other exchange after it is enveloped
 HANDSHAKE_TYPES = frozenset({"attest_req", "attest_resp", "session_req", "session_resp"})
-APP_REQUEST_TYPES = frozenset(
-    {
-        "report_req",
-        "result_req",
-        "upload_req",
-        "secret_upload_req",
-        "poll_req",
-        "gps_upload_req",
-        "gps_poll_req",
-    }
-)
 
 MESSAGE_SCHEMAS: dict[str, dict[str, Validator]] = {
     "attest_req": {},

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -98,7 +103,7 @@ def test_bad_mode_choice_exits_2():
     assert excinfo.value.code == 2
 
 
-# -- serve (env validation only; the server loop is exercised elsewhere) -----------
+# -- serve ----------------------------------------------------------------------------
 
 def test_serve_requires_platform_secret(monkeypatch, capsys):
     monkeypatch.delenv("CCT_PLATFORM_SECRET", raising=False)
@@ -110,6 +115,64 @@ def test_serve_rejects_bad_secret_hex(monkeypatch, capsys):
     monkeypatch.setenv("CCT_PLATFORM_SECRET", "not-hex")
     assert main(["serve", "--config", "/nonexistent.json"]) == 2
     assert "hex" in capsys.readouterr().err
+
+
+def test_serve_flags_for_negative_controls_are_gone():
+    for flag in ("--insecure-plaintext", "--log-polls"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--config", "/nonexistent.json", flag])
+        assert excinfo.value.code == 2
+
+
+def test_serve_loop_end_to_end(tmp_path, capsys):
+    ha_seed = bytes(range(32))
+    credential = HealthAuthorityCredential.from_seed(ha_seed)
+    platform_secret = b"\x07" * 32
+    deployment = DeploymentConfig(
+        enclave=EnclaveConfig(ha_verify_key=credential.verify_key, time=TimeParams(t0=0)),
+        host="127.0.0.1",
+        port=0,
+        platform_verify_key=platform_verify_key(platform_secret),
+    )
+    cfg = tmp_path / "deploy.json"
+    deployment.save(cfg)
+    store = tmp_path / "state.sealed"
+    env = {
+        **os.environ,
+        "CCT_PLATFORM_SECRET": platform_secret.hex(),
+        "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
+    }
+    server = subprocess.Popen(
+        [sys.executable, "-m", "cct.cli", "serve", "--config", str(cfg), "--store", str(store)],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    token = "24" * 32
+    try:
+        line = server.stderr.readline()
+        match = re.fullmatch(r"serving measurement ([0-9a-f]{64}) on 127\.0\.0\.1:(\d+)\n", line)
+        assert match, line
+        assert match[1] == deployment.enclave.measurement().hex()
+        endpoint = ["--config", str(cfg), "--port", match[2]]
+        report = [
+            "--key", ha_seed.hex(),
+            "--token-hash", token_hash(bytes.fromhex(token)).hex(),
+            "--result", "positive",
+            "--interval", "0",
+        ]
+        assert main(["ha", "report", *endpoint, *report]) == 0
+        assert main(["device", "result", *endpoint, "--token", token]) == 0
+        assert '"result":"positive"' in capsys.readouterr().out
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=30) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stderr.close()
+    reloaded = Enclave(deployment.enclave, platform_secret, store_path=store)
+    assert reloaded.poll_test_result(bytes.fromhex(token)) == "positive"
 
 
 # -- ha ------------------------------------------------------------------------------
@@ -346,6 +409,13 @@ def _fig1_with(**fields) -> dict:
         ),
         ("simulate", _fig1_with(encounters=[5]), "encounter must be a JSON object"),
         (
+            "simulate",
+            canonical_encode(_fig1_with(encounters=[])).replace(
+                b'"encounter_rate":0.0', b'"encounter_rate":1e400'
+            ),
+            "number out of range: 1e400",
+        ),
+        (
             "device",
             {"ha_verify_key": 5},
             "config field ha_verify_key: expected str, got int",
@@ -355,12 +425,13 @@ def _fig1_with(**fields) -> dict:
         "encounter-without-interval",
         "infected-without-device",
         "encounter-not-object",
+        "encounter-rate-overflows",
         "ha-key-not-string",
     ],
 )
 def test_malformed_hand_written_file_reported(tmp_path, capsys, command, value, reason):
     path = tmp_path / "bad.json"
-    path.write_bytes(canonical_encode(value))
+    path.write_bytes(value if isinstance(value, bytes) else canonical_encode(value))
     if command == "simulate":
         argv = ["simulate", "--scenario", str(path)]
     else:

@@ -88,6 +88,25 @@ def test_missing_ha_verify_key_rejected(non_default):
         DeploymentConfig.from_value(value)
 
 
+@pytest.mark.parametrize(
+    "name, key, reason",
+    [
+        ("ha_verify_key", "00", "expected 32 bytes, got 1"),
+        ("ha_verify_key", "00" * 33, "expected 32 bytes, got 33"),
+        ("ha_verify_key", "zz" * 32, "not hex"),
+        ("platform_verify_key", "ab", "expected 32 bytes, got 1"),
+        ("platform_verify_key", "", "expected 32 bytes, got 0"),
+    ],
+)
+def test_wrong_length_key_rejected(non_default, name, key, reason):
+    value = {**non_default.to_value(), name: key}
+    with pytest.raises(ValueError, match=f"^config field {name}: {reason}$"):
+        DeploymentConfig.from_value(value)
+    if name == "ha_verify_key":
+        with pytest.raises(ValueError, match=f"^config field {name}: {reason}$"):
+            EnclaveConfig.from_value({name: key})
+
+
 def _wire_round_trip(record):
     msg = wire.decode(wire.encode(record.to_wire()))
     assert type(record).from_wire(msg) == record

@@ -10,6 +10,7 @@ from cct.enclave import (
     Enclave,
     EnclaveConfig,
     GpsPoint,
+    InfectionRecord,
     haversine_distance,
 )
 from cct.errors import AuthorizationError, ProtocolError, SealError
@@ -301,6 +302,91 @@ def test_expire_covers_derived_and_gps(ha, platform_secret, clock):
     assert len(state["records"]) == 2
 
 
+def test_upload_sweeps_expired_entries(ha, platform_secret, clock, tmp_path):
+    path = tmp_path / "state.sealed"
+    config = EnclaveConfig(ha_verify_key=ha.verify_key, time=TimeParams(t0=0), retention=5)
+    enclave = Enclave(config, platform_secret, store_path=path, clock=clock)
+    clock.set_interval(0)
+    tokens = [bytes([0x30 + i]) * 32 for i in range(5)]
+    for token in tokens:
+        register_positive(enclave, ha, token, 0)
+    enclave.upload_contact_log(
+        tokens[0],
+        [ContactTuple(interval=0, sent=ident(SECRET_C, 0), received=ident(SECRET_A, 0))],
+    )
+    enclave.upload_secret(tokens[1], SECRET_B, 0, 0)
+    enclave.upload_gps_trace(tokens[2], [GpsPoint(lat=0.0, lon=0.0, t=100.0)])
+    first = canonical_decode(enclave.serialize_state())
+    assert [len(first[kind]) for kind in ("tuples", "derived_ids", "gps_traces")] == [1, 1, 1]
+
+    digest, sealed = state_digest(enclave), enclave.sealed_bytes()
+    poll = [ContactTuple(interval=0, sent=ident(SECRET_A, 0), received=ident(SECRET_C, 0))]
+    for k in range(8):
+        clock.set_interval(k)
+        enclave.match_poll(poll)
+        enclave.match_gps([GpsPoint(lat=0.0, lon=0.0, t=100.0)])
+    assert state_digest(enclave) == digest
+    assert enclave.sealed_bytes() == sealed
+
+    # a refused upload sweeps nothing either
+    with pytest.raises(ValueError, match="empty trace"):
+        enclave.upload_gps_trace(tokens[3], [])
+    assert state_digest(enclave) == digest
+    assert enclave.sealed_bytes() == sealed
+
+    clock.set_interval(7)
+    second = [ContactTuple(interval=7, sent=ident(SECRET_C, 7), received=ident(SECRET_B, 7))]
+    enclave.upload_contact_log(tokens[4], second)
+    state = canonical_decode(enclave.serialize_state())
+    assert [ContactTuple.from_wire(e) for e in state["tuples"]] == second
+    assert state["tuples"][0]["expiry"] == 12
+    assert state["derived_ids"] == [] and state["gps_traces"] == []
+    assert len(state["records"]) == 5
+    # the sweep happened before the seal
+    reloaded = Enclave(config, platform_secret, store_path=path, clock=clock)
+    assert reloaded.serialize_state() == enclave.serialize_state()
+
+
+def test_each_change_seals_once(ha, platform_secret, clock):
+    enclave = _small_enclave(ha, platform_secret, clock)
+    seals = []
+    persist = enclave._persist
+    enclave._persist = lambda: seals.append(1) or persist()
+    clock.set_interval(0)
+    tokens = [bytes([0x40 + i]) * 32 for i in range(4)]
+    for token in tokens:
+        register_positive(enclave, ha, token, 0)
+    assert len(seals) == 4
+    enclave.upload_contact_log(
+        tokens[0],
+        [ContactTuple(interval=0, sent=ident(SECRET_C, 0), received=ident(SECRET_A, 0))],
+    )
+    enclave.upload_secret(tokens[1], SECRET_B, 0, 0)
+    assert len(seals) == 6
+    clock.set_interval(9)  # the upload below also sweeps the two above
+    enclave.upload_gps_trace(tokens[2], [GpsPoint(lat=0.0, lon=0.0, t=100.0)])
+    assert len(seals) == 7
+    assert enclave.expire_store(20) == 1
+    assert len(seals) == 8
+    with pytest.raises(AuthorizationError):
+        enclave.upload_secret(tokens[0], SECRET_B, 0, 0)
+    assert len(seals) == 8
+
+
+def test_infection_record_value_round_trip():
+    record = InfectionRecord(
+        token_hash=b"\x5a" * 32, result=RESULT_POSITIVE, registered_interval=9, upload_used=True
+    )
+    value = record.to_value()
+    assert value == {
+        "interval": 9,
+        "result": "positive",
+        "token_hash": "5a" * 32,
+        "upload_used": True,
+    }
+    assert InfectionRecord.from_value(value) == record
+
+
 # -- flush semantics ---------------------------------------------------------------
 
 def test_polls_leave_state_untouched(enclave, ha, clock):
@@ -454,6 +540,20 @@ def test_gps_outside_time_window_no_match(enclave, ha, clock):
         [GpsPoint(lat=0.0, lon=0.0, t=500.0)], d_max=10.0, tau=300.0
     )
     assert events == []
+
+
+def test_gps_poll_thresholds_capped_by_config(enclave, ha, clock):
+    _gps_enclave(enclave, ha, clock, [GpsPoint(lat=0.0, lon=0.0, t=100.0)])
+    far = [GpsPoint(lat=45.0, lon=0.0, t=100.0)]  # 5,000 km away
+    with pytest.raises(ProtocolError, match="d_max above the configured 10.0 m"):
+        enclave.match_gps(far, d_max=3e7, tau=900.0)
+    with pytest.raises(ProtocolError, match="tau above the configured 900.0 s"):
+        enclave.match_gps(far, d_max=10.0, tau=1e12)
+    with pytest.raises(ProtocolError, match="d_max above"):
+        enclave.match_gps(far, d_max=10.000001)
+    at_limit = [GpsPoint(lat=0.0, lon=0.0, t=1000.0)]
+    assert enclave.match_gps(at_limit, d_max=10.0, tau=900.0) == [(100.0, 1000.0)]
+    assert enclave.match_gps(at_limit) == [(100.0, 1000.0)]
 
 
 def test_gps_upload_requires_authorization(enclave):

@@ -121,6 +121,20 @@ def test_gps_flow(client, ha, clock):
     assert client.poll_gps([GpsPoint(lat=-10.0, lon=20.0, t=150.0)]) == []
 
 
+def test_gps_poll_bounded_by_config(client, ha, clock):
+    clock.set_interval(0)
+    client.register_report(ha.sign_report(token_hash(TOKEN), RESULT_POSITIVE, 0))
+    client.upload_gps(TOKEN, [GpsPoint(lat=0.0, lon=0.0, t=100.0)])
+    far = [GpsPoint(lat=45.0, lon=0.0, t=100.0)]
+    with pytest.raises(RemoteError, match="d_max above the configured 10.0 m"):
+        client.poll_gps(far, d_max=3e7, tau=1e12)
+    with pytest.raises(RemoteError, match="tau above the configured 900.0 s"):
+        client.poll_gps(far, d_max=10.0, tau=900.5)
+    # the session survives a refused poll, and a poll at the bounds matches
+    at_limit = [GpsPoint(lat=0.0, lon=0.0, t=1000.0)]
+    assert client.poll_gps(at_limit, d_max=10.0, tau=900.0) == [(100.0, 1000.0)]
+
+
 def test_remote_errors_surface(client, ha, clock):
     clock.set_interval(0)
     with pytest.raises(RemoteError, match="not authorized to upload"):
@@ -247,6 +261,15 @@ def test_handshake_inside_envelope_rejected(service):
 def test_garbage_bytes_get_error_reply(service):
     msg = wire.decode(service.handle(b"\xff\xfe not json"))
     assert msg["type"] == "error"
+
+
+def test_every_request_type_has_one_handler():
+    from cct import service as service_module
+
+    requests = {t for t in wire.MESSAGE_SCHEMAS if t.endswith("_req")}
+    application = requests - wire.HANDSHAKE_TYPES
+    assert set(service_module._APP_HANDLERS) == application
+    assert len(application) == 7
 
 
 def test_unexpected_plaintext_type(service):

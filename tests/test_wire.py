@@ -150,6 +150,20 @@ def test_non_finite_rejected():
         wire.decode(b'{"d_max":NaN,"tau":1.0,"trace":[],"type":"gps_poll_req"}')
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1.5e999"])
+def test_overflowing_literal_rejected(literal):
+    # json turns these into inf without consulting parse_constant
+    raw = ('{"d_max":%s,"tau":1.0,"trace":[],"type":"gps_poll_req"}' % literal).encode()
+    with pytest.raises(WireError, match=f"number out of range: {literal}"):
+        wire.lenient_decode(raw)
+    with pytest.raises(WireError, match="number out of range"):
+        wire.decode(raw)
+
+
+def test_large_finite_literal_accepted():
+    assert wire.lenient_decode(b'{"a":1.5e308,"b":-2e-400}') == {"a": 1.5e308, "b": -0.0}
+
+
 def test_bool_is_not_uint():
     with pytest.raises(WireError):
         wire.encode(
