@@ -363,15 +363,20 @@ def _sealing_key(measurement: Measurement, platform_secret: bytes) -> bytes:
     return _hkdf(platform_secret, _SEAL_LABEL, 32, salt=measurement.value)
 
 
-def seal(data: bytes, measurement: Measurement, platform_secret: bytes) -> SealedBlob:
+def seal(
+    data: bytes, measurement: Measurement, platform_secret: bytes, aad: bytes | None = None
+) -> SealedBlob:
+    """Encrypt data to the measurement; aad is authenticated but not stored."""
     nonce = secrets.token_bytes(NONCE_LEN)
     aead = ChaCha20Poly1305(_sealing_key(measurement, platform_secret))
-    return SealedBlob(nonce=nonce, ciphertext=aead.encrypt(nonce, data, None))
+    return SealedBlob(nonce=nonce, ciphertext=aead.encrypt(nonce, data, aad))
 
 
-def unseal(blob: SealedBlob, measurement: Measurement, platform_secret: bytes) -> bytes:
+def unseal(
+    blob: SealedBlob, measurement: Measurement, platform_secret: bytes, aad: bytes | None = None
+) -> bytes:
     aead = ChaCha20Poly1305(_sealing_key(measurement, platform_secret))
     try:
-        return aead.decrypt(blob.nonce, blob.ciphertext, None)
+        return aead.decrypt(blob.nonce, blob.ciphertext, aad)
     except (InvalidTag, ValueError):
         raise SealError("unseal failed") from None

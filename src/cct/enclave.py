@@ -4,9 +4,11 @@ Holds all infection-related state: health-authority test records, the
 infected contact store (tuples uploaded by positive users, or identifiers
 derived from an uploaded secret), and infected GPS traces. State lives in
 memory inside the simulated enclave boundary and is persisted exclusively as
-a sealed blob bound to the enclave measurement, rewritten on every mutation.
+an append-only log of records sealed to the enclave measurement: each change
+appends one record holding only what it changed, and the log is compacted to
+one record of the whole state once it holds as many dead entries as live ones.
 Every stored entry carries an expiry; an upload also drops the entries whose
-expiry has passed before it seals.
+expiry has passed.
 
 Match polls are strictly read-only: poll inputs and results are never
 persisted, so the sealed state and the long-lived in-enclave state are
@@ -17,15 +19,21 @@ the flush audit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import math
+import os
+import secrets
+import struct
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from cct import attestation
-from cct.attestation import Measurement, SealedBlob, seal, unseal
+from cct.attestation import NONCE_LEN, Measurement, SealedBlob, seal, unseal
 from cct.authority import (
     RESULT_NEGATIVE,
     RESULT_POSITIVE,
@@ -35,7 +43,7 @@ from cct.authority import (
     verify_report,
 )
 from cct.contact_log import DEFAULT_RETENTION, ContactTuple
-from cct.errors import AuthorizationError, ProtocolError
+from cct.errors import AuthorizationError, ProtocolError, SealError
 from cct.ident import TimeParams, derive_identifier_range, interval_index
 from cct.wire import canonical_decode, canonical_encode, read_key, read_object
 
@@ -202,6 +210,67 @@ class EnclaveConfig:
 
 
 # ---------------------------------------------------------------------------
+# Sealed log format
+# ---------------------------------------------------------------------------
+
+# header: magic, then a random file id; then frames of u32 length || nonce || ciphertext
+_LOG_MAGIC = b"CCTLOG1\n"
+_FILE_ID_LEN = 16
+_HEADER_LEN = len(_LOG_MAGIC) + _FILE_ID_LEN
+_FRAME_LEN = struct.Struct(">I")
+
+
+def _record_aad(file_id: bytes, seq: int) -> bytes:
+    """Binds a record to its file and position: a moved record fails to unseal."""
+    return file_id + seq.to_bytes(8, "big")
+
+
+def _frame(blob: SealedBlob) -> bytes:
+    return _FRAME_LEN.pack(len(blob.nonce) + len(blob.ciphertext)) + blob.nonce + blob.ciphertext
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write data to path atomically: tmp file, fsync, rename, fsync the directory."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+# The entry values of each delta record and of the state; _apply reads them.
+
+def _tuple_value(t: ContactTuple, expiry: int) -> dict:
+    return {**t.to_wire(), "expiry": expiry}
+
+
+def _derived_value(identifier: bytes, expiry: int) -> dict:
+    return {"expiry": expiry, "id": identifier.hex()}
+
+
+def _gps_value(expiry: int, points: Sequence[GpsPoint]) -> dict:
+    return {"expiry": expiry, "points": [p.to_wire() for p in points]}
+
+
+def _delta(sweep: int | None = None, **entries: list) -> dict:
+    """One change in the shape of the state value, plus the interval it sweeps at."""
+    delta = {"derived_ids": [], "gps_traces": [], "records": [], "tuples": [], **entries}
+    if sweep is not None:
+        delta["sweep"] = sweep
+    return delta
+
+
+# ---------------------------------------------------------------------------
 # Enclave
 # ---------------------------------------------------------------------------
 
@@ -232,11 +301,19 @@ class Enclave:
         self._derived: dict[bytes, int] = {}
         self._gps: list[tuple[int, tuple[GpsPoint, ...]]] = []
         self._min_expiry: int | None = None
+        # entries of the state, and entries the log holds beyond them (swept
+        # or replaced by a later copy); the log is compacted when dead >= live
+        self._live = 0
+        self._dead = 0
 
+        # the sealed log, mirrored in memory even without a store file
+        self._log = bytearray()
+        self._file_id = b""
+        self._seq = 0
         if self._store_path is not None and self._store_path.exists():
             self._load(self._store_path.read_bytes())
-        self._sealed = b""
-        self._persist()
+        else:
+            self._rewrite()
 
     # -- time ---------------------------------------------------------------
 
@@ -256,12 +333,12 @@ class Enclave:
             ):
                 raise ProtocolError("conflicting report")
             return
-        self._records[report.token_hash] = InfectionRecord(
+        record = InfectionRecord(
             token_hash=report.token_hash,
             result=report.result,
             registered_interval=report.interval,
         )
-        self._persist()
+        self._commit(_delta(records=[record.to_value()]))
 
     def poll_test_result(self, token: bytes) -> str:
         record = self._records.get(token_hash(token))
@@ -269,27 +346,25 @@ class Enclave:
 
     # -- infected uploads -----------------------------------------------------
 
-    def _upload(self, token: bytes, insert: Callable[[int], None]) -> None:
-        """Authorize, insert at one expiry, sweep expired entries, spend the token, seal."""
+    def _upload(self, token: bytes, entries: Callable[[int], dict]) -> None:
+        """Authorize, then commit one record: the entries at one expiry, a sweep, the spent token."""
         record = self._records.get(token_hash(token))
         if record is None or record.result != RESULT_POSITIVE:
             raise AuthorizationError("not authorized to upload")
         if record.upload_used:
             raise AuthorizationError("upload already used")
         current = self.current_interval()
-        insert(current + self.config.retention)
-        self._sweep(current)
-        record.upload_used = True
-        self._persist()
+        spent = dataclasses.replace(record, upload_used=True)
+        inserted = entries(current + self.config.retention)
+        self._commit(_delta(records=[spent.to_value()], sweep=current, **inserted))
 
     def upload_contact_log(self, token: bytes, tuples: Sequence[ContactTuple]) -> None:
         """Single-use upload of a positive user's contact log."""
 
-        def insert(expiry: int) -> None:
-            for t in tuples:
-                self._insert_tuple(t, expiry)
+        def entries(expiry: int) -> dict:
+            return {"tuples": [_tuple_value(t, expiry) for t in tuples]}
 
-        self._upload(token, insert)
+        self._upload(token, entries)
 
     def upload_secret(self, token: bytes, secret: bytes, first: int, last: int) -> None:
         """Secret-upload mode: derive the identifiers, discard the secret.
@@ -298,40 +373,51 @@ class Enclave:
         never sealed or persisted.
         """
 
-        def insert(expiry: int) -> None:
+        def entries(expiry: int) -> dict:
             identifiers = derive_identifier_range(
                 secret, first, last, max_range=self.config.retention
             )
-            for identifier in identifiers:
-                self._insert_derived(identifier, expiry)
+            return {"derived_ids": [_derived_value(i, expiry) for i in identifiers]}
 
-        self._upload(token, insert)
+        self._upload(token, entries)
 
     def upload_gps_trace(self, token: bytes, trace: Sequence[GpsPoint]) -> None:
         """GPS variant: the hospital uploads an infected patient's trace."""
-        self._upload(token, lambda expiry: self._insert_gps(trace, expiry))
+
+        def entries(expiry: int) -> dict:
+            if not trace:
+                raise ValueError("empty trace")
+            validate_trace(trace)
+            return {"gps_traces": [_gps_value(expiry, trace)]}
+
+        self._upload(token, entries)
 
     # -- the stores: one insert helper per kind --------------------------------
 
-    def _note_expiry(self, expiry: int) -> None:
-        if self._min_expiry is None or expiry < self._min_expiry:
+    def _note_insert(self, replaces: bool, expiry: int | None = None) -> None:
+        if replaces:
+            self._dead += 1
+        else:
+            self._live += 1
+        if expiry is not None and (self._min_expiry is None or expiry < self._min_expiry):
             self._min_expiry = expiry
+
+    def _insert_record(self, record: InfectionRecord) -> None:
+        self._note_insert(record.token_hash in self._records)
+        self._records[record.token_hash] = record
 
     def _insert_tuple(self, t: ContactTuple, expiry: int) -> None:
         intervals = self._tuples.setdefault((t.sent, t.received), {})
+        self._note_insert(t.interval in intervals, expiry)
         intervals[t.interval] = max(intervals.get(t.interval, 0), expiry)
-        self._note_expiry(expiry)
 
     def _insert_derived(self, identifier: bytes, expiry: int) -> None:
+        self._note_insert(identifier in self._derived, expiry)
         self._derived[identifier] = max(self._derived.get(identifier, 0), expiry)
-        self._note_expiry(expiry)
 
     def _insert_gps(self, trace: Sequence[GpsPoint], expiry: int) -> None:
-        if not trace:
-            raise ValueError("empty trace")
-        validate_trace(trace)
+        self._note_insert(False, expiry)
         self._gps.append((expiry, tuple(trace)))
-        self._note_expiry(expiry)
 
     # -- matching -------------------------------------------------------------
 
@@ -353,9 +439,9 @@ class Enclave:
         if self.log_polls:
             # negative-control misbehaviour: persist what should be transient
             expiry = current + self.config.retention
-            for t in tuples:
-                self._insert_tuple(t, expiry)
-            self._persist()
+            self._commit(
+                _delta(tuples=[_tuple_value(t, expiry) for t in tuples])
+            )
         return result
 
     def _tuple_matches(self, t: ContactTuple, strict: bool, current: int) -> bool:
@@ -403,14 +489,22 @@ class Enclave:
     # -- housekeeping -----------------------------------------------------------
 
     def expire_store(self, current: int) -> int:
-        """Physically remove entries whose expiry passed; returns count removed."""
-        removed = self._sweep(current)
-        if removed:
-            self._persist()
-        return removed
+        """Physically remove entries whose expiry passed; returns count removed.
+
+        Appends a sweep record only when an entry has expired (_min_expiry
+        may be below every expiry once an entry's expiry was raised).
+        """
+        expiries = itertools.chain(
+            (e for intervals in self._tuples.values() for e in intervals.values()),
+            self._derived.values(),
+            (e for e, _ in self._gps),
+        )
+        if all(e >= current for e in expiries):
+            return 0
+        return self._commit(_delta(sweep=current))
 
     def _sweep(self, current: int) -> int:
-        """expire_store without the seal, for callers that seal anyway."""
+        """Remove the entries whose expiry is before current; returns count removed."""
         if self._min_expiry is None or current <= self._min_expiry:
             return 0
         removed = 0
@@ -437,25 +531,24 @@ class Enclave:
                 expiries.append(expiry)
         self._gps = kept_gps
         self._min_expiry = min(expiries) if expiries else None
+        self._live -= removed
+        self._dead += removed
         return removed
 
-    # -- state serialization and sealing ------------------------------------------
+    # -- state serialization ----------------------------------------------------------
 
     def _state_value(self) -> dict:
         tuple_entries = []
         for (sent, received), intervals in self._tuples.items():
+            # _tuple_value's fields, without building a ContactTuple per entry
+            sent_hex, received_hex = sent.hex(), received.hex()
             for interval, expiry in intervals.items():
                 tuple_entries.append(
-                    {
-                        "expiry": expiry,
-                        "interval": interval,
-                        "received": received.hex(),
-                        "sent": sent.hex(),
-                    }
+                    {"expiry": expiry, "interval": interval, "received": received_hex, "sent": sent_hex}
                 )
         tuple_entries.sort(key=lambda e: (e["interval"], e["sent"], e["received"]))
         derived_entries = [
-            {"expiry": expiry, "id": identifier.hex()}
+            _derived_value(identifier, expiry)
             for identifier, expiry in sorted(
                 self._derived.items(), key=lambda kv: kv[0]
             )
@@ -465,13 +558,7 @@ class Enclave:
             for r in sorted(self._records.values(), key=lambda r: r.token_hash)
         ]
         gps_entries = sorted(
-            (
-                {
-                    "expiry": expiry,
-                    "points": [p.to_wire() for p in stored],
-                }
-                for expiry, stored in self._gps
-            ),
+            (_gps_value(expiry, stored) for expiry, stored in self._gps),
             key=lambda e: (e["expiry"], canonical_encode(e)),
         )
         return {
@@ -485,26 +572,107 @@ class Enclave:
         """Canonical plaintext form of all long-lived enclave state."""
         return canonical_encode(self._state_value())
 
-    def sealed_bytes(self) -> bytes:
-        """The sealed blob exactly as persisted."""
-        return self._sealed
+    def _apply(self, value: dict) -> int:
+        """Insert a record's entries, then run its sweep; returns the count swept.
 
-    def _persist(self) -> None:
-        blob = seal(self.serialize_state(), self.measurement, self._platform_secret)
-        self._sealed = blob.to_bytes()
+        The one way the state changes: every change applies its own record
+        after appending it, and _load replays the log through here.
+        """
+        for entry in value["records"]:
+            self._insert_record(InfectionRecord.from_value(entry))
+        for entry in value["tuples"]:
+            self._insert_tuple(ContactTuple.from_wire(entry), entry["expiry"])
+        for entry in value["derived_ids"]:
+            self._insert_derived(bytes.fromhex(entry["id"]), entry["expiry"])
+        for entry in value["gps_traces"]:
+            self._insert_gps([GpsPoint.from_wire(p) for p in entry["points"]], entry["expiry"])
+        return self._sweep(value["sweep"]) if "sweep" in value else 0
+
+    # -- the sealed log -------------------------------------------------------------
+
+    def sealed_bytes(self) -> bytes:
+        """The sealed log exactly as persisted."""
+        return bytes(self._log)
+
+    def _commit(self, delta: dict) -> int:
+        """Append the delta, then apply it; returns the count swept.
+
+        A failed append raises before memory changes. Once dead entries
+        reach the live ones the log is compacted.
+        """
+        self._persist(delta)
+        removed = self._apply(delta)
+        if self._dead and self._dead >= self._live:
+            # the change is already durable; a failed compaction leaves the
+            # valid log in place and the next change tries again
+            with suppress(OSError):
+                self._rewrite()
+        return removed
+
+    def _persist(self, delta: dict) -> None:
+        """Seal one delta record and append it to the log, file first."""
+        aad = _record_aad(self._file_id, self._seq)
+        frame = _frame(seal(canonical_encode(delta), self.measurement, self._platform_secret, aad))
         if self._store_path is not None:
-            self._store_path.write_bytes(self._sealed)
+            try:
+                self._append(frame)
+            except OSError as exc:
+                raise ProtocolError("store write failed") from exc
+        self._log += frame
+        self._seq += 1
+
+    def _append(self, frame: bytes) -> None:
+        """Write frame at the end of the valid log and fsync; undo a failed write.
+
+        Bytes past the valid end (a failed write whose undo failed too) are
+        overwritten or truncated, so they never precede a good frame.
+        """
+        end = len(self._log)
+        with open(self._store_path, "r+b", buffering=0) as f:
+            try:
+                f.seek(end)
+                if f.write(frame) != len(frame):
+                    raise OSError("short write")
+                f.truncate()
+                os.fsync(f.fileno())
+            except OSError:
+                with suppress(OSError):
+                    f.truncate(end)
+                raise
+
+    def _rewrite(self) -> None:
+        """Replace the log by one record of the whole state, under a new file id."""
+        file_id = secrets.token_bytes(_FILE_ID_LEN)
+        aad = _record_aad(file_id, 0)
+        blob = seal(self.serialize_state(), self.measurement, self._platform_secret, aad)
+        log = bytearray(_LOG_MAGIC + file_id + _frame(blob))
+        if self._store_path is not None:
+            _replace_file(self._store_path, log)
+        self._log, self._file_id, self._seq, self._dead = log, file_id, 1, 0
 
     def _load(self, raw: bytes) -> None:
-        data = unseal(SealedBlob.from_bytes(raw), self.measurement, self._platform_secret)
-        state = canonical_decode(data)
-        for entry in state["records"]:
-            record = InfectionRecord.from_value(entry)
-            self._records[record.token_hash] = record
-        for entry in state["tuples"]:
-            self._insert_tuple(ContactTuple.from_wire(entry), entry["expiry"])
-        for entry in state["derived_ids"]:
-            self._insert_derived(bytes.fromhex(entry["id"]), entry["expiry"])
-        for entry in state["gps_traces"]:
-            points = [GpsPoint.from_wire(p) for p in entry["points"]]
-            self._insert_gps(points, entry["expiry"])
+        """Replay a log; a torn final frame is cut off, as its write never finished."""
+        if not raw.startswith(_LOG_MAGIC):
+            # the single-blob store of earlier versions: load it, rewrite it as a log once
+            blob = SealedBlob.from_bytes(raw)
+            self._apply(canonical_decode(unseal(blob, self.measurement, self._platform_secret)))
+            self._rewrite()
+            return
+        if len(raw) < _HEADER_LEN:
+            raise SealError("unseal failed")
+        file_id = raw[len(_LOG_MAGIC):_HEADER_LEN]
+        pos, seq = _HEADER_LEN, 0
+        while pos + _FRAME_LEN.size <= len(raw):
+            (length,) = _FRAME_LEN.unpack_from(raw, pos)
+            body = pos + _FRAME_LEN.size
+            if body + length > len(raw):
+                break
+            blob = SealedBlob(
+                nonce=raw[body:body + NONCE_LEN], ciphertext=raw[body + NONCE_LEN:body + length]
+            )
+            aad = _record_aad(file_id, seq)
+            self._apply(canonical_decode(unseal(blob, self.measurement, self._platform_secret, aad)))
+            pos, seq = body + length, seq + 1
+        if pos < len(raw):
+            os.truncate(self._store_path, pos)
+        self._log, self._file_id, self._seq = bytearray(raw[:pos]), file_id, seq

@@ -14,6 +14,7 @@ transcript privacy audit has something to catch.
 from __future__ import annotations
 
 import socketserver
+import threading
 from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -82,6 +83,9 @@ class EnclaveService:
         self._signing_key = platform_signing_key(platform_secret)
         self._pending: dict[bytes, X25519PrivateKey] = {}
         self._sessions: dict[bytes, SecureChannel] = {}
+        # one request at a time reaches the enclave: a change's authorization,
+        # sealed append and apply must not interleave with another's
+        self._enclave_lock = threading.Lock()
 
     # -- entry point ---------------------------------------------------------
 
@@ -147,7 +151,8 @@ class EnclaveService:
         handler = _APP_HANDLERS.get(msg["type"])
         if handler is None:
             raise ProtocolError("unexpected message type")
-        return handler(self.enclave, msg) or {"type": "ack"}
+        with self._enclave_lock:
+            return handler(self.enclave, msg) or {"type": "ack"}
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def test_each_change_seals_once(ha, platform_secret, clock):
     enclave = _small_enclave(ha, platform_secret, clock)
     seals = []
     persist = enclave._persist
-    enclave._persist = lambda: seals.append(1) or persist()
+    enclave._persist = lambda delta: seals.append(1) or persist(delta)
     clock.set_interval(0)
     tokens = [bytes([0x40 + i]) * 32 for i in range(4)]
     for token in tokens:
