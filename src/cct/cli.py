@@ -69,12 +69,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         platform_secret = bytes.fromhex(secret_hex)
     except ValueError:
         return _fail("CCT_PLATFORM_SECRET is not valid hex", 2)
-    deployment = DeploymentConfig.from_file(args.config)
-    host = args.host or deployment.host
-    port = args.port if args.port is not None else deployment.port
+    deployment = _deployment(args)
     store = args.store or deployment.store_path
     enclave = Enclave(deployment.enclave, platform_secret, store_path=store)
-    server = EnclaveServer(EnclaveService(enclave, platform_secret), host=host, port=port)
+    server = EnclaveServer(
+        EnclaveService(enclave, platform_secret), host=deployment.host, port=deployment.port
+    )
     actual_host, actual_port = server.server_address[:2]
     print(
         f"serving measurement {enclave.measurement.hex()} "
@@ -110,13 +110,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _client_from_config(deployment: DeploymentConfig, args: argparse.Namespace) -> EnclaveClient:
+def _deployment(args: argparse.Namespace) -> DeploymentConfig:
+    """The --config file with --host and --port applied, checked like the file."""
+    deployment = DeploymentConfig.from_file(args.config)
+    return dataclasses.replace(
+        deployment,
+        host=args.host or deployment.host,
+        port=deployment.port if args.port is None else args.port,
+    )
+
+
+def _client_from_config(deployment: DeploymentConfig) -> EnclaveClient:
     if deployment.platform_verify_key is None:
         raise ProtocolError("config lacks platform_verify_key")
-    host = args.host or deployment.host
-    port = args.port if args.port is not None else deployment.port
     return EnclaveClient(
-        TcpTransport(host, port),
+        TcpTransport(deployment.host, deployment.port),
         expected_measurement=deployment.enclave.measurement(),
         platform_verify_key=deployment.platform_verify_key,
     )
@@ -132,7 +140,7 @@ def _cmd_ha(args: argparse.Namespace) -> int:
     report = credential.sign_report(
         bytes.fromhex(args.token_hash), args.result, args.interval
     )
-    client = _client_from_config(DeploymentConfig.from_file(args.config), args)
+    client = _client_from_config(_deployment(args))
     client.register_report(report)
     _print_json({"registered": report.token_hash.hex()})
     return 0
@@ -148,8 +156,8 @@ def _load_trace(path: str) -> list[GpsPoint]:
 
 
 def _cmd_device(args: argparse.Namespace) -> int:
-    deployment = DeploymentConfig.from_file(args.config)
-    client = _client_from_config(deployment, args)
+    deployment = _deployment(args)
+    client = _client_from_config(deployment)
     command = args.device_command
     if command == "result":
         result = client.poll_result(bytes.fromhex(args.token))

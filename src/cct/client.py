@@ -84,17 +84,12 @@ class EnclaveClient:
     """Attest, establish a session, then issue application calls."""
 
     def __init__(
-        self,
-        transport,
-        expected_measurement: Measurement,
-        platform_verify_key: bytes,
-        insecure_plaintext: bool = False,
+        self, transport, expected_measurement: Measurement, platform_verify_key: bytes
     ) -> None:
         self._transport = transport
         self._expected = expected_measurement
         self._verify_key = platform_verify_key
         self._channel: SecureChannel | None = None
-        self.insecure_plaintext = insecure_plaintext
 
     # -- request plumbing -----------------------------------------------------
 
@@ -131,8 +126,6 @@ class EnclaveClient:
         self._channel = SecureChannel(keys, CLIENT_TO_ENCLAVE)
 
     def _request(self, msg: dict, reply_type: str) -> dict:
-        if self.insecure_plaintext:
-            return self._exchange_plain(msg, reply_type)
         if self._channel is None:
             self.connect()
         assert self._channel is not None
@@ -194,6 +187,12 @@ class EnclaveClient:
         d_max: float = DEFAULT_GPS_D_MAX,
         tau: float = DEFAULT_GPS_TAU,
     ) -> list[tuple[float, float]]:
+        """The (t_infected, t_poller) pairs of stored points near `trace`.
+
+        The defaults are the stock 10 m / 900 s. A deployment configured
+        with a smaller `gps_d_max` or `gps_tau` refuses them, so pass the
+        deployment's values, as `cct device gps-poll` does.
+        """
         resp = self._request(
             {
                 "type": "gps_poll_req",

@@ -27,6 +27,10 @@ class DeploymentConfig:
     platform_verify_key: bytes | None = None
     store_path: str | None = None
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in 0-65535")
+
     @classmethod
     def from_value(cls, value: Any) -> "DeploymentConfig":
         # placeholders give the optional fields their kind in the template

@@ -177,6 +177,11 @@ class EnclaveConfig:
     gps_d_max: float = DEFAULT_GPS_D_MAX
     gps_tau: float = DEFAULT_GPS_TAU
 
+    def __post_init__(self) -> None:
+        for name in ("retention", "gps_d_max", "gps_tau"):
+            if not getattr(self, name) >= 0:  # also refuses NaN
+                raise ValueError(f"{name} must be non-negative")
+
     def to_value(self) -> dict:
         return {
             "delta_t": self.time.delta_t,

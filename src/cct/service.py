@@ -4,11 +4,8 @@ Speaks the wire format: answers attestation and session handshakes in
 plaintext, then requires every application message to arrive inside an
 encrypted envelope bound to an established session. The only plaintext an
 observer ever sees after the handshake is envelope metadata (session id,
-sequence, nonce, ciphertext).
-
-`insecure_plaintext` disables that requirement and processes application
-messages in the clear. It exists purely as a negative control so the
-transcript privacy audit has something to catch.
+sequence, nonce, ciphertext). No configuration answers an application
+message sent in the clear.
 """
 
 from __future__ import annotations
@@ -72,14 +69,8 @@ _APP_HANDLERS: dict[str, Callable[[Enclave, dict], dict | None]] = {
 class EnclaveService:
     """Request/response handler wrapping one Enclave instance."""
 
-    def __init__(
-        self,
-        enclave: Enclave,
-        platform_secret: bytes,
-        insecure_plaintext: bool = False,
-    ) -> None:
+    def __init__(self, enclave: Enclave, platform_secret: bytes) -> None:
         self.enclave = enclave
-        self.insecure_plaintext = insecure_plaintext
         self._signing_key = platform_signing_key(platform_secret)
         self._pending: dict[bytes, X25519PrivateKey] = {}
         self._sessions: dict[bytes, SecureChannel] = {}
@@ -104,9 +95,9 @@ class EnclaveService:
                 return wire.encode(self._attest())
             if mtype == "session_req":
                 return wire.encode(self._open_session(msg))
-            if mtype in _APP_HANDLERS and not self.insecure_plaintext:
+            if mtype in _APP_HANDLERS:
                 raise ProtocolError("plaintext application message refused")
-            return wire.encode(self._dispatch(msg))
+            raise ProtocolError("unexpected message type")
         except (ProtocolError, ValueError) as exc:
             return wire.encode(_error(str(exc)))
 
@@ -140,7 +131,11 @@ class EnclaveService:
             response = self._dispatch(wire.decode(channel.decrypt(envelope)))
         except (ProtocolError, ValueError) as exc:
             response = _error(str(exc))
-        return self._enveloped(channel, response)
+        reply = self._enveloped(channel, response)
+        if len(reply) > wire.MAX_FRAME:
+            # no frame could carry it; the session must outlive the refusal
+            reply = self._enveloped(channel, _error("response too large"))
+        return reply
 
     def _enveloped(self, channel: SecureChannel, msg: dict) -> bytes:
         return wire.encode(channel.encrypt(wire.encode(msg)).to_wire())

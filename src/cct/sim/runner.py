@@ -10,9 +10,8 @@ and the whole outcome is reduced to a canonical SimReport.
 
 Devices and backend run in one process over an in-memory channel by
 default; `live=True` routes identical bytes through a real TCP server
-instead. The negative-control knobs (`insecure_plaintext`, `log_polls`)
-deliberately break the privacy guarantees so the audits can demonstrate
-they catch violations.
+instead. The negative controls deliberately break the privacy guarantees so
+the audits can demonstrate they catch violations.
 """
 
 from __future__ import annotations
@@ -100,6 +99,21 @@ class _Clock:
         return self._now
 
 
+class _PlaintextTranscriptService(EnclaveService):
+    """Negative control: every application request and response, as the
+    canonical plaintext that `_dispatch` sees, joins the audited transcript."""
+
+    def __init__(self, enclave: Enclave, platform_secret: bytes, transcript: wire.Transcript):
+        super().__init__(enclave, platform_secret)
+        self._transcript = transcript
+
+    def _dispatch(self, msg: dict) -> dict:
+        self._transcript.append("c2e", wire.encode(msg))
+        response = super()._dispatch(msg)
+        self._transcript.append("e2c", wire.encode(response))
+        return response
+
+
 @dataclass
 class _Device:
     index: int
@@ -131,10 +145,11 @@ def run_scenario(
     enclave = Enclave(
         enclave_config, platform_secret, clock=clock, log_polls=log_polls
     )
-    service = EnclaveService(
-        enclave, platform_secret, insecure_plaintext=insecure_plaintext
-    )
     transcript = wire.Transcript()
+    if insecure_plaintext:
+        service = _PlaintextTranscriptService(enclave, platform_secret, transcript)
+    else:
+        service = EnclaveService(enclave, platform_secret)
 
     server: EnclaveServer | None = None
     server_thread: threading.Thread | None = None
@@ -163,7 +178,6 @@ def run_scenario(
                 new_transport(),
                 expected_measurement=enclave_config.measurement(),
                 platform_verify_key=verify_key,
-                insecure_plaintext=insecure_plaintext,
             )
 
         devices = [

@@ -40,6 +40,8 @@ def canonical_encode(value: Any) -> bytes:
         )
     except (TypeError, ValueError) as exc:
         raise WireError(f"value not canonically encodable: {exc}") from exc
+    except RecursionError:
+        raise WireError("value not canonically encodable: nested too deeply") from None
     return text.encode("ascii")
 
 
@@ -76,6 +78,9 @@ def lenient_decode(raw: bytes) -> Any:
         raise
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        # json recurses once per nesting level; a deep enough input exhausts the stack
+        raise WireError("invalid JSON: nested too deeply") from None
 
 
 def read_object(value: Any, template: dict, required: Iterable[str], what: str) -> dict:

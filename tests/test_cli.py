@@ -13,6 +13,7 @@ import pytest
 from cct.attestation import platform_verify_key
 from cct.authority import HealthAuthorityCredential, token_hash
 from cct.cli import main
+from cct.client import EnclaveClient, LoopbackTransport
 from cct.config import DeploymentConfig
 from cct.contact_log import ContactLog
 from cct.enclave import Enclave, EnclaveConfig
@@ -122,6 +123,29 @@ def test_serve_flags_for_negative_controls_are_gone():
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--config", "/nonexistent.json", flag])
         assert excinfo.value.code == 2
+
+
+def test_plaintext_constructor_options_are_gone(enclave, enclave_config, platform_secret):
+    with pytest.raises(TypeError):
+        EnclaveService(enclave, platform_secret, insecure_plaintext=True)
+    service = EnclaveService(enclave, platform_secret)
+    with pytest.raises(TypeError):
+        EnclaveClient(
+            LoopbackTransport(service),
+            enclave_config.measurement(),
+            platform_verify_key(platform_secret),
+            insecure_plaintext=True,
+        )
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_port_override_out_of_range_reported(monkeypatch, tmp_path, capsys, port):
+    # the override is checked like the config field it replaces
+    monkeypatch.setenv("CCT_PLATFORM_SECRET", "07" * 32)
+    config = tmp_path / "deploy.json"
+    config.write_bytes(canonical_encode({"ha_verify_key": "11" * 32}))
+    assert main(["serve", "--config", str(config), "--port", port]) == 1
+    assert capsys.readouterr().err == "error: port must be in 0-65535\n"
 
 
 def test_serve_loop_end_to_end(tmp_path, capsys):
@@ -415,18 +439,28 @@ def _fig1_with(**fields) -> dict:
             ),
             "number out of range: 1e400",
         ),
+        ("simulate", b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
         (
             "device",
             {"ha_verify_key": 5},
             "config field ha_verify_key: expected str, got int",
         ),
+        (
+            "device",
+            {"ha_verify_key": "11" * 32, "retention": -1},
+            "retention must be non-negative",
+        ),
+        ("device", {"ha_verify_key": "11" * 32, "port": 70000}, "port must be in 0-65535"),
     ],
     ids=[
         "encounter-without-interval",
         "infected-without-device",
         "encounter-not-object",
         "encounter-rate-overflows",
+        "nested-too-deeply",
         "ha-key-not-string",
+        "retention-negative",
+        "port-out-of-range",
     ],
 )
 def test_malformed_hand_written_file_reported(tmp_path, capsys, command, value, reason):

@@ -107,6 +107,35 @@ def test_wrong_length_key_rejected(non_default, name, key, reason):
             EnclaveConfig.from_value({name: key})
 
 
+@pytest.mark.parametrize(
+    "name, changed, reason",
+    [
+        ("retention", -1, "retention must be non-negative"),
+        ("gps_d_max", -0.5, "gps_d_max must be non-negative"),
+        ("gps_tau", -1.0, "gps_tau must be non-negative"),
+        ("port", 65536, "port must be in 0-65535"),
+        ("port", 70000, "port must be in 0-65535"),
+        ("port", -1, "port must be in 0-65535"),
+    ],
+)
+def test_out_of_range_field_rejected(non_default, name, changed, reason):
+    value = {**non_default.to_value(), name: changed}
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        DeploymentConfig.from_value(value)
+    if name in ENCLAVE_CHANGES:
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            EnclaveConfig.from_value({k: v for k, v in value.items() if k in ENCLAVE_CHANGES})
+
+
+@pytest.mark.parametrize(
+    "name, edge",
+    [("retention", 0), ("gps_d_max", 0.0), ("gps_tau", 0.0), ("port", 0), ("port", 65535)],
+)
+def test_range_edges_accepted(non_default, name, edge):
+    value = {**non_default.to_value(), name: edge}
+    assert DeploymentConfig.from_value(value).to_value()[name] == edge
+
+
 def _wire_round_trip(record):
     msg = wire.decode(wire.encode(record.to_wire()))
     assert type(record).from_wire(msg) == record

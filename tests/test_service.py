@@ -42,6 +42,18 @@ def client(service, enclave_config):
     )
 
 
+@pytest.fixture
+def tcp_port(service):
+    """Serves `service` over TCP on a free loopback port for one test."""
+    server = EnclaveServer(service, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[1]
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
 def manual_handshake(service):
     """Drive the handshake at the raw message level."""
     resp = wire.decode(service.handle(wire.encode({"type": "attest_req"})))
@@ -181,12 +193,6 @@ def test_plaintext_application_refused(service):
     assert msg == {"type": "error", "reason": "plaintext application message refused"}
 
 
-def test_insecure_mode_accepts_plaintext(enclave):
-    service = EnclaveService(enclave, PLATFORM_SECRET, insecure_plaintext=True)
-    raw = service.handle(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
-    assert wire.decode(raw) == {"type": "result_resp", "result": "unknown"}
-
-
 def test_unknown_session_rejected(service):
     envelope = {
         "type": "envelope",
@@ -263,6 +269,59 @@ def test_garbage_bytes_get_error_reply(service):
     assert msg["type"] == "error"
 
 
+# far past any stack: the outcome does not depend on the caller's depth
+DEEP = b"[" * 100_000 + b"]" * 100_000
+NESTED_TOO_DEEPLY = {"type": "error", "reason": "invalid JSON: nested too deeply"}
+
+
+def test_deeply_nested_plaintext_gets_error_reply(service):
+    assert wire.decode(service.handle(DEEP)) == NESTED_TOO_DEEPLY
+
+
+def test_deeply_nested_envelope_gets_enveloped_error_reply(service):
+    channel, _ = manual_handshake(service)
+    raw = service.handle(wire.encode(channel.encrypt(DEEP).to_wire()))
+    inner = wire.decode(channel.decrypt(EncryptedEnvelope.from_wire(wire.decode(raw))))
+    assert inner == NESTED_TOO_DEEPLY
+
+
+def test_deeply_nested_frame_keeps_tcp_connection(tcp_port):
+    transport = TcpTransport("127.0.0.1", tcp_port)
+    try:
+        assert wire.decode(transport.request(DEEP)) == NESTED_TOO_DEEPLY
+        reply = wire.decode(transport.request(wire.encode({"type": "attest_req"})))
+        assert reply["type"] == "attest_resp"
+    finally:
+        transport.close()
+
+
+@pytest.mark.parametrize("over_tcp", [False, True], ids=["loopback", "tcp"])
+def test_oversized_reply_refused_and_session_survives(
+    request, service, enclave_config, ha, clock, monkeypatch, over_tcp
+):
+    clock.set_interval(0)
+    if over_tcp:
+        transport = TcpTransport("127.0.0.1", request.getfixturevalue("tcp_port"))
+    else:
+        transport = LoopbackTransport(service)
+    try:
+        client = EnclaveClient(
+            transport, enclave_config.measurement(), platform_verify_key(PLATFORM_SECRET)
+        )
+        client.register_report(ha.sign_report(token_hash(TOKEN), RESULT_POSITIVE, 0))
+        client.upload_gps(TOKEN, [GpsPoint(lat=10.0, lon=20.0, t=100.0 + i) for i in range(50)])
+        poll = [GpsPoint(lat=10.0, lon=20.0, t=150.0)]
+        assert len(client.poll_gps(poll)) == 50
+        # the 50-event reply no longer fits a frame; the small request still does
+        monkeypatch.setattr(wire, "MAX_FRAME", 2048)
+        with pytest.raises(RemoteError, match="^response too large$"):
+            client.poll_gps(poll)
+        assert client.poll_result(TOKEN) == RESULT_POSITIVE
+    finally:
+        if over_tcp:
+            transport.close()
+
+
 def test_every_request_type_has_one_handler():
     from cct import service as service_module
 
@@ -297,12 +356,9 @@ def test_transcript_shows_only_handshake_and_envelopes(service, enclave_config, 
 
 # -- TCP front-end ------------------------------------------------------------------
 
-def test_recording_transport_wraps_tcp(service, enclave_config, ha, clock):
+def test_recording_transport_wraps_tcp(enclave_config, ha, clock, tcp_port):
     clock.set_interval(0)
-    server = EnclaveServer(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    transport = TcpTransport("127.0.0.1", server.server_address[1])
+    transport = TcpTransport("127.0.0.1", tcp_port)
     transcript = wire.Transcript()
     try:
         client = EnclaveClient(
@@ -314,22 +370,15 @@ def test_recording_transport_wraps_tcp(service, enclave_config, ha, clock):
         assert client.poll_result(TOKEN) == RESULT_POSITIVE
     finally:
         transport.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
     assert [direction for direction, _ in transcript] == ["c2e", "e2c"] * 4
     types = [wire.canonical_decode(raw)["type"] for raw in transcript.messages()]
     assert types[:4] == ["attest_req", "attest_resp", "session_req", "session_resp"]
     assert set(types[4:]) == {"envelope"}
 
 
-def test_tcp_round_trip(service, enclave_config, ha, clock):
+def test_tcp_round_trip(enclave_config, ha, clock, tcp_port):
     clock.set_interval(0)
-    server = EnclaveServer(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    port = server.server_address[1]
-    transport = TcpTransport("127.0.0.1", port)
+    transport = TcpTransport("127.0.0.1", tcp_port)
     try:
         client = EnclaveClient(
             transport,
@@ -340,7 +389,7 @@ def test_tcp_round_trip(service, enclave_config, ha, clock):
         assert client.poll_result(TOKEN) == RESULT_POSITIVE
 
         # a second connection establishes its own session
-        transport2 = TcpTransport("127.0.0.1", port)
+        transport2 = TcpTransport("127.0.0.1", tcp_port)
         try:
             client2 = EnclaveClient(
                 transport2,
@@ -352,6 +401,3 @@ def test_tcp_round_trip(service, enclave_config, ha, clock):
             transport2.close()
     finally:
         transport.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)

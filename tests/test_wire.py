@@ -160,6 +160,19 @@ def test_overflowing_literal_rejected(literal):
         wire.decode(raw)
 
 
+def test_deep_nesting_rejected():
+    # far past any stack: the result does not depend on the caller's depth
+    deep = b"[" * 100_000 + b"]" * 100_000
+    for decode in (wire.lenient_decode, wire.canonical_decode, wire.decode):
+        with pytest.raises(WireError, match="^invalid JSON: nested too deeply$"):
+            decode(deep)
+    value: list = []
+    for _ in range(100_000):
+        value = [value]
+    with pytest.raises(WireError, match="nested too deeply"):
+        wire.canonical_encode(value)
+
+
 def test_large_finite_literal_accepted():
     assert wire.lenient_decode(b'{"a":1.5e308,"b":-2e-400}') == {"a": 1.5e308, "b": -0.0}
 
