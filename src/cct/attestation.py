@@ -2,12 +2,20 @@
 
 Stands in for the hardware attestation chain: a platform Ed25519 key signs
 quotes binding an enclave measurement to an ephemeral session key, clients
-verify quotes against a well-known platform verification key, both sides run
-X25519 + HKDF to get direction-separated channel keys, and persistent state
-is sealed under a key bound to the measurement. None of this is
+verify quotes against a well-known platform verification key, and both sides
+run X25519 + HKDF to get direction-separated channel keys. None of this is
 hardware-backed; the point is to preserve the trust topology (clients trust
 a platform root, not the service operator) so the protocol's privacy
 properties are machine-checkable.
+
+Each AEAD use has one form and one entry point:
+
+- Envelopes: a `SecureChannel`, built once for its side (`for_client` or
+  `for_enclave`) from the session keys. It owns the sequence numbers, the
+  nonce (the sequence itself) and the replay rule.
+- Sealing: `seal` returns `nonce ‖ ciphertext` under a key bound to the
+  measurement and `unseal` opens it. Both require associated data, which
+  the enclave's log uses to bind each record to its file and position.
 
 Primitives: Ed25519 signatures, X25519 key agreement, HKDF-SHA256,
 ChaCha20-Poly1305 AEAD.
@@ -33,7 +41,6 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from cct.errors import AttestationError, EnvelopeError, KeyExchangeError, SealError
-from cct.wire import canonical_decode, canonical_encode
 
 MEASUREMENT_LEN = 32
 SESSION_ID_LEN = 16
@@ -45,9 +52,6 @@ _SID_LABEL = b"CCT-SID-v1"
 _C2E_LABEL = b"CCT-C2E-v1"
 _E2C_LABEL = b"CCT-E2C-v1"
 _PSIGN_LABEL = b"CCT-PSIGN-v1"
-
-CLIENT_TO_ENCLAVE = "c2e"
-ENCLAVE_TO_CLIENT = "e2c"
 
 
 def _hkdf(ikm: bytes, info: bytes, length: int, salt: bytes | None = None) -> bytes:
@@ -247,87 +251,57 @@ class EncryptedEnvelope:
         )
 
 
-def _direction_key(keys: SessionKeys, direction: str) -> bytes:
-    if direction == CLIENT_TO_ENCLAVE:
-        return keys.client_to_enclave_key
-    if direction == ENCLAVE_TO_CLIENT:
-        return keys.enclave_to_client_key
-    raise ValueError(f"unknown direction: {direction!r}")
-
-
 def _sequence_nonce(sequence: int) -> bytes:
     return bytes(4) + sequence.to_bytes(8, "big")
 
 
-def encrypt_envelope(
-    keys: SessionKeys, direction: str, sequence: int, plaintext: bytes
-) -> EncryptedEnvelope:
-    if not 0 < sequence < 2**64:
-        raise ValueError("sequence out of range")
-    nonce = _sequence_nonce(sequence)
-    aead = ChaCha20Poly1305(_direction_key(keys, direction))
-    ciphertext = aead.encrypt(nonce, plaintext, keys.session_id)
-    return EncryptedEnvelope(
-        session_id=keys.session_id,
-        sequence=sequence,
-        nonce=nonce,
-        ciphertext=ciphertext,
-    )
-
-
-def decrypt_envelope(
-    keys: SessionKeys,
-    direction: str,
-    envelope: EncryptedEnvelope,
-    last_sequence: int = 0,
-) -> bytes:
-    """Open an envelope, enforcing the strictly-increasing sequence rule.
-
-    last_sequence is the highest sequence accepted so far in this direction;
-    anything not strictly above it is a replay.
-    """
-    if envelope.sequence <= last_sequence:
-        raise EnvelopeError("replay")
-    if (
-        envelope.session_id != keys.session_id
-        or envelope.nonce != _sequence_nonce(envelope.sequence)
-    ):
-        raise EnvelopeError("decrypt failed")
-    aead = ChaCha20Poly1305(_direction_key(keys, direction))
-    try:
-        return aead.decrypt(envelope.nonce, envelope.ciphertext, keys.session_id)
-    except InvalidTag:
-        raise EnvelopeError("decrypt failed") from None
-
-
 class SecureChannel:
-    """Stateful per-direction sequence bookkeeping over one session.
+    """One endpoint of an established session; the only envelope API.
 
-    Each endpoint owns one; `sender` names the direction this side encrypts.
+    Build it for one side with `for_client` or `for_enclave`. It encrypts
+    under its own direction's key and opens the other direction's envelopes.
+    Sequence numbers start at 1 and are the nonce, and an envelope is
+    accepted only with a sequence above every one accepted before it.
     """
 
-    def __init__(self, keys: SessionKeys, sender: str):
-        if sender not in (CLIENT_TO_ENCLAVE, ENCLAVE_TO_CLIENT):
-            raise ValueError(f"unknown direction: {sender!r}")
-        self.keys = keys
-        self._send_direction = sender
-        self._recv_direction = (
-            ENCLAVE_TO_CLIENT if sender == CLIENT_TO_ENCLAVE else CLIENT_TO_ENCLAVE
-        )
+    def __init__(self, session_id: bytes, send_key: bytes, recv_key: bytes):
+        self.session_id = session_id
+        self._send = ChaCha20Poly1305(send_key)
+        self._recv = ChaCha20Poly1305(recv_key)
         self._next_send = 1
         self._last_recv = 0
 
+    @classmethod
+    def for_client(cls, keys: SessionKeys) -> "SecureChannel":
+        return cls(keys.session_id, keys.client_to_enclave_key, keys.enclave_to_client_key)
+
+    @classmethod
+    def for_enclave(cls, keys: SessionKeys) -> "SecureChannel":
+        return cls(keys.session_id, keys.enclave_to_client_key, keys.client_to_enclave_key)
+
     def encrypt(self, plaintext: bytes) -> EncryptedEnvelope:
-        envelope = encrypt_envelope(
-            self.keys, self._send_direction, self._next_send, plaintext
+        sequence = self._next_send
+        if sequence >= 2**64:
+            raise ValueError("sequence out of range")
+        nonce = _sequence_nonce(sequence)
+        ciphertext = self._send.encrypt(nonce, plaintext, self.session_id)
+        self._next_send = sequence + 1
+        return EncryptedEnvelope(
+            session_id=self.session_id, sequence=sequence, nonce=nonce, ciphertext=ciphertext
         )
-        self._next_send += 1
-        return envelope
 
     def decrypt(self, envelope: EncryptedEnvelope) -> bytes:
-        plaintext = decrypt_envelope(
-            self.keys, self._recv_direction, envelope, self._last_recv
-        )
+        if envelope.sequence <= self._last_recv:
+            raise EnvelopeError("replay")
+        if (
+            envelope.session_id != self.session_id
+            or envelope.nonce != _sequence_nonce(envelope.sequence)
+        ):
+            raise EnvelopeError("decrypt failed")
+        try:
+            plaintext = self._recv.decrypt(envelope.nonce, envelope.ciphertext, self.session_id)
+        except InvalidTag:
+            raise EnvelopeError("decrypt failed") from None
         self._last_recv = envelope.sequence
         return plaintext
 
@@ -336,47 +310,23 @@ class SecureChannel:
 # Sealing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SealedBlob:
-    """State encrypted under a key bound to the enclave measurement."""
-
-    nonce: bytes
-    ciphertext: bytes
-
-    def to_bytes(self) -> bytes:
-        return canonical_encode(
-            {"ciphertext": self.ciphertext.hex(), "nonce": self.nonce.hex()}
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SealedBlob":
-        obj = canonical_decode(raw)
-        if not isinstance(obj, dict) or set(obj) != {"ciphertext", "nonce"}:
-            raise SealError("unseal failed")
-        return cls(
-            nonce=bytes.fromhex(obj["nonce"]),
-            ciphertext=bytes.fromhex(obj["ciphertext"]),
-        )
-
-
 def _sealing_key(measurement: Measurement, platform_secret: bytes) -> bytes:
     return _hkdf(platform_secret, _SEAL_LABEL, 32, salt=measurement.value)
 
 
-def seal(
-    data: bytes, measurement: Measurement, platform_secret: bytes, aad: bytes | None = None
-) -> SealedBlob:
-    """Encrypt data to the measurement; aad is authenticated but not stored."""
+def seal(data: bytes, measurement: Measurement, platform_secret: bytes, aad: bytes) -> bytes:
+    """nonce ‖ ciphertext of data under the key bound to the measurement.
+
+    aad is authenticated but not stored; unseal needs the same aad.
+    """
     nonce = secrets.token_bytes(NONCE_LEN)
     aead = ChaCha20Poly1305(_sealing_key(measurement, platform_secret))
-    return SealedBlob(nonce=nonce, ciphertext=aead.encrypt(nonce, data, aad))
+    return nonce + aead.encrypt(nonce, data, aad)
 
 
-def unseal(
-    blob: SealedBlob, measurement: Measurement, platform_secret: bytes, aad: bytes | None = None
-) -> bytes:
+def unseal(sealed: bytes, measurement: Measurement, platform_secret: bytes, aad: bytes) -> bytes:
     aead = ChaCha20Poly1305(_sealing_key(measurement, platform_secret))
     try:
-        return aead.decrypt(blob.nonce, blob.ciphertext, aad)
+        return aead.decrypt(sealed[:NONCE_LEN], sealed[NONCE_LEN:], aad)
     except (InvalidTag, ValueError):
         raise SealError("unseal failed") from None

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass
-from typing import Callable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -37,15 +36,9 @@ def token_hash(token: bytes) -> bytes:
     return hashlib.sha256(token).digest()
 
 
-def issue_test_token(rng: Callable[[int], bytes] | None = None) -> bytes:
-    """Fresh 32-byte token handed to the tested user.
-
-    rng is injectable for deterministic simulation; defaults to the OS CSPRNG.
-    """
-    token = (rng or secrets.token_bytes)(TOKEN_LEN)
-    if len(token) != TOKEN_LEN:
-        raise ValueError("rng returned wrong token length")
-    return token
+def issue_test_token() -> bytes:
+    """Fresh 32-byte token handed to the tested user, from the OS CSPRNG."""
+    return secrets.token_bytes(TOKEN_LEN)
 
 
 @dataclass(frozen=True)

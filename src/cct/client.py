@@ -15,7 +15,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from cct import wire
 from cct.attestation import (
-    CLIENT_TO_ENCLAVE,
     AttestationQuote,
     EncryptedEnvelope,
     Measurement,
@@ -123,7 +122,7 @@ class EnclaveClient:
         )
         if bytes.fromhex(resp["session_id"]) != keys.session_id:
             raise ProtocolError("session id mismatch")
-        self._channel = SecureChannel(keys, CLIENT_TO_ENCLAVE)
+        self._channel = SecureChannel.for_client(keys)
 
     def _request(self, msg: dict, reply_type: str) -> dict:
         if self._channel is None:

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from cct import attestation
-from cct.attestation import NONCE_LEN, Measurement, SealedBlob, seal, unseal
+from cct.attestation import Measurement, seal, unseal
 from cct.authority import (
     RESULT_NEGATIVE,
     RESULT_POSITIVE,
@@ -230,8 +230,8 @@ def _record_aad(file_id: bytes, seq: int) -> bytes:
     return file_id + seq.to_bytes(8, "big")
 
 
-def _frame(blob: SealedBlob) -> bytes:
-    return _FRAME_LEN.pack(len(blob.nonce) + len(blob.ciphertext)) + blob.nonce + blob.ciphertext
+def _frame(sealed: bytes) -> bytes:
+    return _FRAME_LEN.pack(len(sealed)) + sealed
 
 
 def _replace_file(path: Path, data: bytes) -> None:
@@ -649,21 +649,21 @@ class Enclave:
         """Replace the log by one record of the whole state, under a new file id."""
         file_id = secrets.token_bytes(_FILE_ID_LEN)
         aad = _record_aad(file_id, 0)
-        blob = seal(self.serialize_state(), self.measurement, self._platform_secret, aad)
-        log = bytearray(_LOG_MAGIC + file_id + _frame(blob))
+        sealed = seal(self.serialize_state(), self.measurement, self._platform_secret, aad)
+        log = bytearray(_LOG_MAGIC + file_id + _frame(sealed))
         if self._store_path is not None:
             _replace_file(self._store_path, log)
         self._log, self._file_id, self._seq, self._dead = log, file_id, 1, 0
 
     def _load(self, raw: bytes) -> None:
-        """Replay a log; a torn final frame is cut off, as its write never finished."""
-        if not raw.startswith(_LOG_MAGIC):
-            # the single-blob store of earlier versions: load it, rewrite it as a log once
-            blob = SealedBlob.from_bytes(raw)
-            self._apply(canonical_decode(unseal(blob, self.measurement, self._platform_secret)))
-            self._rewrite()
-            return
-        if len(raw) < _HEADER_LEN:
+        """Replay a log; a torn final frame is cut off, as its write never finished.
+
+        Anything else that does not replay is refused and left as it is: a
+        file without the log header, a record that fails to unseal, and a log
+        with no complete record (the first record is written whole, with the
+        header, so no crash can tear it).
+        """
+        if len(raw) < _HEADER_LEN or not raw.startswith(_LOG_MAGIC):
             raise SealError("unseal failed")
         file_id = raw[len(_LOG_MAGIC):_HEADER_LEN]
         pos, seq = _HEADER_LEN, 0
@@ -672,12 +672,12 @@ class Enclave:
             body = pos + _FRAME_LEN.size
             if body + length > len(raw):
                 break
-            blob = SealedBlob(
-                nonce=raw[body:body + NONCE_LEN], ciphertext=raw[body + NONCE_LEN:body + length]
-            )
             aad = _record_aad(file_id, seq)
-            self._apply(canonical_decode(unseal(blob, self.measurement, self._platform_secret, aad)))
+            sealed = raw[body:body + length]
+            self._apply(canonical_decode(unseal(sealed, self.measurement, self._platform_secret, aad)))
             pos, seq = body + length, seq + 1
+        if seq == 0:
+            raise SealError("unseal failed")
         if pos < len(raw):
             os.truncate(self._store_path, pos)
         self._log, self._file_id, self._seq = bytearray(raw[:pos]), file_id, seq

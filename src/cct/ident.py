@@ -17,7 +17,6 @@ from dataclasses import dataclass
 SECRET_LEN = 32
 IDENTIFIER_LEN = 16
 DEFAULT_DELTA_T = 900
-DEFAULT_MAX_RANGE = 4032
 
 # Domain-separation label for the identifier PRF; prevents reusing the device
 # secret for any other derivation without an explicit new label.
@@ -82,7 +81,7 @@ def derive_identifier_range(
     secret: bytes,
     first: int,
     last: int,
-    max_range: int = DEFAULT_MAX_RANGE,
+    max_range: int,
 ) -> list[bytes]:
     """Identifiers for every interval in [first, last], in order.
 
@@ -96,10 +95,3 @@ def derive_identifier_range(
     if last - first > max_range:
         raise ValueError("range too large")
     return [derive_identifier(secret, i) for i in range(first, last + 1)]
-
-
-def render_identifier(identifier: bytes) -> str:
-    """32-char lowercase hex, the serialized form used everywhere."""
-    if len(identifier) != IDENTIFIER_LEN:
-        raise ValueError(f"identifier must be {IDENTIFIER_LEN} bytes")
-    return identifier.hex()

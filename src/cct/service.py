@@ -18,7 +18,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from cct import wire
 from cct.attestation import (
-    ENCLAVE_TO_CLIENT,
     EncryptedEnvelope,
     SecureChannel,
     accept_session,
@@ -117,7 +116,7 @@ class EnclaveService:
         if private is None:
             raise ProtocolError("unknown handshake")
         keys = accept_session(private, bytes.fromhex(msg["client_session_pub"]))
-        self._sessions[keys.session_id] = SecureChannel(keys, ENCLAVE_TO_CLIENT)
+        self._sessions[keys.session_id] = SecureChannel.for_enclave(keys)
         return {"type": "session_resp", "session_id": keys.session_id.hex()}
 
     # -- enveloped application traffic -----------------------------------------

@@ -56,6 +56,15 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+def _fits_float(v: int | float) -> bool:
+    """Whether a number converts to a float, as every number field is used as one."""
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def canonical_decode(raw: bytes) -> Any:
     """Parse canonical JSON, rejecting any non-canonical byte form."""
     value = lenient_decode(raw)
@@ -89,7 +98,8 @@ def read_object(value: Any, template: dict, required: Iterable[str], what: str) 
     `template` is a record's to_value() with its optional fields at their
     defaults. The object may hold only the template's keys, must hold each
     `required` one, and each value must have the type of the template's (an
-    int passes for a float). Raises ValueError naming the offending field.
+    int passes for a float if it converts to one). Raises ValueError naming
+    the offending field.
     """
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -103,6 +113,8 @@ def read_object(value: Any, template: dict, required: Iterable[str], what: str) 
         want, got = type(template[name]), type(v)
         if got is not want and not (want is float and got is int):
             raise ValueError(f"{what} field {name}: expected {want.__name__}, got {got.__name__}")
+        if want is float and not _fits_float(v):
+            raise ValueError(f"{what} field {name}: number out of range")
     return {**template, **value}
 
 
@@ -148,6 +160,8 @@ def _number(v: Any) -> None:
         raise WireError("expected number")
     if isinstance(v, float) and not math.isfinite(v):
         raise WireError("expected finite number")
+    if isinstance(v, int) and not _fits_float(v):
+        raise WireError("number out of range")
 
 
 def _boolean(v: Any) -> None:

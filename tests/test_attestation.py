@@ -6,17 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from cct import attestation
 from cct.attestation import (
-    CLIENT_TO_ENCLAVE,
-    ENCLAVE_TO_CLIENT,
     AttestationQuote,
     EncryptedEnvelope,
     Measurement,
-    SealedBlob,
     SecureChannel,
+    SessionKeys,
     accept_session,
     compute_measurement,
-    decrypt_envelope,
-    encrypt_envelope,
     establish_session,
     generate_quote,
     platform_signing_key,
@@ -181,43 +177,65 @@ def test_handshake_agreement_property(seed):
 
 # -- envelopes ----------------------------------------------------------------------
 
-def _session_keys():
+def _channels():
+    """The client's and the enclave's channel over one fresh session."""
     quote, enclave_secret, _ = _fresh_quote()
-    client_secret = X25519PrivateKey.generate()
-    return establish_session(client_secret, quote)
+    keys = establish_session(X25519PrivateKey.generate(), quote)
+    return SecureChannel.for_client(keys), SecureChannel.for_enclave(keys)
 
 
 def test_envelope_round_trip():
-    keys = _session_keys()
-    envelope = encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 1, b"hello")
-    assert decrypt_envelope(keys, CLIENT_TO_ENCLAVE, envelope) == b"hello"
+    client, enclave = _channels()
+    assert enclave.decrypt(client.encrypt(b"hello")) == b"hello"
+    assert client.decrypt(enclave.encrypt(b"world")) == b"world"
+
+
+def test_envelope_pinned_vector():
+    # frozen from the envelope bytes of the earlier free-function API
+    keys = SessionKeys(
+        client_to_enclave_key=b"\x01" * 32,
+        enclave_to_client_key=b"\x02" * 32,
+        session_id=b"\x03" * 16,
+    )
+    client, enclave = SecureChannel.for_client(keys), SecureChannel.for_enclave(keys)
+    request, reply = client.encrypt(b"hello"), enclave.encrypt(b"world")
+    common = {"nonce": "00" * 11 + "01", "sequence": 1, "session_id": "03" * 16, "type": "envelope"}
+    assert request.to_wire() == {"ciphertext": "7d3dec44c646d743e9992662398cab6fc13804111a", **common}
+    assert reply.to_wire() == {"ciphertext": "570a35f29426c70016f9e95fc8325952442aa3a6e6", **common}
 
 
 def test_envelope_nonce_is_sequence():
-    keys = _session_keys()
-    envelope = encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 7, b"x")
+    client, _ = _channels()
+    for _ in range(7):
+        envelope = client.encrypt(b"x")
     assert envelope.nonce == bytes(4) + (7).to_bytes(8, "big")
     assert envelope.sequence == 7
 
 
 def test_envelope_replay_rejected():
-    keys = _session_keys()
-    envelope = encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 1, b"x")
-    assert decrypt_envelope(keys, CLIENT_TO_ENCLAVE, envelope, last_sequence=0) == b"x"
+    client, enclave = _channels()
+    envelope = client.encrypt(b"x")
+    assert enclave.decrypt(envelope) == b"x"
     with pytest.raises(EnvelopeError, match="replay"):
-        decrypt_envelope(keys, CLIENT_TO_ENCLAVE, envelope, last_sequence=1)
+        enclave.decrypt(envelope)
+    older, newer = client.encrypt(b"older"), client.encrypt(b"newer")
+    assert enclave.decrypt(newer) == b"newer"
+    with pytest.raises(EnvelopeError, match="replay"):
+        enclave.decrypt(older)
 
 
 def test_envelope_direction_separation():
-    keys = _session_keys()
-    envelope = encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 1, b"x")
+    # an envelope reflected back to the side that sent it does not open
+    client, enclave = _channels()
     with pytest.raises(EnvelopeError, match="decrypt failed"):
-        decrypt_envelope(keys, ENCLAVE_TO_CLIENT, envelope)
+        client.decrypt(client.encrypt(b"x"))
+    with pytest.raises(EnvelopeError, match="decrypt failed"):
+        enclave.decrypt(enclave.encrypt(b"y"))
 
 
 def test_envelope_tamper_rejected():
-    keys = _session_keys()
-    envelope = encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 1, b"payload")
+    client, enclave = _channels()
+    envelope = client.encrypt(b"payload")
     tampered = EncryptedEnvelope(
         session_id=envelope.session_id,
         sequence=envelope.sequence,
@@ -225,12 +243,14 @@ def test_envelope_tamper_rejected():
         ciphertext=bytes([envelope.ciphertext[0] ^ 1]) + envelope.ciphertext[1:],
     )
     with pytest.raises(EnvelopeError, match="decrypt failed"):
-        decrypt_envelope(keys, CLIENT_TO_ENCLAVE, tampered)
+        enclave.decrypt(tampered)
+    # a refused envelope does not use up its sequence number
+    assert enclave.decrypt(envelope) == b"payload"
 
 
 def test_envelope_wrong_session_id_rejected():
-    keys = _session_keys()
-    envelope = encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 1, b"x")
+    client, enclave = _channels()
+    envelope = client.encrypt(b"x")
     relabeled = EncryptedEnvelope(
         session_id=bytes(16),
         sequence=envelope.sequence,
@@ -238,27 +258,36 @@ def test_envelope_wrong_session_id_rejected():
         ciphertext=envelope.ciphertext,
     )
     with pytest.raises(EnvelopeError):
-        decrypt_envelope(keys, CLIENT_TO_ENCLAVE, relabeled)
+        enclave.decrypt(relabeled)
+    # nor does an envelope of another session open
+    other_client, _ = _channels()
+    with pytest.raises(EnvelopeError):
+        enclave.decrypt(other_client.encrypt(b"x"))
 
 
 def test_envelope_sequence_bounds():
-    keys = _session_keys()
-    with pytest.raises(ValueError):
-        encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 0, b"x")
-    with pytest.raises(ValueError):
-        encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 2**64, b"x")
+    client, enclave = _channels()
+    envelope = client.encrypt(b"x")
+    # sequence 0 is never sent, so an envelope claiming it is a replay
+    zero = EncryptedEnvelope(envelope.session_id, 0, bytes(12), envelope.ciphertext)
+    with pytest.raises(EnvelopeError, match="replay"):
+        enclave.decrypt(zero)
+    # the last sequence a nonce can hold is sent once, then the channel stops
+    client._next_send = 2**64 - 1
+    assert client.encrypt(b"x").sequence == 2**64 - 1
+    with pytest.raises(ValueError, match="sequence out of range"):
+        client.encrypt(b"x")
 
 
 def test_envelope_wire_round_trip():
-    keys = _session_keys()
-    envelope = encrypt_envelope(keys, CLIENT_TO_ENCLAVE, 3, b"abc")
+    client, _ = _channels()
+    client.encrypt(b"abc")
+    envelope = client.encrypt(b"abc")
     assert EncryptedEnvelope.from_wire(envelope.to_wire()) == envelope
 
 
 def test_secure_channel_sequencing():
-    keys = _session_keys()
-    client = SecureChannel(keys, CLIENT_TO_ENCLAVE)
-    server = SecureChannel(keys, ENCLAVE_TO_CLIENT)
+    client, server = _channels()
     for n in range(1, 4):
         envelope = client.encrypt(f"msg{n}".encode())
         assert envelope.sequence == n
@@ -273,60 +302,72 @@ def test_secure_channel_sequencing():
 
 def test_ciphertext_hides_plaintext_substring():
     """Secrecy proxy: ciphertext never contains the 16-byte plaintext."""
-    keys = _session_keys()
+    client, _ = _channels()
     hits = 0
-    for n in range(1, 10_001):
+    for _ in range(10_000):
         identifier = secrets.token_bytes(16)
-        envelope = encrypt_envelope(keys, CLIENT_TO_ENCLAVE, n, identifier)
-        if identifier in envelope.ciphertext:
+        if identifier in client.encrypt(identifier).ciphertext:
             hits += 1
     assert hits == 0
 
 
 # -- sealing ---------------------------------------------------------------------
 
+AAD = b"\x05" * 24
+
+
 def test_seal_round_trip():
     measurement = compute_measurement("1.0", bytes(32))
-    blob = seal(b"state bytes", measurement, PLATFORM_SECRET)
-    assert unseal(blob, measurement, PLATFORM_SECRET) == b"state bytes"
+    sealed = seal(b"state bytes", measurement, PLATFORM_SECRET, AAD)
+    assert len(sealed) == 12 + len(b"state bytes") + 16  # nonce, ciphertext, tag
+    assert unseal(sealed, measurement, PLATFORM_SECRET, AAD) == b"state bytes"
+
+
+def test_unseal_pinned_vector():
+    # nonce ‖ ciphertext frozen from the earlier sealed-blob API, same key and aad
+    sealed = bytes.fromhex(
+        "abd3b45f104b49ea7a5acee82ff542429e507415ae5b677350ef6353aeef7485fe"
+    )
+    measurement = compute_measurement("1.0", bytes(32))
+    assert unseal(sealed, measurement, PLATFORM_SECRET, AAD) == b"state"
 
 
 def test_seal_wrong_measurement():
     sealed_under = compute_measurement("1.0", bytes(32))
     other = compute_measurement("1.1", bytes(32))
-    blob = seal(b"data", sealed_under, PLATFORM_SECRET)
+    sealed = seal(b"data", sealed_under, PLATFORM_SECRET, AAD)
     with pytest.raises(SealError, match="unseal failed"):
-        unseal(blob, other, PLATFORM_SECRET)
+        unseal(sealed, other, PLATFORM_SECRET, AAD)
 
 
 def test_seal_wrong_platform_secret():
     measurement = compute_measurement("1.0", bytes(32))
-    blob = seal(b"data", measurement, PLATFORM_SECRET)
+    sealed = seal(b"data", measurement, PLATFORM_SECRET, AAD)
     with pytest.raises(SealError, match="unseal failed"):
-        unseal(blob, measurement, b"\x08" * 32)
+        unseal(sealed, measurement, b"\x08" * 32, AAD)
+
+
+def test_seal_wrong_aad():
+    measurement = compute_measurement("1.0", bytes(32))
+    sealed = seal(b"data", measurement, PLATFORM_SECRET, AAD)
+    with pytest.raises(SealError, match="unseal failed"):
+        unseal(sealed, measurement, PLATFORM_SECRET, b"\x06" * 24)
 
 
 def test_seal_tamper_rejected():
     measurement = compute_measurement("1.0", bytes(32))
-    blob = seal(b"data", measurement, PLATFORM_SECRET)
-    for position in range(len(blob.ciphertext)):
-        corrupted = bytearray(blob.ciphertext)
+    sealed = seal(b"data", measurement, PLATFORM_SECRET, AAD)
+    for position in range(len(sealed)):
+        corrupted = bytearray(sealed)
         corrupted[position] ^= 0x01
         with pytest.raises(SealError):
-            unseal(
-                SealedBlob(nonce=blob.nonce, ciphertext=bytes(corrupted)),
-                measurement,
-                PLATFORM_SECRET,
-            )
+            unseal(bytes(corrupted), measurement, PLATFORM_SECRET, AAD)
+    for cut in range(len(sealed)):
+        with pytest.raises(SealError):
+            unseal(sealed[:cut], measurement, PLATFORM_SECRET, AAD)
 
 
-def test_sealed_blob_bytes_round_trip():
+@given(st.binary(max_size=200), st.binary(max_size=40))
+def test_seal_inverse_property(data, aad):
     measurement = compute_measurement("1.0", bytes(32))
-    blob = seal(b"payload", measurement, PLATFORM_SECRET)
-    assert SealedBlob.from_bytes(blob.to_bytes()) == blob
-
-
-@given(st.binary(max_size=200))
-def test_seal_inverse_property(data):
-    measurement = compute_measurement("1.0", bytes(32))
-    assert unseal(seal(data, measurement, PLATFORM_SECRET), measurement, PLATFORM_SECRET) == data
+    assert unseal(seal(data, measurement, PLATFORM_SECRET, aad), measurement, PLATFORM_SECRET, aad) == data

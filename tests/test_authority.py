@@ -21,11 +21,6 @@ def test_issue_token_fresh_and_sized():
     assert a != b
 
 
-def test_issue_token_injectable_rng():
-    fixed = bytes(range(32))
-    assert issue_test_token(lambda n: fixed[:n]) == fixed
-
-
 def test_token_hash_definition():
     token = issue_test_token()
     assert token_hash(token) == hashlib.sha256(token).digest()

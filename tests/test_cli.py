@@ -439,6 +439,13 @@ def _fig1_with(**fields) -> dict:
             ),
             "number out of range: 1e400",
         ),
+        (
+            "simulate",
+            canonical_encode(_fig1_with(encounters=[])).replace(
+                b'"encounter_rate":0.0', b'"encounter_rate":1' + b"0" * 400
+            ),
+            "scenario field encounter_rate: number out of range",
+        ),
         ("simulate", b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
         (
             "device",
@@ -457,6 +464,7 @@ def _fig1_with(**fields) -> dict:
         "infected-without-device",
         "encounter-not-object",
         "encounter-rate-overflows",
+        "encounter-rate-integer-overflows",
         "nested-too-deeply",
         "ha-key-not-string",
         "retention-negative",

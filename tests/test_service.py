@@ -5,7 +5,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from cct import wire
 from cct.attestation import (
-    CLIENT_TO_ENCLAVE,
     AttestationQuote,
     EncryptedEnvelope,
     Measurement,
@@ -20,6 +19,7 @@ from cct.enclave import GpsPoint
 from cct.errors import AttestationError, RemoteError
 from cct.ident import derive_identifier
 from cct.service import EnclaveService, EnclaveServer
+from cct.wire import canonical_encode
 
 from conftest import PLATFORM_SECRET
 
@@ -78,7 +78,7 @@ def manual_handshake(service):
     )
     assert resp["type"] == "session_resp"
     assert bytes.fromhex(resp["session_id"]) == keys.session_id
-    return SecureChannel(keys, CLIENT_TO_ENCLAVE), quote
+    return SecureChannel.for_client(keys), quote
 
 
 # -- end-to-end happy path ------------------------------------------------------
@@ -155,6 +155,31 @@ def test_remote_errors_surface(client, ha, clock):
     client.upload_tuples(TOKEN, [])
     with pytest.raises(RemoteError, match="upload already used"):
         client.upload_secret(TOKEN, SECRET_C, 0, 0)
+
+
+def enveloped(service, channel, msg: dict) -> dict:
+    """The reply to msg sent in an envelope, past the client's own schema check."""
+    raw = service.handle(wire.encode(channel.encrypt(canonical_encode(msg)).to_wire()))
+    return wire.decode(channel.decrypt(EncryptedEnvelope.from_wire(wire.decode(raw))))
+
+
+def test_integer_too_large_for_a_float_refused(service, enclave, ha, clock):
+    clock.set_interval(0)
+    enclave.register_test_result(ha.sign_report(token_hash(TOKEN), RESULT_POSITIVE, 0))
+    sealed = enclave.sealed_bytes()
+    channel, _ = manual_handshake(service)
+    huge = [{"lat": 10.0, "lon": 20.0, "t": 10**400}]
+    upload = {"type": "gps_upload_req", "token": TOKEN.hex(), "trace": huge}
+    poll = {"type": "gps_poll_req", "d_max": 10.0, "tau": 900.0, "trace": huge}
+    for msg in (upload, poll):
+        reason = f"{msg['type']}.trace: number out of range"
+        assert enveloped(service, channel, msg) == {"type": "error", "reason": reason}
+    assert enclave.sealed_bytes() == sealed
+    # the token is unspent, and GPS polls keep working
+    point = [{"lat": 10.0, "lon": 20.0, "t": 100}]
+    assert enveloped(service, channel, {**upload, "trace": point}) == {"type": "ack"}
+    events = enveloped(service, channel, {**poll, "trace": point})["events"]
+    assert events == [{"t_infected": 100, "t_poller": 100}]
 
 
 # -- attestation gating ------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The sealed store: an append-only log of sealed delta records.
 
 Covers the file format's integrity (torn tails, dropped, duplicated,
-reordered and spliced records), failed writes and compactions, the one-time
-migration of the single-blob format, the cost of one change, and the
-service's atomic requests under concurrent clients.
+reordered and spliced records), the refusal of files that hold no
+replayable log, failed writes and compactions, the cost of one change, and
+the service's atomic requests under concurrent clients.
 """
 
 import os
@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from cct.attestation import SealedBlob, platform_verify_key, seal
+from cct.attestation import platform_verify_key, seal
 from cct.authority import RESULT_POSITIVE, token_hash
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactTuple
@@ -21,6 +21,7 @@ from cct.enclave import _HEADER_LEN, _LOG_MAGIC, Enclave, EnclaveConfig, GpsPoin
 from cct.errors import RemoteError, SealError
 from cct.ident import TimeParams
 from cct.service import EnclaveServer, EnclaveService
+from cct.wire import canonical_encode
 
 from conftest import PLATFORM_SECRET
 
@@ -242,27 +243,48 @@ def test_compaction_changes_the_file_id(config, path, clock, ha):
     assert reload_state(config, path, clock) == enclave.serialize_state()
 
 
-# -- the single-blob format ----------------------------------------------------------
+# -- files that are not a replayable log ----------------------------------------------
 
-def test_single_blob_store_migrates_once(config, path, clock, ha):
+def single_blob(config, clock, ha) -> bytes:
+    """A store in the single-blob format of earlier versions: one sealed JSON object."""
     source = Enclave(config, PLATFORM_SECRET, clock=clock)
     clock.set_interval(0)
-    for i in range(3):
-        register(source, ha, token(i))
-    source.upload_contact_log(token(0), random_tuples(random.Random(7), 10, 0))
-    source.upload_secret(token(1), b"\x0a" * 32, 0, 2)
-    source.upload_gps_trace(token(2), [GpsPoint(lat=1.5, lon=-2.25, t=100.0)])
-    state = source.serialize_state()
-    path.write_bytes(SealedBlob.to_bytes(seal(state, config.measurement(), PLATFORM_SECRET)))
+    register(source, ha, token(0))
+    # that format had no associated data, which authenticates the same as b""
+    sealed = seal(source.serialize_state(), config.measurement(), PLATFORM_SECRET, b"")
+    return canonical_encode({"ciphertext": sealed[12:].hex(), "nonce": sealed[:12].hex()})
 
-    migrated = open_store(config, path, clock)
-    assert migrated.serialize_state() == state
-    raw = path.read_bytes()
-    assert raw == migrated.sealed_bytes()
-    assert len(split(raw)[1]) == 1
-    again = open_store(config, path, clock)
+
+@pytest.mark.parametrize("content", ["single-blob", "empty", "magic-prefix", "other-magic"])
+def test_non_log_file_refused_and_left_unchanged(config, path, clock, ha, content):
+    if content == "single-blob":
+        raw = single_blob(config, clock, ha)
+    elif content == "empty":
+        raw = b""
+    elif content == "magic-prefix":
+        raw = _LOG_MAGIC[:5]
+    else:
+        raw = b"CCTLOG2\n" + populated(config, path, clock, ha).sealed_bytes()[len(_LOG_MAGIC):]
+    path.write_bytes(raw)
+    with pytest.raises(SealError, match="unseal failed"):
+        open_store(config, path, clock)
     assert path.read_bytes() == raw
-    assert again.serialize_state() == state
+
+
+@pytest.mark.parametrize("damage", ["header-only", "first-length-high-bit", "first-frame-cut"])
+def test_log_without_a_complete_record_refused_and_left_unchanged(config, path, clock, ha, damage):
+    raw = bytearray(populated(config, path, clock, ha).sealed_bytes())
+    if damage == "header-only":
+        del raw[_HEADER_LEN:]
+    elif damage == "first-length-high-bit":
+        raw[_HEADER_LEN] ^= 0x80  # the first frame now runs past the end of the file
+    else:
+        first_end = _HEADER_LEN + len(split(bytes(raw))[1][0])
+        del raw[first_end - 1:]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SealError, match="unseal failed"):
+        open_store(config, path, clock)
+    assert path.read_bytes() == raw
 
 
 # -- the cost of a change -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import socket
+import sys
 import threading
 
 import pytest
@@ -158,6 +159,27 @@ def test_overflowing_literal_rejected(literal):
         wire.lenient_decode(raw)
     with pytest.raises(WireError, match="number out of range"):
         wire.decode(raw)
+
+
+@pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 309], ids=["1e400", "-(1e309-1)"])
+def test_integer_too_large_for_a_float_rejected(literal):
+    # every number field is used as a float, which these ints cannot become
+    raw = (
+        '{"d_max":1.0,"tau":1.0,"trace":[{"lat":0.0,"lon":0.0,"t":%s}],"type":"gps_poll_req"}'
+        % literal
+    ).encode()
+    with pytest.raises(WireError, match="^gps_poll_req.trace: number out of range$"):
+        wire.decode(raw)
+    with pytest.raises(WireError, match="^number out of range$"):
+        wire.validate_gps_point({"lat": 0.0, "lon": 0.0, "t": int(literal)})
+    with pytest.raises(ValueError, match="^scenario field rate: number out of range$"):
+        wire.read_object({"rate": int(literal)}, {"rate": 0.0}, (), "scenario")
+
+
+def test_largest_float_integer_accepted():
+    largest = int(sys.float_info.max)
+    wire.validate_gps_point({"lat": 0.0, "lon": 0.0, "t": -largest})
+    assert wire.read_object({"rate": largest}, {"rate": 0.0}, (), "scenario") == {"rate": largest}
 
 
 def test_deep_nesting_rejected():
