@@ -96,7 +96,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if args.mode is not None:
         config = config.with_mode(args.mode)
-    config.validate()
     report = run_scenario(
         config,
         insecure_plaintext=args.insecure_plaintext,

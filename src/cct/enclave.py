@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import math
 import os
 import secrets
 import struct
 import time
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +35,6 @@ from typing import Any, Callable, Iterable, Sequence
 from cct import attestation
 from cct.attestation import Measurement, seal, unseal
 from cct.authority import (
-    RESULT_NEGATIVE,
     RESULT_POSITIVE,
     RESULT_UNKNOWN,
     SignedReport,
@@ -69,6 +68,12 @@ class GpsPoint:
             raise ValueError("latitude out of range")
         if not -180.0 < self.lon <= 180.0:
             raise ValueError("longitude out of range")
+        try:
+            finite = math.isfinite(self.t)
+        except (TypeError, OverflowError):  # not a number, or an int past any float
+            finite = False
+        if not finite:
+            raise ValueError("time out of range")
 
     def to_wire(self) -> dict:
         return {"lat": self.lat, "lon": self.lon, "t": self.t}
@@ -305,10 +310,10 @@ class Enclave:
         self._tuples: dict[tuple[bytes, bytes], dict[int, int]] = {}
         self._derived: dict[bytes, int] = {}
         self._gps: list[tuple[int, tuple[GpsPoint, ...]]] = []
-        self._min_expiry: int | None = None
-        # entries of the state, and entries the log holds beyond them (swept
-        # or replaced by a later copy); the log is compacted when dead >= live
-        self._live = 0
+        # expiry -> number of stored tuples, derived ids and GPS traces that carry it
+        self._expiries: Counter[int] = Counter()
+        # entries the log holds beyond the state (swept, or replaced by a later
+        # copy); the log is compacted when they reach the live ones
         self._dead = 0
 
         # the sealed log, mirrored in memory even without a store file
@@ -397,32 +402,29 @@ class Enclave:
 
         self._upload(token, entries)
 
-    # -- the stores: one insert helper per kind --------------------------------
-
-    def _note_insert(self, replaces: bool, expiry: int | None = None) -> None:
-        if replaces:
-            self._dead += 1
-        else:
-            self._live += 1
-        if expiry is not None and (self._min_expiry is None or expiry < self._min_expiry):
-            self._min_expiry = expiry
+    # -- the stores: every expiring entry is counted in _expiries -------------
 
     def _insert_record(self, record: InfectionRecord) -> None:
-        self._note_insert(record.token_hash in self._records)
+        if record.token_hash in self._records:
+            self._dead += 1
         self._records[record.token_hash] = record
 
-    def _insert_tuple(self, t: ContactTuple, expiry: int) -> None:
-        intervals = self._tuples.setdefault((t.sent, t.received), {})
-        self._note_insert(t.interval in intervals, expiry)
-        intervals[t.interval] = max(intervals.get(t.interval, 0), expiry)
-
-    def _insert_derived(self, identifier: bytes, expiry: int) -> None:
-        self._note_insert(identifier in self._derived, expiry)
-        self._derived[identifier] = max(self._derived.get(identifier, 0), expiry)
+    def _insert_expiring(self, store: dict, key: Any, expiry: int) -> None:
+        """Store key at expiry; a stored copy is replaced and keeps the later expiry."""
+        old = store.get(key)
+        if old is not None:
+            self._dead += 1
+            if old >= expiry:
+                return
+            self._expiries[old] -= 1
+            if not self._expiries[old]:
+                del self._expiries[old]
+        store[key] = expiry
+        self._expiries[expiry] += 1
 
     def _insert_gps(self, trace: Sequence[GpsPoint], expiry: int) -> None:
-        self._note_insert(False, expiry)
         self._gps.append((expiry, tuple(trace)))
+        self._expiries[expiry] += 1
 
     # -- matching -------------------------------------------------------------
 
@@ -496,47 +498,31 @@ class Enclave:
     def expire_store(self, current: int) -> int:
         """Physically remove entries whose expiry passed; returns count removed.
 
-        Appends a sweep record only when an entry has expired (_min_expiry
-        may be below every expiry once an entry's expiry was raised).
+        Appends a sweep record only when an entry has expired.
         """
-        expiries = itertools.chain(
-            (e for intervals in self._tuples.values() for e in intervals.values()),
-            self._derived.values(),
-            (e for e, _ in self._gps),
-        )
-        if all(e >= current for e in expiries):
+        if not self._expired(current):
             return 0
         return self._commit(_delta(sweep=current))
 
+    def _expired(self, current: int) -> list[int]:
+        """The counted expiries before current."""
+        return [expiry for expiry in self._expiries if expiry < current]
+
     def _sweep(self, current: int) -> int:
         """Remove the entries whose expiry is before current; returns count removed."""
-        if self._min_expiry is None or current <= self._min_expiry:
+        expired = self._expired(current)
+        if not expired:
             return 0
-        removed = 0
-        expiries: list[int] = []
         for pair in list(self._tuples):
             intervals = self._tuples[pair]
             for interval in [i for i, exp in intervals.items() if exp < current]:
                 del intervals[interval]
-                removed += 1
-            if intervals:
-                expiries.extend(intervals.values())
-            else:
+            if not intervals:
                 del self._tuples[pair]
         for identifier in [i for i, exp in self._derived.items() if exp < current]:
             del self._derived[identifier]
-            removed += 1
-        expiries.extend(self._derived.values())
-        kept_gps = []
-        for expiry, stored in self._gps:
-            if expiry < current:
-                removed += 1
-            else:
-                kept_gps.append((expiry, stored))
-                expiries.append(expiry)
-        self._gps = kept_gps
-        self._min_expiry = min(expiries) if expiries else None
-        self._live -= removed
+        self._gps = [(expiry, stored) for expiry, stored in self._gps if expiry >= current]
+        removed = sum(self._expiries.pop(expiry) for expiry in expired)
         self._dead += removed
         return removed
 
@@ -586,9 +572,11 @@ class Enclave:
         for entry in value["records"]:
             self._insert_record(InfectionRecord.from_value(entry))
         for entry in value["tuples"]:
-            self._insert_tuple(ContactTuple.from_wire(entry), entry["expiry"])
+            t = ContactTuple.from_wire(entry)
+            intervals = self._tuples.setdefault((t.sent, t.received), {})
+            self._insert_expiring(intervals, t.interval, entry["expiry"])
         for entry in value["derived_ids"]:
-            self._insert_derived(bytes.fromhex(entry["id"]), entry["expiry"])
+            self._insert_expiring(self._derived, bytes.fromhex(entry["id"]), entry["expiry"])
         for entry in value["gps_traces"]:
             self._insert_gps([GpsPoint.from_wire(p) for p in entry["points"]], entry["expiry"])
         return self._sweep(value["sweep"]) if "sweep" in value else 0
@@ -607,7 +595,7 @@ class Enclave:
         """
         self._persist(delta)
         removed = self._apply(delta)
-        if self._dead and self._dead >= self._live:
+        if self._dead and self._dead >= len(self._records) + self._expiries.total():
             # the change is already durable; a failed compaction leaves the
             # valid log in place and the next change tries again
             with suppress(OSError):

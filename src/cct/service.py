@@ -179,3 +179,7 @@ class EnclaveServer(socketserver.ThreadingTCPServer):
     def __init__(self, service: EnclaveService, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
         super().__init__((host, port), _Handler)
         self.service = service
+
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        """Serve until shutdown(), which waits up to poll_interval seconds."""
+        super().serve_forever(poll_interval)

@@ -25,7 +25,6 @@ def pair_threshold(encounter_rate: float, n_devices: int) -> int:
 
 def generate_encounters(config: ScenarioConfig) -> list[EncounterEvent]:
     """Deterministic, deduplicated, (interval, i, j)-sorted encounter list."""
-    config.validate()
     events: set[EncounterEvent] = set()
     if config.complete_graph:
         for i in range(config.n_devices):

@@ -128,7 +128,6 @@ def run_scenario(
     log_polls: bool = False,
     live: bool = False,
 ) -> SimReport:
-    config.validate()
     encounters = generate_encounters(config)
     oracle = oracle_notified(config, encounters)
 

@@ -10,7 +10,7 @@ simulation runs byte-reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -101,6 +101,9 @@ class ScenarioConfig:
     retention: int = DEFAULT_RETENTION
     strict_interval_match: bool = False
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         """Reject inconsistent configurations before any protocol work starts."""
         if self.n_devices < 1:
@@ -170,9 +173,7 @@ class ScenarioConfig:
         full = read_object(value, template, ("n_devices", "n_intervals"), "scenario")
         full["encounters"] = tuple(EncounterEvent.from_value(e) for e in full["encounters"])
         full["infected"] = tuple(InfectionSpec.from_value(s) for s in full["infected"])
-        config = cls(**full)
-        config.validate()
-        return config
+        return cls(**full)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -501,6 +502,17 @@ def test_gps_point_validation():
     with pytest.raises(ValueError, match="longitude"):
         GpsPoint(lat=0.0, lon=-180.0, t=0.0)
     GpsPoint(lat=0.0, lon=180.0, t=0.0)
+
+
+@pytest.mark.parametrize("t", [10**400, -(10**400), math.inf, -math.inf, math.nan])
+def test_gps_point_time_must_be_a_finite_float(t):
+    with pytest.raises(ValueError, match="time out of range"):
+        GpsPoint(lat=1.0, lon=2.0, t=t)
+
+
+def test_gps_point_takes_the_largest_integer_a_float_holds():
+    largest = int(sys.float_info.max)
+    assert GpsPoint(lat=1.0, lon=2.0, t=largest).t == largest
 
 
 def test_gps_point_wire_round_trip():

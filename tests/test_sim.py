@@ -80,9 +80,8 @@ def test_encounter_event_normalized():
 )
 def test_config_validation(overrides, message):
     kwargs = {"n_devices": 3, "n_intervals": 3, **overrides}
-    config = ScenarioConfig(**kwargs)
     with pytest.raises(ValueError, match=message):
-        config.validate()
+        ScenarioConfig(**kwargs)
 
 
 def test_config_json_round_trip(tmp_path):

@@ -2,8 +2,9 @@
 
 Covers the file format's integrity (torn tails, dropped, duplicated,
 reordered and spliced records), the refusal of files that hold no
-replayable log, failed writes and compactions, the cost of one change, and
-the service's atomic requests under concurrent clients.
+replayable log, failed writes and compactions, expiry against a
+brute-force count, the cost of one change, and the service's atomic
+requests under concurrent clients.
 """
 
 import os
@@ -21,7 +22,7 @@ from cct.enclave import _HEADER_LEN, _LOG_MAGIC, Enclave, EnclaveConfig, GpsPoin
 from cct.errors import RemoteError, SealError
 from cct.ident import TimeParams
 from cct.service import EnclaveServer, EnclaveService
-from cct.wire import canonical_encode
+from cct.wire import canonical_decode, canonical_encode
 
 from conftest import PLATFORM_SECRET
 
@@ -243,6 +244,54 @@ def test_compaction_changes_the_file_id(config, path, clock, ha):
     assert reload_state(config, path, clock) == enclave.serialize_state()
 
 
+# -- expiry against a brute-force count -------------------------------------------------
+
+# few keys, so uploads at later intervals re-insert stored entries at a later expiry
+TUPLE_POOL = [
+    ContactTuple(interval=i % 3, sent=bytes([s]) * 16, received=bytes([s + 1]) * 16)
+    for i, s in enumerate((1, 1, 1, 3, 5, 5))
+]
+SECRET_POOL = [bytes([0x40 + k]) * 32 for k in range(2)]
+
+
+def expired_in_state(state: bytes, current: int) -> int:
+    value = canonical_decode(state)
+    entries = value["tuples"] + value["derived_ids"] + value["gps_traces"]
+    return sum(entry["expiry"] < current for entry in entries)
+
+
+def upload_mixed(enclave, ha, r: random.Random, tok: bytes, interval: int) -> None:
+    """Register tok, then upload tuples, a secret or a GPS trace with it."""
+    register(enclave, ha, tok, interval)
+    kind = r.choice(("tuples", "tuples", "secret", "gps"))
+    if kind == "tuples":
+        enclave.upload_contact_log(tok, r.sample(TUPLE_POOL, r.randint(1, len(TUPLE_POOL))))
+    elif kind == "secret":
+        first = r.randint(0, 4)
+        enclave.upload_secret(tok, r.choice(SECRET_POOL), first, first + r.randint(0, 3))
+    else:
+        enclave.upload_gps_trace(tok, [GpsPoint(lat=1.0, lon=2.0, t=float(interval))])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_expire_store_counts_exactly_what_expired(config, path, clock, ha, seed):
+    r = random.Random(seed)
+    enclave = open_store(config, path, clock)
+    interval = 0
+    for k in range(40):
+        interval += r.choice((0, 0, 1, 2))
+        clock.set_interval(interval)
+        upload_mixed(enclave, ha, r, token(1000 + k), interval)
+        if r.random() < 0.2:  # a restart rebuilds the count from the log
+            enclave = open_store(config, path, clock)
+        current = r.randint(0, interval + config.retention + 2)
+        expected = expired_in_state(enclave.serialize_state(), current)
+        before = path.read_bytes()
+        assert enclave.expire_store(current) == expected, k
+        assert (path.read_bytes() != before) == (expected > 0), k
+        assert reload_state(config, path, clock) == enclave.serialize_state(), k
+
+
 # -- files that are not a replayable log ----------------------------------------------
 
 def single_blob(config, clock, ha) -> bytes:
@@ -283,6 +332,20 @@ def test_log_without_a_complete_record_refused_and_left_unchanged(config, path, 
         del raw[first_end - 1:]
     path.write_bytes(bytes(raw))
     with pytest.raises(SealError, match="unseal failed"):
+        open_store(config, path, clock)
+    assert path.read_bytes() == raw
+
+
+def test_log_with_an_overflowing_gps_time_refused_and_left_unchanged(
+    config, path, clock, ha, monkeypatch
+):
+    """Versions that took any GPS time could seal one that no float holds."""
+    enclave = populated(config, path, clock, ha)
+    monkeypatch.setattr(GpsPoint, "__post_init__", lambda self: None)
+    enclave.upload_gps_trace(token(2), [GpsPoint(lat=1.0, lon=2.0, t=10**400)])
+    monkeypatch.undo()
+    raw = path.read_bytes()
+    with pytest.raises(ValueError, match="time out of range"):
         open_store(config, path, clock)
     assert path.read_bytes() == raw
 
