@@ -10,9 +10,11 @@ properties are machine-checkable.
 
 Each AEAD use has one form and one entry point:
 
-- Envelopes: a `SecureChannel`, built once for its side (`for_client` or
-  `for_enclave`) from the session keys. It owns the sequence numbers, the
-  nonce (the sequence itself) and the replay rule.
+- Envelopes: a `SecureChannel`, the one session object. The handshake
+  (`establish_session` on the client, `accept_session` in the enclave)
+  returns it built for its side. It writes and reads the envelope message
+  itself, and owns the sequence numbers, the nonce (the sequence itself)
+  and the replay rule.
 - Sealing: `seal` returns `nonce ‖ ciphertext` under a key bound to the
   measurement and `unseal` opens it. Both require associated data, which
   the enclave's log uses to bind each record to its file and position.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import secrets
+import threading
 from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -174,23 +177,6 @@ def verify_quote(
 # Session establishment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SessionKeys:
-    """Direction-separated channel keys plus the public session id."""
-
-    client_to_enclave_key: bytes
-    enclave_to_client_key: bytes
-    session_id: bytes
-
-
-def _derive_session_keys(shared: bytes) -> SessionKeys:
-    return SessionKeys(
-        client_to_enclave_key=_hkdf(shared, _C2E_LABEL, 32),
-        enclave_to_client_key=_hkdf(shared, _E2C_LABEL, 32),
-        session_id=_hkdf(shared, _SID_LABEL, SESSION_ID_LEN),
-    )
-
-
 def _exchange(private: X25519PrivateKey, peer_pub: bytes) -> bytes:
     try:
         shared = private.exchange(X25519PublicKey.from_public_bytes(peer_pub))
@@ -203,53 +189,33 @@ def _exchange(private: X25519PrivateKey, peer_pub: bytes) -> bytes:
     return shared
 
 
+def _session(shared: bytes, client: bool) -> SecureChannel:
+    """The channel of one side: direction-separated keys and the session id."""
+    c2e = _hkdf(shared, _C2E_LABEL, 32)
+    e2c = _hkdf(shared, _E2C_LABEL, 32)
+    session_id = _hkdf(shared, _SID_LABEL, SESSION_ID_LEN)
+    if client:
+        return SecureChannel(session_id, send_key=c2e, recv_key=e2c)
+    return SecureChannel(session_id, send_key=e2c, recv_key=c2e)
+
+
 def establish_session(
     client_ephemeral_secret: X25519PrivateKey, quote: AttestationQuote
-) -> SessionKeys:
+) -> SecureChannel:
     """Client side; callers must have verified the quote first."""
-    return _derive_session_keys(
-        _exchange(client_ephemeral_secret, quote.enclave_session_pub)
-    )
+    return _session(_exchange(client_ephemeral_secret, quote.enclave_session_pub), client=True)
 
 
 def accept_session(
     enclave_ephemeral_secret: X25519PrivateKey, client_session_pub: bytes
-) -> SessionKeys:
+) -> SecureChannel:
     """Enclave side of the same derivation."""
-    return _derive_session_keys(_exchange(enclave_ephemeral_secret, client_session_pub))
+    return _session(_exchange(enclave_ephemeral_secret, client_session_pub), client=False)
 
 
 # ---------------------------------------------------------------------------
 # Envelopes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EncryptedEnvelope:
-    """AEAD-protected message deliverable only inside the session."""
-
-    session_id: bytes
-    sequence: int
-    nonce: bytes
-    ciphertext: bytes
-
-    def to_wire(self) -> dict:
-        return {
-            "ciphertext": self.ciphertext.hex(),
-            "nonce": self.nonce.hex(),
-            "sequence": self.sequence,
-            "session_id": self.session_id.hex(),
-            "type": "envelope",
-        }
-
-    @classmethod
-    def from_wire(cls, msg: dict) -> "EncryptedEnvelope":
-        return cls(
-            session_id=bytes.fromhex(msg["session_id"]),
-            sequence=msg["sequence"],
-            nonce=bytes.fromhex(msg["nonce"]),
-            ciphertext=bytes.fromhex(msg["ciphertext"]),
-        )
-
 
 def _sequence_nonce(sequence: int) -> bytes:
     return bytes(4) + sequence.to_bytes(8, "big")
@@ -258,10 +224,11 @@ def _sequence_nonce(sequence: int) -> bytes:
 class SecureChannel:
     """One endpoint of an established session; the only envelope API.
 
-    Build it for one side with `for_client` or `for_enclave`. It encrypts
-    under its own direction's key and opens the other direction's envelopes.
-    Sequence numbers start at 1 and are the nonce, and an envelope is
-    accepted only with a sequence above every one accepted before it.
+    The handshake builds it for its side. It encrypts under its own
+    direction's key and opens the other direction's envelopes. Sequence
+    numbers start at 1 and are the nonce, and an envelope is accepted only
+    with a sequence above every one accepted before it. Connections may
+    share one session, so each sequence is sent once and accepted once.
     """
 
     def __init__(self, session_id: bytes, send_key: bytes, recv_key: bytes):
@@ -270,39 +237,41 @@ class SecureChannel:
         self._recv = ChaCha20Poly1305(recv_key)
         self._next_send = 1
         self._last_recv = 0
+        self._lock = threading.Lock()
 
-    @classmethod
-    def for_client(cls, keys: SessionKeys) -> "SecureChannel":
-        return cls(keys.session_id, keys.client_to_enclave_key, keys.enclave_to_client_key)
-
-    @classmethod
-    def for_enclave(cls, keys: SessionKeys) -> "SecureChannel":
-        return cls(keys.session_id, keys.enclave_to_client_key, keys.client_to_enclave_key)
-
-    def encrypt(self, plaintext: bytes) -> EncryptedEnvelope:
-        sequence = self._next_send
-        if sequence >= 2**64:
-            raise ValueError("sequence out of range")
+    def encrypt(self, plaintext: bytes) -> dict:
+        """The envelope message carrying plaintext."""
+        with self._lock:
+            sequence = self._next_send
+            if sequence >= 2**64:
+                raise ValueError("sequence out of range")
+            self._next_send = sequence + 1
         nonce = _sequence_nonce(sequence)
-        ciphertext = self._send.encrypt(nonce, plaintext, self.session_id)
-        self._next_send = sequence + 1
-        return EncryptedEnvelope(
-            session_id=self.session_id, sequence=sequence, nonce=nonce, ciphertext=ciphertext
-        )
+        return {
+            "ciphertext": self._send.encrypt(nonce, plaintext, self.session_id).hex(),
+            "nonce": nonce.hex(),
+            "sequence": sequence,
+            "session_id": self.session_id.hex(),
+            "type": "envelope",
+        }
 
-    def decrypt(self, envelope: EncryptedEnvelope) -> bytes:
-        if envelope.sequence <= self._last_recv:
-            raise EnvelopeError("replay")
-        if (
-            envelope.session_id != self.session_id
-            or envelope.nonce != _sequence_nonce(envelope.sequence)
-        ):
-            raise EnvelopeError("decrypt failed")
-        try:
-            plaintext = self._recv.decrypt(envelope.nonce, envelope.ciphertext, self.session_id)
-        except InvalidTag:
-            raise EnvelopeError("decrypt failed") from None
-        self._last_recv = envelope.sequence
+    def decrypt(self, envelope: dict) -> bytes:
+        """The plaintext of an envelope message that wire.decode has validated."""
+        sequence = envelope["sequence"]
+        nonce = _sequence_nonce(sequence)
+        # held across the open, so that racing copies of one envelope open once
+        with self._lock:
+            if sequence <= self._last_recv:
+                raise EnvelopeError("replay")
+            if envelope["session_id"] != self.session_id.hex() or envelope["nonce"] != nonce.hex():
+                raise EnvelopeError("decrypt failed")
+            try:
+                plaintext = self._recv.decrypt(
+                    nonce, bytes.fromhex(envelope["ciphertext"]), self.session_id
+                )
+            except InvalidTag:
+                raise EnvelopeError("decrypt failed") from None
+            self._last_recv = sequence
         return plaintext
 
 

@@ -16,7 +16,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cct import wire
 from cct.attestation import (
     AttestationQuote,
-    EncryptedEnvelope,
     Measurement,
     SecureChannel,
     establish_session,
@@ -111,7 +110,7 @@ class EnclaveClient:
         quote = AttestationQuote.from_wire(resp)
         verify_quote(quote, self._expected, self._verify_key)
         private = X25519PrivateKey.generate()
-        keys = establish_session(private, quote)
+        channel = establish_session(private, quote)
         resp = self._exchange_plain(
             {
                 "type": "session_req",
@@ -120,18 +119,16 @@ class EnclaveClient:
             },
             "session_resp",
         )
-        if bytes.fromhex(resp["session_id"]) != keys.session_id:
+        if bytes.fromhex(resp["session_id"]) != channel.session_id:
             raise ProtocolError("session id mismatch")
-        self._channel = SecureChannel.for_client(keys)
+        self._channel = channel
 
     def _request(self, msg: dict, reply_type: str) -> dict:
         if self._channel is None:
             self.connect()
         assert self._channel is not None
-        envelope = self._channel.encrypt(wire.encode(msg))
-        outer = self._exchange_plain(envelope.to_wire(), "envelope")
-        inner = self._channel.decrypt(EncryptedEnvelope.from_wire(outer))
-        return self._reply(inner, reply_type)
+        outer = self._exchange_plain(self._channel.encrypt(wire.encode(msg)), "envelope")
+        return self._reply(self._channel.decrypt(outer), reply_type)
 
     # -- application calls -----------------------------------------------------
 

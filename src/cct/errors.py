@@ -32,7 +32,7 @@ class EnvelopeError(ProtocolError):
 
 
 class SealError(ProtocolError):
-    """Sealed-blob authentication failure ('unseal failed')."""
+    """Sealed-record authentication failure ('unseal failed')."""
 
 
 class AuthorizationError(ProtocolError):

@@ -18,7 +18,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from cct import wire
 from cct.attestation import (
-    EncryptedEnvelope,
     SecureChannel,
     accept_session,
     generate_quote,
@@ -115,19 +114,18 @@ class EnclaveService:
         private = self._pending.pop(public, None)
         if private is None:
             raise ProtocolError("unknown handshake")
-        keys = accept_session(private, bytes.fromhex(msg["client_session_pub"]))
-        self._sessions[keys.session_id] = SecureChannel.for_enclave(keys)
-        return {"type": "session_resp", "session_id": keys.session_id.hex()}
+        channel = accept_session(private, bytes.fromhex(msg["client_session_pub"]))
+        self._sessions[channel.session_id] = channel
+        return {"type": "session_resp", "session_id": channel.session_id.hex()}
 
     # -- enveloped application traffic -----------------------------------------
 
     def _handle_envelope(self, msg: dict) -> bytes:
-        envelope = EncryptedEnvelope.from_wire(msg)
-        channel = self._sessions.get(envelope.session_id)
+        channel = self._sessions.get(bytes.fromhex(msg["session_id"]))
         if channel is None:
             raise ProtocolError("unknown session")
         try:
-            response = self._dispatch(wire.decode(channel.decrypt(envelope)))
+            response = self._dispatch(wire.decode(channel.decrypt(msg)))
         except (ProtocolError, ValueError) as exc:
             response = _error(str(exc))
         reply = self._enveloped(channel, response)
@@ -137,7 +135,7 @@ class EnclaveService:
         return reply
 
     def _enveloped(self, channel: SecureChannel, msg: dict) -> bytes:
-        return wire.encode(channel.encrypt(wire.encode(msg)).to_wire())
+        return wire.encode(channel.encrypt(wire.encode(msg)))
 
     # -- application dispatch -----------------------------------------------------
 

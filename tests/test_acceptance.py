@@ -24,7 +24,7 @@ from cct.attestation import (
 from cct.authority import RESULT_POSITIVE, token_hash
 from cct.contact_log import ContactTuple
 from cct.enclave import Enclave, EnclaveConfig, GpsPoint, haversine_distance
-from cct.errors import AttestationError, AuthorizationError
+from cct.errors import AttestationError, AuthorizationError, EnvelopeError
 from cct.ident import TimeParams, derive_identifier
 from cct.sim.audit import state_digest
 from cct.sim.runner import run_scenario
@@ -123,7 +123,11 @@ def test_criterion_06_attestation_gate():
     enclave_side = accept_session(
         enclave_key, client_key.public_key().public_bytes_raw()
     )
-    if client_side != enclave_side:
+    # both round trips open only if the ends share the session id and each direction's key
+    try:
+        enclave_side.decrypt(client_side.encrypt(b"request"))
+        client_side.decrypt(enclave_side.encrypt(b"reply"))
+    except EnvelopeError:
         ok = False
 
     # every single-byte corruption of the quote must be rejected

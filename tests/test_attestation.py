@@ -1,4 +1,6 @@
 import secrets
+import sys
+import threading
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -7,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cct import attestation
 from cct.attestation import (
     AttestationQuote,
-    EncryptedEnvelope,
     Measurement,
     SecureChannel,
-    SessionKeys,
     accept_session,
     compute_measurement,
     establish_session,
@@ -124,21 +124,19 @@ def test_substituted_session_key_rejected():
 def test_handshake_agreement():
     quote, enclave_secret, _ = _fresh_quote()
     client_secret = X25519PrivateKey.generate()
-    client_keys = establish_session(client_secret, quote)
-    enclave_keys = accept_session(
-        enclave_secret, client_secret.public_key().public_bytes_raw()
-    )
-    assert client_keys == enclave_keys
-    assert len(client_keys.session_id) == 16
-    assert client_keys.client_to_enclave_key != client_keys.enclave_to_client_key
+    client = establish_session(client_secret, quote)
+    enclave = accept_session(enclave_secret, client_secret.public_key().public_bytes_raw())
+    assert client.session_id == enclave.session_id
+    assert len(client.session_id) == 16
+    assert enclave.decrypt(client.encrypt(b"request")) == b"request"
+    assert client.decrypt(enclave.encrypt(b"reply")) == b"reply"
 
 
 def test_distinct_handshakes_distinct_sessions():
     ids = set()
     for _ in range(5):
         quote, enclave_secret, _ = _fresh_quote()
-        keys = establish_session(X25519PrivateKey.generate(), quote)
-        ids.add(keys.session_id)
+        ids.add(establish_session(X25519PrivateKey.generate(), quote).session_id)
     assert len(ids) == 5
 
 
@@ -158,10 +156,10 @@ def test_low_order_public_key_rejected():
 @settings(max_examples=25)
 @given(st.binary(min_size=32, max_size=32))
 def test_handshake_agreement_property(seed):
-    """Client and enclave always derive identical keys (random ephemerals)."""
+    """Client and enclave always derive one session (random ephemerals)."""
     enclave_secret = X25519PrivateKey.from_private_bytes(seed)
     client_secret = X25519PrivateKey.generate()
-    shared_client = establish_session(
+    client = establish_session(
         client_secret,
         generate_quote(
             platform_signing_key(PLATFORM_SECRET),
@@ -169,10 +167,10 @@ def test_handshake_agreement_property(seed):
             enclave_secret.public_key().public_bytes_raw(),
         ),
     )
-    shared_enclave = accept_session(
-        enclave_secret, client_secret.public_key().public_bytes_raw()
-    )
-    assert shared_client == shared_enclave
+    enclave = accept_session(enclave_secret, client_secret.public_key().public_bytes_raw())
+    assert client.session_id == enclave.session_id
+    assert enclave.decrypt(client.encrypt(b"request")) == b"request"
+    assert client.decrypt(enclave.encrypt(b"reply")) == b"reply"
 
 
 # -- envelopes ----------------------------------------------------------------------
@@ -180,8 +178,9 @@ def test_handshake_agreement_property(seed):
 def _channels():
     """The client's and the enclave's channel over one fresh session."""
     quote, enclave_secret, _ = _fresh_quote()
-    keys = establish_session(X25519PrivateKey.generate(), quote)
-    return SecureChannel.for_client(keys), SecureChannel.for_enclave(keys)
+    client_secret = X25519PrivateKey.generate()
+    client = establish_session(client_secret, quote)
+    return client, accept_session(enclave_secret, client_secret.public_key().public_bytes_raw())
 
 
 def test_envelope_round_trip():
@@ -192,24 +191,42 @@ def test_envelope_round_trip():
 
 def test_envelope_pinned_vector():
     # frozen from the envelope bytes of the earlier free-function API
-    keys = SessionKeys(
-        client_to_enclave_key=b"\x01" * 32,
-        enclave_to_client_key=b"\x02" * 32,
-        session_id=b"\x03" * 16,
-    )
-    client, enclave = SecureChannel.for_client(keys), SecureChannel.for_enclave(keys)
+    c2e, e2c, session_id = b"\x01" * 32, b"\x02" * 32, b"\x03" * 16
+    client = SecureChannel(session_id, send_key=c2e, recv_key=e2c)
+    enclave = SecureChannel(session_id, send_key=e2c, recv_key=c2e)
     request, reply = client.encrypt(b"hello"), enclave.encrypt(b"world")
     common = {"nonce": "00" * 11 + "01", "sequence": 1, "session_id": "03" * 16, "type": "envelope"}
-    assert request.to_wire() == {"ciphertext": "7d3dec44c646d743e9992662398cab6fc13804111a", **common}
-    assert reply.to_wire() == {"ciphertext": "570a35f29426c70016f9e95fc8325952442aa3a6e6", **common}
+    assert request == {"ciphertext": "7d3dec44c646d743e9992662398cab6fc13804111a", **common}
+    assert reply == {"ciphertext": "570a35f29426c70016f9e95fc8325952442aa3a6e6", **common}
+
+
+def test_handshake_pinned_vector():
+    # fixed ephemerals pin the HKDF labels, the session id and each side's key order
+    enclave_secret = X25519PrivateKey.from_private_bytes(b"\x11" * 32)
+    client_secret = X25519PrivateKey.from_private_bytes(b"\x22" * 32)
+    quote = generate_quote(
+        platform_signing_key(PLATFORM_SECRET),
+        compute_measurement("1.0", bytes(32)),
+        enclave_secret.public_key().public_bytes_raw(),
+    )
+    client = establish_session(client_secret, quote)
+    enclave = accept_session(enclave_secret, client_secret.public_key().public_bytes_raw())
+    common = {
+        "nonce": "00" * 11 + "01",
+        "sequence": 1,
+        "session_id": "e6c49f90510de63ec9f2e09118373cca",
+        "type": "envelope",
+    }
+    assert client.encrypt(b"hello") == {"ciphertext": "78d249f8a4230deb1d922bd19358b4d6c67c681caf", **common}
+    assert enclave.encrypt(b"world") == {"ciphertext": "d1287a78908fe8241890fb73c0b8cb02a74970ceb5", **common}
 
 
 def test_envelope_nonce_is_sequence():
     client, _ = _channels()
     for _ in range(7):
         envelope = client.encrypt(b"x")
-    assert envelope.nonce == bytes(4) + (7).to_bytes(8, "big")
-    assert envelope.sequence == 7
+    assert envelope["nonce"] == (bytes(4) + (7).to_bytes(8, "big")).hex()
+    assert envelope["sequence"] == 7
 
 
 def test_envelope_replay_rejected():
@@ -236,12 +253,8 @@ def test_envelope_direction_separation():
 def test_envelope_tamper_rejected():
     client, enclave = _channels()
     envelope = client.encrypt(b"payload")
-    tampered = EncryptedEnvelope(
-        session_id=envelope.session_id,
-        sequence=envelope.sequence,
-        nonce=envelope.nonce,
-        ciphertext=bytes([envelope.ciphertext[0] ^ 1]) + envelope.ciphertext[1:],
-    )
+    ciphertext = bytes.fromhex(envelope["ciphertext"])
+    tampered = {**envelope, "ciphertext": (bytes([ciphertext[0] ^ 1]) + ciphertext[1:]).hex()}
     with pytest.raises(EnvelopeError, match="decrypt failed"):
         enclave.decrypt(tampered)
     # a refused envelope does not use up its sequence number
@@ -251,12 +264,7 @@ def test_envelope_tamper_rejected():
 def test_envelope_wrong_session_id_rejected():
     client, enclave = _channels()
     envelope = client.encrypt(b"x")
-    relabeled = EncryptedEnvelope(
-        session_id=bytes(16),
-        sequence=envelope.sequence,
-        nonce=envelope.nonce,
-        ciphertext=envelope.ciphertext,
-    )
+    relabeled = {**envelope, "session_id": bytes(16).hex()}
     with pytest.raises(EnvelopeError):
         enclave.decrypt(relabeled)
     # nor does an envelope of another session open
@@ -269,31 +277,46 @@ def test_envelope_sequence_bounds():
     client, enclave = _channels()
     envelope = client.encrypt(b"x")
     # sequence 0 is never sent, so an envelope claiming it is a replay
-    zero = EncryptedEnvelope(envelope.session_id, 0, bytes(12), envelope.ciphertext)
+    zero = {**envelope, "sequence": 0, "nonce": bytes(12).hex()}
     with pytest.raises(EnvelopeError, match="replay"):
         enclave.decrypt(zero)
     # the last sequence a nonce can hold is sent once, then the channel stops
     client._next_send = 2**64 - 1
-    assert client.encrypt(b"x").sequence == 2**64 - 1
+    assert client.encrypt(b"x")["sequence"] == 2**64 - 1
     with pytest.raises(ValueError, match="sequence out of range"):
         client.encrypt(b"x")
 
 
-def test_envelope_wire_round_trip():
+def test_concurrent_encrypts_take_distinct_sequences():
+    # connections may share one session; a repeated sequence repeats a nonce under one key
     client, _ = _channels()
-    client.encrypt(b"abc")
-    envelope = client.encrypt(b"abc")
-    assert EncryptedEnvelope.from_wire(envelope.to_wire()) == envelope
+    sequences = []
+
+    def send():
+        for _ in range(2000):
+            sequences.append(client.encrypt(b"x")["sequence"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=send) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(sequences) == list(range(1, 8001))
 
 
 def test_secure_channel_sequencing():
     client, server = _channels()
     for n in range(1, 4):
         envelope = client.encrypt(f"msg{n}".encode())
-        assert envelope.sequence == n
+        assert envelope["sequence"] == n
         assert server.decrypt(envelope) == f"msg{n}".encode()
     reply = server.encrypt(b"reply")
-    assert reply.sequence == 1
+    assert reply["sequence"] == 1
     assert client.decrypt(reply) == b"reply"
     # replaying the last client envelope into the server now fails
     with pytest.raises(EnvelopeError, match="replay"):
@@ -306,7 +329,7 @@ def test_ciphertext_hides_plaintext_substring():
     hits = 0
     for _ in range(10_000):
         identifier = secrets.token_bytes(16)
-        if identifier in client.encrypt(identifier).ciphertext:
+        if identifier in bytes.fromhex(client.encrypt(identifier)["ciphertext"]):
             hits += 1
     assert hits == 0
 

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import pytest
@@ -6,9 +7,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cct import wire
 from cct.attestation import (
     AttestationQuote,
-    EncryptedEnvelope,
-    Measurement,
-    SecureChannel,
     establish_session,
     platform_verify_key,
 )
@@ -58,13 +56,9 @@ def manual_handshake(service):
     """Drive the handshake at the raw message level."""
     resp = wire.decode(service.handle(wire.encode({"type": "attest_req"})))
     assert resp["type"] == "attest_resp"
-    quote = AttestationQuote(
-        measurement=Measurement(bytes.fromhex(resp["measurement"])),
-        enclave_session_pub=bytes.fromhex(resp["enclave_session_pub"]),
-        platform_signature=bytes.fromhex(resp["platform_signature"]),
-    )
+    quote = AttestationQuote.from_wire(resp)
     private = X25519PrivateKey.generate()
-    keys = establish_session(private, quote)
+    channel = establish_session(private, quote)
     resp = wire.decode(
         service.handle(
             wire.encode(
@@ -77,8 +71,8 @@ def manual_handshake(service):
         )
     )
     assert resp["type"] == "session_resp"
-    assert bytes.fromhex(resp["session_id"]) == keys.session_id
-    return SecureChannel.for_client(keys), quote
+    assert bytes.fromhex(resp["session_id"]) == channel.session_id
+    return channel, quote
 
 
 # -- end-to-end happy path ------------------------------------------------------
@@ -159,8 +153,8 @@ def test_remote_errors_surface(client, ha, clock):
 
 def enveloped(service, channel, msg: dict) -> dict:
     """The reply to msg sent in an envelope, past the client's own schema check."""
-    raw = service.handle(wire.encode(channel.encrypt(canonical_encode(msg)).to_wire()))
-    return wire.decode(channel.decrypt(EncryptedEnvelope.from_wire(wire.decode(raw))))
+    raw = service.handle(wire.encode(channel.encrypt(canonical_encode(msg))))
+    return wire.decode(channel.decrypt(wire.decode(raw)))
 
 
 def test_integer_too_large_for_a_float_refused(service, enclave, ha, clock):
@@ -242,11 +236,7 @@ def test_handshake_key_is_one_shot(service):
     assert msg == {"type": "error", "reason": "unknown handshake"}
     # the already-established session keeps working
     raw = service.handle(
-        wire.encode(
-            channel.encrypt(
-                wire.encode({"type": "result_req", "token": TOKEN.hex()})
-            ).to_wire()
-        )
+        wire.encode(channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()})))
     )
     assert wire.decode(raw)["type"] == "envelope"
 
@@ -254,38 +244,64 @@ def test_handshake_key_is_one_shot(service):
 def test_replayed_envelope_rejected(service):
     channel, _ = manual_handshake(service)
     request = wire.encode(
-        channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()})).to_wire()
+        channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
     )
     first = wire.decode(service.handle(request))
     assert first["type"] == "envelope"
     replayed = wire.decode(service.handle(request))
     assert replayed["type"] == "envelope"
-    channel.decrypt(EncryptedEnvelope.from_wire(first))
-    inner = wire.decode(channel.decrypt(EncryptedEnvelope.from_wire(replayed)))
+    channel.decrypt(first)
+    inner = wire.decode(channel.decrypt(replayed))
     assert inner == {"type": "error", "reason": "replay"}
 
 
 def test_tampered_envelope_rejected(service):
     channel, _ = manual_handshake(service)
-    envelope = channel.encrypt(
-        wire.encode({"type": "result_req", "token": TOKEN.hex()})
-    ).to_wire()
+    envelope = channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
     body = bytearray(bytes.fromhex(envelope["ciphertext"]))
     body[0] ^= 0x01
     envelope["ciphertext"] = bytes(body).hex()
     raw = service.handle(wire.encode(envelope))
     outer = wire.decode(raw)
     assert outer["type"] == "envelope"
-    inner = wire.decode(channel.decrypt(EncryptedEnvelope.from_wire(outer)))
+    inner = wire.decode(channel.decrypt(outer))
     assert inner == {"type": "error", "reason": "decrypt failed"}
+
+
+def test_racing_copies_of_one_envelope_dispatched_once(service):
+    # an operator may replay a captured envelope on a second connection
+    channel, _ = manual_handshake(service)
+    dispatched = []
+    dispatch = service._dispatch
+
+    def counted(msg):
+        dispatched.append(msg["type"])
+        return dispatch(msg)
+
+    service._dispatch = counted
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            request = wire.encode(
+                channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
+            )
+            threads = [threading.Thread(target=service.handle, args=(request,)) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert dispatched == ["result_req"] * 100
 
 
 def test_handshake_inside_envelope_rejected(service):
     channel, _ = manual_handshake(service)
     raw = service.handle(
-        wire.encode(channel.encrypt(wire.encode({"type": "attest_req"})).to_wire())
+        wire.encode(channel.encrypt(wire.encode({"type": "attest_req"})))
     )
-    inner = wire.decode(channel.decrypt(EncryptedEnvelope.from_wire(wire.decode(raw))))
+    inner = wire.decode(channel.decrypt(wire.decode(raw)))
     assert inner == {"type": "error", "reason": "unexpected message type"}
 
 
@@ -305,8 +321,8 @@ def test_deeply_nested_plaintext_gets_error_reply(service):
 
 def test_deeply_nested_envelope_gets_enveloped_error_reply(service):
     channel, _ = manual_handshake(service)
-    raw = service.handle(wire.encode(channel.encrypt(DEEP).to_wire()))
-    inner = wire.decode(channel.decrypt(EncryptedEnvelope.from_wire(wire.decode(raw))))
+    raw = service.handle(wire.encode(channel.encrypt(DEEP)))
+    inner = wire.decode(channel.decrypt(wire.decode(raw)))
     assert inner == NESTED_TOO_DEEPLY
 
 

@@ -570,6 +570,67 @@ def test_live_tcp_run():
     assert report.notified == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "name,flag,report",
+    [
+        (
+            "fig1",
+            None,
+            b'{"auth_violations":0,"notified":[0,1],"oracle_notified":[0,1],'
+            b'"passed":true,"state_digest_violations":0,"transcript_leaks":0}',
+        ),
+        (
+            "fig1",
+            "live",
+            b'{"auth_violations":0,"notified":[0,1],"oracle_notified":[0,1],'
+            b'"passed":true,"state_digest_violations":0,"transcript_leaks":0}',
+        ),
+        (
+            "fig1",
+            "log_polls",
+            b'{"auth_violations":0,"notified":[0,1,2],"oracle_notified":[0,1],'
+            b'"passed":false,"state_digest_violations":4,"transcript_leaks":0}',
+        ),
+        (
+            "fig1",
+            "insecure_plaintext",
+            b'{"auth_violations":0,"notified":[0,1],"oracle_notified":[0,1],'
+            b'"passed":false,"state_digest_violations":0,"transcript_leaks":15}',
+        ),
+        (
+            "flush",
+            None,
+            b'{"auth_violations":0,"notified":[0,1,2,4,5,6,7,8],"oracle_notified":[0,1,2,4,5,6,7,8],'
+            b'"passed":true,"state_digest_violations":0,"transcript_leaks":0}',
+        ),
+        (
+            "flush",
+            "live",
+            b'{"auth_violations":0,"notified":[0,1,2,4,5,6,7,8],"oracle_notified":[0,1,2,4,5,6,7,8],'
+            b'"passed":true,"state_digest_violations":0,"transcript_leaks":0}',
+        ),
+        (
+            "flush",
+            "log_polls",
+            b'{"auth_violations":0,"notified":[0,1,2,3,4,5,6,7,8,9],"oracle_notified":[0,1,2,4,5,6,7,8],'
+            b'"passed":false,"state_digest_violations":1000,"transcript_leaks":0}',
+        ),
+        (
+            "flush",
+            "insecure_plaintext",
+            b'{"auth_violations":0,"notified":[0,1,2,4,5,6,7,8],"oracle_notified":[0,1,2,4,5,6,7,8],'
+            b'"passed":false,"state_digest_violations":0,"transcript_leaks":28934}',
+        ),
+    ],
+)
+def test_checked_in_scenario_reports_pinned(name, flag, report):
+    # a refactor must leave every report byte-identical, the controls' counts included
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    flags = {flag: True} if flag else {}
+    config = ScenarioConfig.from_file(root / f"{name}.json")
+    assert run_scenario(config, **flags).to_json_bytes() == report
+
+
 def test_report_json_shape():
     report = SimReport(
         notified=(1, 2),
