@@ -24,6 +24,12 @@ _ID_LABEL = b"CCT-ID-v1"
 
 _MAX_INDEX = 2**64 - 1
 
+# HMAC's key pads (RFC 2104): a key shorter than SHA-256's 64-byte block is
+# zero-filled, then XORed with 0x36 for the inner hash and 0x5c for the outer
+_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
 
 def generate_secret() -> bytes:
     """Fresh 32-byte device secret from the OS CSPRNG."""
@@ -86,6 +92,9 @@ def derive_identifier_range(
     """Identifiers for every interval in [first, last], in order.
 
     Bounded by max_range to keep secret-upload derivation work predictable.
+    Equal to derive_identifier at each index, but the key is hashed once:
+    the SHA-256 states after `key⊕ipad ‖ label` and after `key⊕opad` are
+    computed once and copied for each index.
     """
     _check_secret(secret)
     _check_index(first)
@@ -94,4 +103,14 @@ def derive_identifier_range(
         raise ValueError("inverted identifier range")
     if last - first > max_range:
         raise ValueError("range too large")
-    return [derive_identifier(secret, i) for i in range(first, last + 1)]
+    key = bytes(secret).ljust(_BLOCK, b"\0")
+    inner = hashlib.sha256(key.translate(_IPAD) + _ID_LABEL)
+    outer = hashlib.sha256(key.translate(_OPAD))
+    identifiers = []
+    for index in range(first, last + 1):
+        h = inner.copy()
+        h.update(index.to_bytes(8, "big"))
+        mac = outer.copy()
+        mac.update(h.digest())
+        identifiers.append(mac.digest()[:IDENTIFIER_LEN])
+    return identifiers

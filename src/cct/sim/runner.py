@@ -37,7 +37,7 @@ from cct.client import (
 from cct.contact_log import ContactLog, ContactTuple
 from cct.enclave import Enclave, EnclaveConfig
 from cct.errors import RemoteError
-from cct.ident import derive_identifier
+from cct.ident import derive_identifier, derive_identifier_range
 from cct.sim.audit import audit_transcript, state_digest
 from cct.sim.encounters import generate_encounters
 from cct.sim.oracle import oracle_notified
@@ -241,10 +241,11 @@ def run_scenario(
             config, devices, enclave, ha_credential, ha_client, new_client
         )
 
+        last = config.n_intervals - 1
         identifiers = [
-            derive_identifier(device.secret, k)
+            identifier
             for device in devices
-            for k in range(config.n_intervals)
+            for identifier in derive_identifier_range(device.secret, 0, last, last)
         ]
         leaks = audit_transcript(
             transcript, identifiers, [device.secret for device in devices]

@@ -3,8 +3,22 @@
 Canonical JSON rules (normative for cross-implementation compatibility):
 keys sorted ascending bytewise, no insignificant whitespace, every byte
 field rendered as lowercase hex, integers in base-10 without leading zeros,
-no NaN/Infinity. decode() re-encodes the parsed value and rejects any input
-whose bytes differ, which makes the encoding injective over message values.
+no NaN/Infinity. Only canonical bytes decode, which makes the encoding
+injective over message values.
+
+encode() and decode() run a compiled path first. Every schema whose fields
+all have one fixed canonical form (hex of a fixed length, uints, booleans,
+enums, arrays and objects of those) is compiled on first use into a grammar
+over its canonical bytes. "type" sorts after every other field, so the
+trailing `"type":"…"}` picks the grammar. A fullmatch proves the bytes
+canonical and the value valid: decode() then only needs json.loads, and
+encode() checks canonical_encode's output with the same fullmatch. The
+envelope needs no json at all: it is built as one bytes join and read with
+one small regex plus a hex check of the ciphertext. Anything the compiled
+path does not match (the GPS messages, `error`, a 20-digit uint, any
+malformed input) takes the generic path: decode() parses, re-encodes and
+rejects any input whose bytes differ, then validates; encode() validates,
+then encodes. Both paths accept the same values and give the same errors.
 
 Transport framing is a 4-byte big-endian length prefix followed by the
 message body; it works identically over TCP sockets and in-process channels.
@@ -12,6 +26,7 @@ message body; it works identically over TCP sockets and in-process channels.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -26,6 +41,7 @@ _MAX_UINT = 2**64 - 1
 # a one-character class repeats in sre's fast loop; a repeated pair group
 # such as (?:[0-9a-f]{2})* ran 2-7x slower than this from 64 to 1M chars
 _hex_chars = re.compile("[0-9a-f]*").fullmatch
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +163,18 @@ def _hex_field(nbytes: int | None) -> Validator:
         if len(v) % 2 != 0 or not _hex_chars(v):
             raise WireError("not lowercase hex")
 
+    check.grammar = None if nbytes is None else rb'"[0-9a-f]{%d}"' % (2 * nbytes)
     return check
 
 
 def _uint(v: Any) -> None:
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= _MAX_UINT:
         raise WireError("expected unsigned 64-bit integer")
+
+
+# every 19-digit number is below 2^64; a 20-digit one takes the generic path,
+# so the exact bound is checked in _uint alone
+_uint.grammar = rb"(?:0|[1-9][0-9]{0,18})"
 
 
 def _number(v: Any) -> None:
@@ -164,9 +186,15 @@ def _number(v: Any) -> None:
         raise WireError("number out of range")
 
 
+_number.grammar = None  # a float has many spellings that decode to one value
+
+
 def _boolean(v: Any) -> None:
     if not isinstance(v, bool):
         raise WireError("expected boolean")
+
+
+_boolean.grammar = rb"(?:true|false)"
 
 
 def _string(v: Any) -> None:
@@ -174,11 +202,15 @@ def _string(v: Any) -> None:
         raise WireError("expected string")
 
 
+_string.grammar = None
+
+
 def _enum(*allowed: str) -> Validator:
     def check(v: Any) -> None:
         if v not in allowed:
             raise WireError(f"expected one of {allowed}")
 
+    check.grammar = b"(?:%s)" % b"|".join(re.escape(canonical_encode(a)) for a in allowed)
     return check
 
 
@@ -189,6 +221,8 @@ def _array(item: Validator) -> Validator:
         for elem in v:
             item(elem)
 
+    g = item.grammar
+    check.grammar = None if g is None else rb"\[(?:%s(?:,%s)*)?\]" % (g, g)
     return check
 
 
@@ -201,7 +235,19 @@ def _obj(schema: dict[str, Validator]) -> Validator:
         for name, validator in schema.items():
             validator(v[name])
 
+    check.grammar = _object_grammar(schema)
     return check
+
+
+def _object_grammar(schema: dict[str, Validator]) -> bytes | None:
+    """The canonical bytes of every valid object, or None if some field has no grammar."""
+    members = []
+    for name in sorted(schema):
+        g = schema[name].grammar
+        if g is None:
+            return None
+        members.append(re.escape(canonical_encode(name)) + b":" + g)
+    return rb"\{%s\}" % b",".join(members)
 
 
 TUPLE_FIELDS = {"interval": _uint, "received": _hex_field(16), "sent": _hex_field(16)}
@@ -286,14 +332,121 @@ def validate_message(msg: dict) -> None:
             raise WireError(f"{mtype}.{name}: {exc}") from None
 
 
+# ---------------------------------------------------------------------------
+# Compiled codec
+# ---------------------------------------------------------------------------
+
+# the last member of every canonical message, as "type" sorts after every field
+_TYPE_BY_TAIL = {b'"type":%s}' % canonical_encode(t): t for t in MESSAGE_SCHEMAS}
+# the only field types the compiled encode path takes: a tuple renders as an
+# array, and a subclass may compare unlike its value, so either could match a
+# grammar and still fail validate_message
+_PLAIN_TYPES = frozenset({str, int, bool, list})
+
+
+@functools.cache
+def _grammar(mtype: str) -> Callable[[bytes], Any] | None:
+    """fullmatch for the canonical bytes of every valid `mtype` message, if it has one."""
+    pattern = _object_grammar({**MESSAGE_SCHEMAS[mtype], "type": _enum(mtype)})
+    return None if pattern is None else re.compile(pattern).fullmatch
+
+
+_ENVELOPE_HEAD = b'{"ciphertext":"'
+# everything after the ciphertext; the ciphertext itself is checked with
+# bytes.translate, which runs about 15x faster than a regex over its hex
+_envelope_rest = re.compile(
+    rb'","nonce":"([0-9a-f]{24})","sequence":(%s),"session_id":"([0-9a-f]{32})","type":"envelope"\}'
+    % _uint.grammar
+).fullmatch
+
+
+def _encode_envelope(msg: dict) -> bytes | None:
+    """The canonical envelope, or None when msg is not plainly a valid one."""
+    ciphertext, nonce = msg.get("ciphertext"), msg.get("nonce")
+    sequence, session_id = msg.get("sequence"), msg.get("session_id")
+    if not (
+        len(msg) == 5
+        and type(ciphertext) is str
+        and type(nonce) is str
+        and type(session_id) is str
+        and type(sequence) is int
+        and 0 <= sequence <= _MAX_UINT
+        and ciphertext.isascii()
+        and nonce.isascii()
+        and session_id.isascii()
+    ):
+        return None
+    ct, n, sid = ciphertext.encode("ascii"), nonce.encode("ascii"), session_id.encode("ascii")
+    if (
+        len(ct) % 2
+        or len(n) != 24
+        or len(sid) != 32
+        or ct.translate(None, _HEX_DIGITS)
+        or n.translate(None, _HEX_DIGITS)
+        or sid.translate(None, _HEX_DIGITS)
+    ):
+        return None
+    return b"".join(
+        (
+            _ENVELOPE_HEAD, ct, b'","nonce":"', n, b'","sequence":', b"%d" % sequence,
+            b',"session_id":"', sid, b'","type":"envelope"}',
+        )
+    )
+
+
+def _decode_envelope(raw: bytes) -> dict | None:
+    """The envelope in canonical bytes, or None when raw is not plainly one."""
+    if not raw.startswith(_ENVELOPE_HEAD):
+        return None
+    end = raw.find(b'"', len(_ENVELOPE_HEAD))
+    rest = _envelope_rest(raw, end) if end > 0 else None
+    ct = raw[len(_ENVELOPE_HEAD) : end]
+    if rest is None or len(ct) % 2 or ct.translate(None, _HEX_DIGITS):
+        return None
+    return {
+        "ciphertext": ct.decode("ascii"),
+        "nonce": rest[1].decode("ascii"),
+        "sequence": int(rest[2]),
+        "session_id": rest[3].decode("ascii"),
+        "type": "envelope",
+    }
+
+
+def _encode_compiled(mtype: str, msg: dict) -> bytes | None:
+    """The canonical bytes, or None when msg is not plainly a valid `mtype` message."""
+    grammar = _grammar(mtype) if mtype in MESSAGE_SCHEMAS else None
+    if grammar is None or not all(type(v) in _PLAIN_TYPES for v in msg.values()):
+        return None
+    try:
+        raw = canonical_encode(msg)
+    except WireError:
+        return None  # the generic path raises the error validate_message finds first
+    return raw if grammar(raw) else None
+
+
 def encode(msg: dict) -> bytes:
     """Canonical bytes for a message; raises WireError on schema violations."""
+    mtype = msg.get("type") if type(msg) is dict else None
+    if type(mtype) is str:
+        raw = _encode_envelope(msg) if mtype == "envelope" else _encode_compiled(mtype, msg)
+        if raw is not None:
+            return raw
     validate_message(msg)
     return canonical_encode(msg)
 
 
 def decode(raw: bytes) -> dict:
     """Parse and validate a message from canonical bytes."""
+    # other buffers (a bytearray slice is not hashable) take the generic path
+    mtype = _TYPE_BY_TAIL.get(raw[raw.rfind(b'"type":') :]) if type(raw) is bytes else None
+    if mtype == "envelope":
+        msg = _decode_envelope(raw)
+        if msg is not None:
+            return msg
+    elif mtype is not None:
+        grammar = _grammar(mtype)
+        if grammar is not None and grammar(raw):
+            return json.loads(raw)
     value = canonical_decode(raw)
     validate_message(value)
     return value

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from cct.authority import HealthAuthorityCredential
 from cct.enclave import Enclave, EnclaveConfig
@@ -6,6 +7,9 @@ from cct.ident import TimeParams
 
 HA_SEED = bytes(range(32))
 PLATFORM_SECRET = b"\x07" * 32
+
+# a longer search, for one CI step: pytest --hypothesis-profile=deep
+settings.register_profile("deep", max_examples=1000)
 
 
 class ManualClock:

@@ -146,6 +146,35 @@ def test_range_consistency(secret, first, span):
     assert ids == [derive_identifier(secret, first + k) for k in range(span + 1)]
 
 
+@pytest.mark.parametrize("secret,index,expected_hex", PINNED_IDENTIFIERS)
+def test_range_pinned_identifier_vectors(secret, index, expected_hex):
+    assert derive_identifier_range(secret, index, index, max_range=0)[0].hex() == expected_hex
+
+
+_MAX_INDEX = 2**64 - 1
+
+
+@given(
+    st.one_of(secrets_st, secrets_st.map(bytearray)),
+    st.one_of(
+        st.integers(min_value=0, max_value=_MAX_INDEX),
+        st.integers(min_value=_MAX_INDEX - 40, max_value=_MAX_INDEX),
+    ),
+    st.integers(min_value=0, max_value=40),
+)
+def test_batch_prf_agrees_with_single(secret, last, span):
+    """The precomputed-state batch path equals HMAC at each index, up to 2^64-1."""
+    first = max(0, last - span)
+    ids = derive_identifier_range(secret, first, last, max_range=span)
+    assert ids == [derive_identifier(secret, i) for i in range(first, last + 1)]
+
+
+def test_batch_prf_reaches_last_index():
+    secret = bytes(range(32))
+    ids = derive_identifier_range(secret, _MAX_INDEX - 1, _MAX_INDEX, max_range=1)
+    assert ids == [derive_identifier(secret, _MAX_INDEX - 1), derive_identifier(secret, _MAX_INDEX)]
+
+
 def test_collision_sanity():
     """10^5 derivations over varied secrets/indices: no 16-byte collisions."""
     seen = set()
