@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import socketserver
 import threading
+from collections import OrderedDict
 from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -64,13 +65,19 @@ _APP_HANDLERS: dict[str, Callable[[Enclave, dict], dict | None]] = {
 }
 
 
+# attested handshakes awaiting their session_req; past this many, the oldest
+# is dropped and its session_req gets `unknown handshake`
+MAX_PENDING_HANDSHAKES = 1024
+
+
 class EnclaveService:
     """Request/response handler wrapping one Enclave instance."""
 
     def __init__(self, enclave: Enclave, platform_secret: bytes) -> None:
         self.enclave = enclave
         self._signing_key = platform_signing_key(platform_secret)
-        self._pending: dict[bytes, X25519PrivateKey] = {}
+        self._pending: OrderedDict[bytes, X25519PrivateKey] = OrderedDict()
+        self._pending_lock = threading.Lock()
         self._sessions: dict[bytes, SecureChannel] = {}
         # one request at a time reaches the enclave: a change's authorization,
         # sealed append and apply must not interleave with another's
@@ -105,13 +112,17 @@ class EnclaveService:
         private = X25519PrivateKey.generate()
         public = private.public_key().public_bytes_raw()
         quote = generate_quote(self._signing_key, self.enclave.measurement, public)
-        self._pending[public] = private
+        with self._pending_lock:
+            self._pending[public] = private
+            if len(self._pending) > MAX_PENDING_HANDSHAKES:
+                self._pending.popitem(last=False)
         return quote.to_wire()
 
     def _open_session(self, msg: dict) -> dict:
         public = bytes.fromhex(msg["enclave_session_pub"])
         # one-shot: each attested ephemeral key opens at most one session
-        private = self._pending.pop(public, None)
+        with self._pending_lock:
+            private = self._pending.pop(public, None)
         if private is None:
             raise ProtocolError("unknown handshake")
         channel = accept_session(private, bytes.fromhex(msg["client_session_pub"]))

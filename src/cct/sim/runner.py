@@ -37,7 +37,8 @@ from cct.client import (
 from cct.contact_log import ContactLog, ContactTuple
 from cct.enclave import Enclave, EnclaveConfig
 from cct.errors import RemoteError
-from cct.ident import derive_identifier, derive_identifier_range
+# perfbench/tracer.py patches `derive_identifier` here by name
+from cct.ident import derive_identifier, identifier_table  # noqa: F401
 from cct.sim.audit import audit_transcript, state_digest
 from cct.sim.encounters import generate_encounters
 from cct.sim.oracle import oracle_notified
@@ -118,6 +119,8 @@ class _PlaintextTranscriptService(EnclaveService):
 class _Device:
     index: int
     secret: bytes
+    # identifier_table(secret, n_intervals): the identifier of interval k is [k]
+    identifiers: list[bytes]
     log: ContactLog
     client: EnclaveClient
 
@@ -179,14 +182,16 @@ def run_scenario(
                 platform_verify_key=verify_key,
             )
 
+        secrets = [material(config.seed, "secret", d) for d in range(config.n_devices)]
         devices = [
             _Device(
                 index=d,
-                secret=material(config.seed, "secret", d),
+                secret=secret,
+                identifiers=identifier_table(secret, config.n_intervals),
                 log=ContactLog(retention_intervals=config.retention),
                 client=new_client(),
             )
-            for d in range(config.n_devices)
+            for d, secret in enumerate(secrets)
         ]
         ha_client = new_client()
 
@@ -207,8 +212,8 @@ def run_scenario(
             for event in encounters_at[k]:
                 a = devices[event.device_i]
                 b = devices[event.device_j]
-                id_a = derive_identifier(a.secret, k)
-                id_b = derive_identifier(b.secret, k)
+                id_a = a.identifiers[k]
+                id_b = b.identifiers[k]
                 a.log.record(sent=id_a, received=id_b, interval=k)
                 b.log.record(sent=id_b, received=id_a, interval=k)
 
@@ -241,14 +246,10 @@ def run_scenario(
             config, devices, enclave, ha_credential, ha_client, new_client
         )
 
-        last = config.n_intervals - 1
-        identifiers = [
-            identifier
-            for device in devices
-            for identifier in derive_identifier_range(device.secret, 0, last, last)
-        ]
         leaks = audit_transcript(
-            transcript, identifiers, [device.secret for device in devices]
+            transcript,
+            [identifier for device in devices for identifier in device.identifiers],
+            secrets,
         )
 
         return SimReport(

@@ -10,6 +10,7 @@ from cct.ident import (
     derive_identifier,
     derive_identifier_range,
     generate_secret,
+    identifier_table,
     interval_index,
 )
 
@@ -184,3 +185,48 @@ def test_collision_sanity():
             seen.add(derive_identifier(secret, index))
     assert len(seen) == 100 * 1000
 
+
+
+# -- one-call identifier table -------------------------------------------------------
+
+@given(st.one_of(secrets_st, secrets_st.map(bytearray)), st.integers(min_value=1, max_value=700))
+def test_identifier_table_agrees_with_single(secret, count):
+    """PBKDF2's block i is the identifier PRF at index i, from 1 up."""
+    assert identifier_table(secret, count) == [derive_identifier(secret, i) for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "secret,index,expected_hex",
+    [vector for vector in PINNED_IDENTIFIERS if vector[1] < 2**32],
+)
+def test_table_pinned_identifier_vectors(secret, index, expected_hex):
+    table = identifier_table(secret, index + 1)
+    assert len(table) == index + 1
+    assert table[index].hex() == expected_hex
+
+
+@pytest.mark.parametrize("count", [0, -1, 2**32 + 1, 2**64])
+def test_identifier_table_count_out_of_range(count):
+    # refused before any block is hashed, so 2^32 + 1 allocates nothing
+    with pytest.raises(ValueError, match="identifier count out of range"):
+        identifier_table(bytes(32), count)
+
+
+@pytest.mark.parametrize("count", [True, 2.0, "3"])
+def test_identifier_table_count_must_be_an_integer(count):
+    with pytest.raises(ValueError, match="identifier count must be an integer"):
+        identifier_table(bytes(32), count)
+
+
+def test_identifier_table_bad_secret_rejected():
+    with pytest.raises(ValueError):
+        identifier_table(b"short", 2)
+
+
+def test_identifier_table_largest_count_asks_for_every_block(monkeypatch):
+    # 2^32 identifiers take PBKDF2 blocks 1..2^32-1, its last block number;
+    # the call is recorded, not run, so nothing of that size is allocated
+    calls = []
+    monkeypatch.setattr(hashlib, "pbkdf2_hmac", lambda *args: calls.append(args) or b"")
+    assert identifier_table(bytes(32), 2**32) == [derive_identifier(bytes(32), 0)]
+    assert calls == [("sha256", bytes(32), b"CCT-ID-v1" + bytes(4), 1, 32 * (2**32 - 1))]

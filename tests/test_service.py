@@ -4,6 +4,7 @@ import threading
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
+from cct import service as service_module
 from cct import wire
 from cct.attestation import (
     AttestationQuote,
@@ -239,6 +240,72 @@ def test_handshake_key_is_one_shot(service):
         wire.encode(channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()})))
     )
     assert wire.decode(raw)["type"] == "envelope"
+
+
+def _session_req(quote):
+    private = X25519PrivateKey.generate()
+    return private, {
+        "type": "session_req",
+        "client_session_pub": private.public_key().public_bytes_raw().hex(),
+        "enclave_session_pub": quote.enclave_session_pub.hex(),
+    }
+
+
+def test_pending_handshakes_bounded_oldest_evicted(service):
+    cap = service_module.MAX_PENDING_HANDSHAKES
+    quotes = [
+        AttestationQuote.from_wire(wire.decode(service.handle(wire.encode({"type": "attest_req"}))))
+        for _ in range(cap + 50)
+    ]
+    assert len(service._pending) == cap
+    # the 50 oldest were evicted, first in first out
+    for evicted in (quotes[0], quotes[49]):
+        _, req = _session_req(evicted)
+        msg = wire.decode(service.handle(wire.encode(req)))
+        assert msg == {"type": "error", "reason": "unknown handshake"}
+    _, req = _session_req(quotes[50])
+    assert wire.decode(service.handle(wire.encode(req)))["type"] == "session_resp"
+    # the newest handshake completes and its session serves an enveloped request
+    private, newest = _session_req(quotes[-1])
+    resp = wire.decode(service.handle(wire.encode(newest)))
+    assert resp["type"] == "session_resp"
+    channel = establish_session(private, quotes[-1])
+    request = channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
+    inner = wire.decode(channel.decrypt(wire.decode(service.handle(wire.encode(request)))))
+    assert inner == {"type": "result_resp", "result": "unknown"}
+    assert len(service._pending) == cap - 2
+
+
+def test_pending_handshakes_bounded_across_threads(service, monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_PENDING_HANDSHAKES", 16)
+    attest = wire.encode({"type": "attest_req"})
+    quotes = []
+
+    def attest_many():
+        for _ in range(60):
+            quotes.append(AttestationQuote.from_wire(wire.decode(service.handle(attest))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=attest_many) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(quotes) == 240
+    assert len(service._pending) == 16
+    # every key still pending was attested, and each opens exactly one session
+    attested = {quote.enclave_session_pub for quote in quotes}
+    assert set(service._pending) <= attested
+    for public in list(service._pending):
+        quote = next(q for q in quotes if q.enclave_session_pub == public)
+        _, req = _session_req(quote)
+        assert wire.decode(service.handle(wire.encode(req)))["type"] == "session_resp"
+    assert len(service._pending) == 0
 
 
 def test_replayed_envelope_rejected(service):

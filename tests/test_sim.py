@@ -280,6 +280,16 @@ def test_audit_skips_handshake_messages():
     assert audit_transcript(transcript, [identifier], []) == 0
 
 
+@pytest.mark.parametrize("msg_type", sorted(wire.HANDSHAKE_TYPES))
+def test_audit_skips_every_handshake_type(msg_type):
+    identifier = derive_identifier(b"\x0a" * 32, 0)
+    message = wire.canonical_encode({"type": msg_type, "x": identifier.hex()})
+    assert audit_transcript(_transcript(message), [identifier], []) == 0
+    # the same message under any other type is audited
+    other = message.replace(msg_type.encode(), b"poll_req")
+    assert audit_transcript(_transcript(other), [identifier], []) == 1
+
+
 def test_audit_flags_raw_bytes_in_binary_message():
     identifier = derive_identifier(b"\x0a" * 32, 0)
     transcript = wire.Transcript()
@@ -430,14 +440,38 @@ def _plant(draw, filler, plant):
     return filler[:at] + plant + filler[at:]
 
 
+_HEADS = st.lists(st.binary(min_size=16, max_size=16), unique=True, max_size=6)
+
+
 @st.composite
-def _audit_inputs(draw):
+def _shared_prefix_heads(draw):
+    """Distinct 16-byte heads, most sharing their first 4 or 8 bytes: the
+    8-byte key of the hex scan and of the raw scans, respectively."""
+    stems = draw(st.lists(st.binary(min_size=8, max_size=8), min_size=1, max_size=2))
+    head = st.builds(
+        lambda stem, cut, tail: stem[:cut] + tail[cut:],
+        st.sampled_from(stems),
+        st.sampled_from([4, 8, 0]),
+        st.binary(min_size=16, max_size=16),
+    )
+    return draw(st.lists(head, unique=True, max_size=6))
+
+
+@st.composite
+def _audit_inputs(draw, heads=_HEADS, odd_identifiers=False):
     # distinct 16-byte heads: no identifier equals a secret's first half and
     # no two secrets share one, so the reference scan is exact
-    heads = draw(st.lists(st.binary(min_size=16, max_size=16), unique=True, max_size=6))
+    heads = draw(heads)
     n_ids = draw(st.integers(0, len(heads)))
     identifiers = heads[:n_ids]
     secrets = [h + draw(st.binary(min_size=16, max_size=16)) for h in heads[n_ids:]]
+    if odd_identifiers:
+        # never a 16-byte window of any scan, but planted like the others;
+        # some extend a head, so their hex holds a counted identifier's
+        odd = st.binary(max_size=40)
+        if heads:
+            odd = st.one_of(odd, st.builds(bytes.__add__, st.sampled_from(heads), odd))
+        identifiers = identifiers + draw(st.lists(odd.filter(lambda i: len(i) != 16), max_size=3))
     hex_plants = [i.hex() for i in identifiers] + [s.hex() for s in secrets]
     hex_plants += [s.hex()[:32] for s in secrets]
     raw_plants = identifiers + secrets
@@ -470,6 +504,60 @@ def _audit_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_audit_inputs())
 def test_audit_matches_window_set_reference(inputs):
+    messages, identifiers, secrets = inputs
+    transcript = _transcript(*messages)
+    assert audit_transcript(transcript, identifiers, secrets) == _reference_audit(
+        transcript, identifiers, secrets
+    )
+
+
+_STEM = bytes(range(1, 9))
+_ID_A = _STEM + bytes(8)
+_ID_B = _STEM + b"\xff" * 8  # shares 8 raw bytes with _ID_A
+_ID_C = _STEM[:4] + b"\xee" * 12  # shares 4 raw bytes, 8 hex chars, with both
+_SECRET = _STEM[:4] + b"\xdd" * 28  # and so does this secret's hex
+
+
+@pytest.mark.parametrize(
+    "messages,identifiers,secrets,leaks",
+    [
+        ([(_ID_A.hex() + _ID_B.hex() + _ID_C.hex()).encode()], [_ID_A, _ID_B, _ID_C], [], 3),
+        ([_ID_B.hex().encode(), _ID_C.hex().encode()], [_ID_A, _ID_B, _ID_C], [], 2),
+        ([_ID_A.hex()[:24].encode() + _ID_B.hex()[8:].encode()], [_ID_A, _ID_B], [], 0),
+        ([b"\x80" + _ID_B + _ID_A[:12]], [_ID_A, _ID_B], [], 1),
+        ([b"\x80" + _ID_A + _ID_B + _SECRET], [_ID_A, _ID_B], [_SECRET], 3),
+        ([_SECRET.hex().encode()], [_ID_C], [_SECRET], 1),
+        ([_SECRET.hex()[:32].encode()], [_ID_C], [_SECRET], 0),
+        ([_ID_C.hex().encode() + _SECRET.hex().encode()], [_ID_C], [_SECRET], 2),
+        ([_ID_A.hex().encode(), b"\x80" + _ID_A], [_ID_A[:15], _ID_A + b"\x00", _ID_A * 2], [], 0),
+    ],
+    ids=[
+        "three-hex-sharing-a-key",
+        "two-of-three-hex",
+        "key-of-one-tail-of-another",
+        "raw-sharing-a-key",
+        "raw-ids-and-secret",
+        "secret-sharing-an-ids-key",
+        "secret-prefix-only",
+        "id-and-secret-sharing-a-key",
+        "identifiers-not-16-bytes",
+    ],
+)
+def test_audit_confirms_patterns_sharing_a_key(messages, identifiers, secrets, leaks):
+    transcript = _transcript(*messages)
+    assert audit_transcript(transcript, identifiers, secrets) == leaks
+    assert _reference_audit(transcript, identifiers, secrets) == leaks
+
+
+# the profile is loaded before collection, so `--hypothesis-profile=deep` raises this
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(_audit_inputs(heads=_shared_prefix_heads(), odd_identifiers=True))
+def test_audit_matches_reference_on_shared_prefixes(inputs):
+    """Patterns that share a scan key each get confirmed on their own.
+
+    A head cut at 0 shares nothing, so these inputs also include those of
+    the test above.
+    """
     messages, identifiers, secrets = inputs
     transcript = _transcript(*messages)
     assert audit_transcript(transcript, identifiers, secrets) == _reference_audit(
