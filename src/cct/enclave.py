@@ -260,8 +260,8 @@ def _replace_file(path: Path, data: bytes) -> None:
 
 # The entry values of each delta record and of the state; _apply reads them.
 
-def _tuple_value(t: ContactTuple, expiry: int) -> dict:
-    return {**t.to_wire(), "expiry": expiry}
+def _tuple_value(sent: bytes, received: bytes, interval: int, expiry: int) -> dict:
+    return {"expiry": expiry, "interval": interval, "received": received.hex(), "sent": sent.hex()}
 
 
 def _derived_value(identifier: bytes, expiry: int) -> dict:
@@ -305,10 +305,13 @@ class Enclave:
         self._clock = clock
 
         self._records: dict[bytes, InfectionRecord] = {}
-        # (sent, received) -> {interval: expiry}; the pair is the match key,
-        # intervals matter only in strict mode and for auditing
-        self._tuples: dict[tuple[bytes, bytes], dict[int, int]] = {}
+        # the keyed stores, one key -> expiry item per stored entry:
+        # (sent, received, interval) per tuple, the identifier per derived id
+        self._tuples: dict[tuple[bytes, bytes, int], int] = {}
         self._derived: dict[bytes, int] = {}
+        # (sent, received) -> the latest expiry of its tuples: the match key
+        # outside strict mode; an index of _tuples, neither sealed nor counted
+        self._pairs: dict[tuple[bytes, bytes], int] = {}
         self._gps: list[tuple[int, tuple[GpsPoint, ...]]] = []
         # expiry -> number of stored tuples, derived ids and GPS traces that carry it
         self._expiries: Counter[int] = Counter()
@@ -372,7 +375,9 @@ class Enclave:
         """Single-use upload of a positive user's contact log."""
 
         def entries(expiry: int) -> dict:
-            return {"tuples": [_tuple_value(t, expiry) for t in tuples]}
+            return {
+                "tuples": [_tuple_value(t.sent, t.received, t.interval, expiry) for t in tuples]
+            }
 
         self._upload(token, entries)
 
@@ -446,19 +451,17 @@ class Enclave:
         if self.log_polls:
             # negative-control misbehaviour: persist what should be transient
             expiry = current + self.config.retention
-            self._commit(
-                _delta(tuples=[_tuple_value(t, expiry) for t in tuples])
-            )
+            entries = [_tuple_value(t.sent, t.received, t.interval, expiry) for t in tuples]
+            self._commit(_delta(tuples=entries))
         return result
 
     def _tuple_matches(self, t: ContactTuple, strict: bool, current: int) -> bool:
-        intervals = self._tuples.get((t.received, t.sent))
-        if intervals is not None:
-            if strict:
-                if intervals.get(t.interval, -1) >= current:
-                    return True
-            elif any(expiry >= current for expiry in intervals.values()):
-                return True
+        if strict:
+            expiry = self._tuples.get((t.received, t.sent, t.interval))
+        else:
+            expiry = self._pairs.get((t.received, t.sent))
+        if expiry is not None and expiry >= current:
+            return True
         expiry = self._derived.get(t.received)
         return expiry is not None and expiry >= current
 
@@ -513,14 +516,10 @@ class Enclave:
         expired = self._expired(current)
         if not expired:
             return 0
-        for pair in list(self._tuples):
-            intervals = self._tuples[pair]
-            for interval in [i for i, exp in intervals.items() if exp < current]:
-                del intervals[interval]
-            if not intervals:
-                del self._tuples[pair]
-        for identifier in [i for i, exp in self._derived.items() if exp < current]:
-            del self._derived[identifier]
+        # a pair's latest expiry passes only once every tuple of the pair has
+        for store in (self._tuples, self._pairs, self._derived):
+            for key in [k for k, exp in store.items() if exp < current]:
+                del store[key]
         self._gps = [(expiry, stored) for expiry, stored in self._gps if expiry >= current]
         removed = sum(self._expiries.pop(expiry) for expiry in expired)
         self._dead += removed
@@ -529,15 +528,13 @@ class Enclave:
     # -- state serialization ----------------------------------------------------------
 
     def _state_value(self) -> dict:
-        tuple_entries = []
-        for (sent, received), intervals in self._tuples.items():
-            # _tuple_value's fields, without building a ContactTuple per entry
-            sent_hex, received_hex = sent.hex(), received.hex()
-            for interval, expiry in intervals.items():
-                tuple_entries.append(
-                    {"expiry": expiry, "interval": interval, "received": received_hex, "sent": sent_hex}
-                )
-        tuple_entries.sort(key=lambda e: (e["interval"], e["sent"], e["received"]))
+        # the canonical order of ContactTuple: interval, then sent, then received
+        tuple_entries = [
+            _tuple_value(sent, received, interval, expiry)
+            for (sent, received, interval), expiry in sorted(
+                self._tuples.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])
+            )
+        ]
         derived_entries = [
             _derived_value(identifier, expiry)
             for identifier, expiry in sorted(
@@ -572,9 +569,11 @@ class Enclave:
         for entry in value["records"]:
             self._insert_record(InfectionRecord.from_value(entry))
         for entry in value["tuples"]:
-            t = ContactTuple.from_wire(entry)
-            intervals = self._tuples.setdefault((t.sent, t.received), {})
-            self._insert_expiring(intervals, t.interval, entry["expiry"])
+            # every sealed tuple passed ContactTuple's checks at upload
+            pair = (bytes.fromhex(entry["sent"]), bytes.fromhex(entry["received"]))
+            expiry = entry["expiry"]
+            self._insert_expiring(self._tuples, (*pair, entry["interval"]), expiry)
+            self._pairs[pair] = max(self._pairs.get(pair, expiry), expiry)
         for entry in value["derived_ids"]:
             self._insert_expiring(self._derived, bytes.fromhex(entry["id"]), entry["expiry"])
         for entry in value["gps_traces"]:

@@ -68,6 +68,9 @@ _APP_HANDLERS: dict[str, Callable[[Enclave, dict], dict | None]] = {
 # attested handshakes awaiting their session_req; past this many, the oldest
 # is dropped and its session_req gets `unknown handshake`
 MAX_PENDING_HANDSHAKES = 1024
+# open sessions; past this many, the oldest is dropped and its envelopes get
+# `unknown session`
+MAX_SESSIONS = 1024
 
 
 class EnclaveService:
@@ -77,8 +80,9 @@ class EnclaveService:
         self.enclave = enclave
         self._signing_key = platform_signing_key(platform_secret)
         self._pending: OrderedDict[bytes, X25519PrivateKey] = OrderedDict()
-        self._pending_lock = threading.Lock()
-        self._sessions: dict[bytes, SecureChannel] = {}
+        # guards _pending and _sessions
+        self._tables_lock = threading.Lock()
+        self._sessions: OrderedDict[bytes, SecureChannel] = OrderedDict()
         # one request at a time reaches the enclave: a change's authorization,
         # sealed append and apply must not interleave with another's
         self._enclave_lock = threading.Lock()
@@ -112,7 +116,7 @@ class EnclaveService:
         private = X25519PrivateKey.generate()
         public = private.public_key().public_bytes_raw()
         quote = generate_quote(self._signing_key, self.enclave.measurement, public)
-        with self._pending_lock:
+        with self._tables_lock:
             self._pending[public] = private
             if len(self._pending) > MAX_PENDING_HANDSHAKES:
                 self._pending.popitem(last=False)
@@ -121,18 +125,22 @@ class EnclaveService:
     def _open_session(self, msg: dict) -> dict:
         public = bytes.fromhex(msg["enclave_session_pub"])
         # one-shot: each attested ephemeral key opens at most one session
-        with self._pending_lock:
+        with self._tables_lock:
             private = self._pending.pop(public, None)
         if private is None:
             raise ProtocolError("unknown handshake")
         channel = accept_session(private, bytes.fromhex(msg["client_session_pub"]))
-        self._sessions[channel.session_id] = channel
+        with self._tables_lock:
+            self._sessions[channel.session_id] = channel
+            if len(self._sessions) > MAX_SESSIONS:
+                self._sessions.popitem(last=False)
         return {"type": "session_resp", "session_id": channel.session_id.hex()}
 
     # -- enveloped application traffic -----------------------------------------
 
     def _handle_envelope(self, msg: dict) -> bytes:
-        channel = self._sessions.get(bytes.fromhex(msg["session_id"]))
+        with self._tables_lock:
+            channel = self._sessions.get(bytes.fromhex(msg["session_id"]))
         if channel is None:
             raise ProtocolError("unknown session")
         try:

@@ -37,7 +37,6 @@ long-lived state, hashed together, must be unchanged by polls.
 from __future__ import annotations
 
 import hashlib
-import re
 from typing import Iterable
 
 from cct import wire
@@ -47,7 +46,8 @@ from cct.ident import IDENTIFIER_LEN
 
 # odd multiplier of the multiply-shift prefix hash (2^64 / golden ratio)
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15
-_HANDSHAKE_TYPE = re.compile(rb'"type":"(?:attest|session)_').search
+# the last member of every canonical handshake message, as "type" sorts last
+_HANDSHAKE_TAILS = tuple(b'"type":%s}' % wire.canonical_encode(t) for t in wire.HANDSHAKE_TYPES)
 
 
 def state_digest(enclave: Enclave) -> bytes:
@@ -56,16 +56,17 @@ def state_digest(enclave: Enclave) -> bytes:
 
 
 def _is_handshake(raw: bytes) -> bool:
-    # every canonical handshake message holds this, so only the few that do
-    # pay for the full decode
-    if not _HANDSHAKE_TYPE(raw):
+    """Whether raw is a valid handshake message: no field beyond its schema's.
+
+    Only the few messages that end like one pay for the full decode.
+    """
+    if not raw.endswith(_HANDSHAKE_TAILS):
         return False
     try:
-        msg = wire.canonical_decode(raw)
+        wire.decode(raw)
     except WireError:
         return False
-    mtype = msg.get("type") if isinstance(msg, dict) else None
-    return isinstance(mtype, str) and mtype in wire.HANDSHAKE_TYPES
+    return True
 
 
 def _marked(keys, members):
@@ -156,7 +157,8 @@ def audit_transcript(
     Counts distinct leaked patterns per message, separately for the hex
     scan, the raw-identifier scan and the raw-secret scan; any nonzero value
     is a privacy failure. Handshake messages (attestation and session setup)
-    carry no application data and are skipped.
+    carry no application data and are skipped, but only when valid: one with
+    a field its schema lacks is audited like any other message.
     """
     # an identifier of any other length fits no 16-byte raw or 32-char hex window
     id_raw = b"".join([i for i in identifiers if len(i) == IDENTIFIER_LEN])

@@ -308,6 +308,63 @@ def test_pending_handshakes_bounded_across_threads(service, monkeypatch):
     assert len(service._pending) == 0
 
 
+def _connected(service, config):
+    client = EnclaveClient(
+        LoopbackTransport(service), config.measurement(), platform_verify_key(PLATFORM_SECRET)
+    )
+    client.connect()
+    return client
+
+
+def test_sessions_bounded_oldest_evicted(service, enclave_config):
+    cap = service_module.MAX_SESSIONS
+    clients = [_connected(service, enclave_config) for _ in range(cap + 50)]
+    assert len(service._sessions) == cap
+    # the 50 oldest were evicted, first in first out
+    for evicted in (clients[0], clients[49]):
+        with pytest.raises(RemoteError) as info:
+            evicted.poll_result(TOKEN)
+        assert info.value.reason == "unknown session"
+    assert clients[50].poll_result(TOKEN) == "unknown"
+    assert clients[-1].poll_result(TOKEN) == "unknown"
+    # an evicted client that connects again is served, and the table stays full
+    clients[0].connect()
+    assert clients[0].poll_result(TOKEN) == "unknown"
+    assert len(service._sessions) == cap
+
+
+def test_sessions_bounded_across_threads(service, enclave_config, monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_SESSIONS", 16)
+    clients = []
+
+    def connect_many():
+        for _ in range(60):
+            clients.append(_connected(service, enclave_config))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=connect_many) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(clients) == 240
+    assert len(service._sessions) == 16
+    # the sessions still open are the clients', and only their clients are served
+    open_ids = set(service._sessions)
+    assert open_ids <= {client._channel.session_id for client in clients}
+    for client in clients:
+        if client._channel.session_id in open_ids:
+            assert client.poll_result(TOKEN) == "unknown"
+        else:
+            with pytest.raises(RemoteError, match="unknown session"):
+                client.poll_result(TOKEN)
+
+
 def test_replayed_envelope_rejected(service):
     channel, _ = manual_handshake(service)
     request = wire.encode(

@@ -270,24 +270,44 @@ def test_audit_flags_hex_identifier():
     assert audit_transcript(transcript, [identifier], []) == 1
 
 
+# every field of each handshake message, with its width in hex characters
+_HANDSHAKE_FIELDS = {
+    "attest_req": {},
+    "attest_resp": {"enclave_session_pub": 64, "measurement": 64, "platform_signature": 128},
+    "session_req": {"client_session_pub": 64, "enclave_session_pub": 64},
+    "session_resp": {"session_id": 32},
+}
+
+
+def _handshake(msg_type: str, value: str) -> dict:
+    """A schema-valid handshake message whose every field starts with the hex value."""
+    fields = _HANDSHAKE_FIELDS[msg_type].items()
+    return {**{name: (value + "0" * width)[:width] for name, width in fields}, "type": msg_type}
+
+
 def test_audit_skips_handshake_messages():
     identifier = derive_identifier(b"\x0a" * 32, 0)
+    msg = _handshake("attest_resp", identifier.hex())
+    message = wire.canonical_encode(msg)
     transcript = wire.Transcript()
-    transcript.append(
-        "e2c",
-        wire.canonical_encode({"type": "attest_resp", "x": identifier.hex()}),
-    )
+    transcript.append("e2c", message)
     assert audit_transcript(transcript, [identifier], []) == 0
+    # an extra field or a non-canonical copy is no valid message, so it is audited
+    extra = wire.canonical_encode({**msg, "x": "00"})
+    spaced = message.replace(b":", b": ", 1)
+    for other in (extra, spaced):
+        assert audit_transcript(_transcript(other), [identifier], []) == 1
 
 
 @pytest.mark.parametrize("msg_type", sorted(wire.HANDSHAKE_TYPES))
 def test_audit_skips_every_handshake_type(msg_type):
     identifier = derive_identifier(b"\x0a" * 32, 0)
-    message = wire.canonical_encode({"type": msg_type, "x": identifier.hex()})
-    assert audit_transcript(_transcript(message), [identifier], []) == 0
-    # the same message under any other type is audited
-    other = message.replace(msg_type.encode(), b"poll_req")
-    assert audit_transcript(_transcript(other), [identifier], []) == 1
+    msg = _handshake(msg_type, identifier.hex())
+    assert audit_transcript(_transcript(wire.canonical_encode(msg)), [identifier], []) == 0
+    # with a field its schema lacks it is audited, as under any other type
+    leaky = {**msg, "leak": identifier.hex()}
+    for other in (leaky, {**leaky, "type": "poll_req"}):
+        assert audit_transcript(_transcript(wire.canonical_encode(other)), [identifier], []) == 1
 
 
 def test_audit_flags_raw_bytes_in_binary_message():
@@ -412,12 +432,11 @@ def _reference_audit(transcript, identifiers, secrets):
     leaks = 0
     for raw in transcript.messages():
         try:
-            msg = wire.canonical_decode(raw)
+            msg = wire.decode(raw)
         except WireError:
             msg = None
-        if isinstance(msg, dict) and isinstance(msg.get("type"), str):
-            if msg["type"] in wire.HANDSHAKE_TYPES:
-                continue
+        if msg is not None and msg["type"] in wire.HANDSHAKE_TYPES:
+            continue
         if len(raw) >= 32:
             windows = {raw[i : i + 32] for i in range(len(raw) - 31)}
             for hit in windows & scan32:
@@ -483,10 +502,16 @@ def _audit_inputs(draw, heads=_HEADS, odd_identifiers=False):
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
         if kind == "hex":
             messages.append(_plant(draw, draw(_HEX_FILLER), draw(hex_plant)).encode())
-        elif kind in ("json", "handshake"):
+        elif kind == "json":
             value = _plant(draw, draw(_HEX_FILLER), draw(hex_plant))
-            msg_type = "poll_req" if kind == "json" else "attest_resp"
-            messages.append(wire.canonical_encode({"type": msg_type, "x": value, "y": [value]}))
+            messages.append(wire.canonical_encode({"type": "poll_req", "x": value, "y": [value]}))
+        elif kind == "handshake":
+            # skipped when valid; a field its schema lacks makes it audited
+            value = _plant(draw, draw(_HEX_FILLER), draw(hex_plant))
+            msg = _handshake(draw(st.sampled_from(sorted(_HANDSHAKE_FIELDS))), value)
+            if draw(st.booleans()):
+                msg["x"] = value
+            messages.append(wire.canonical_encode(msg))
         elif kind == "binary":
             raw = _plant(draw, draw(st.binary(max_size=40)), draw(st.one_of(raw_plant, hex_plant.map(str.encode))))
             messages.append(raw if not raw.isascii() else raw + b"\x80")

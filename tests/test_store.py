@@ -3,28 +3,33 @@
 Covers the file format's integrity (torn tails, dropped, duplicated,
 reordered and spliced records), the refusal of files that hold no
 replayable log, failed writes and compactions, expiry against a
-brute-force count, the cost of one change, and the service's atomic
-requests under concurrent clients.
+brute-force count, matching and reloads against a brute-force scan of the
+state, the cost of one change, and the service's atomic requests under
+concurrent clients.
 """
 
 import os
 import random
 import sys
+import tempfile
 import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cct.attestation import platform_verify_key, seal
-from cct.authority import RESULT_POSITIVE, token_hash
+from cct.authority import RESULT_POSITIVE, HealthAuthorityCredential, token_hash
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactTuple
-from cct.enclave import _HEADER_LEN, _LOG_MAGIC, Enclave, EnclaveConfig, GpsPoint
+from cct.enclave import _HEADER_LEN, _LOG_MAGIC, Enclave, EnclaveConfig, GpsPoint, MatchResult
 from cct.errors import RemoteError, SealError
-from cct.ident import TimeParams
+from cct.ident import TimeParams, derive_identifier
 from cct.service import EnclaveServer, EnclaveService
 from cct.wire import canonical_decode, canonical_encode
 
-from conftest import PLATFORM_SECRET
+from conftest import HA_SEED, PLATFORM_SECRET, ManualClock
 
 # u32 length + nonce + Poly1305 tag around each record's plaintext
 FRAME_OVERHEAD = 4 + 12 + 16
@@ -290,6 +295,110 @@ def test_expire_store_counts_exactly_what_expired(config, path, clock, ha, seed)
         assert enclave.expire_store(current) == expected, k
         assert (path.read_bytes() != before) == (expected > 0), k
         assert reload_state(config, path, clock) == enclave.serialize_state(), k
+
+
+# -- matching and reloads against a brute-force scan of the state ----------------------
+
+# four pairs, one of them the swap of another, at three intervals: uploads
+# repeat pairs across intervals, and later ones raise stored expiries
+_A, _B, _C, _D = (bytes([k]) * 16 for k in (0xA1, 0xB2, 0xC3, 0xD4))
+PAIR_POOL = [(_A, _B), (_B, _A), (_A, _C), (_D, _C)]
+INTERVAL_POOL = [
+    ContactTuple(interval=i, sent=s, received=r) for s, r in PAIR_POOL for i in range(3)
+]
+DIFF_RETENTION = 3
+
+
+def _poll_pool() -> list[ContactTuple]:
+    """Every pooled tuple and its swap at each interval, and one tuple per derived id."""
+    tuples = [
+        ContactTuple(interval=i, sent=s, received=r)
+        for a, b in PAIR_POOL
+        for s, r in ((a, b), (b, a))
+        for i in range(4)
+    ]
+    derived = [derive_identifier(secret, i) for secret in SECRET_POOL for i in range(8)]
+    return tuples + [ContactTuple(interval=3, sent=_D, received=r) for r in derived]
+
+
+POLL_POOL = _poll_pool()
+
+
+def brute_force_match(state: bytes, poll, strict: bool, current: int) -> MatchResult:
+    """match_poll's answer, from a scan of every live entry of the state."""
+    value = canonical_decode(state)
+    tuples = [e for e in value["tuples"] if e["expiry"] >= current]
+    ids = {e["id"] for e in value["derived_ids"] if e["expiry"] >= current}
+    hits = []
+    for t in poll:
+        sent, received = t.sent.hex(), t.received.hex()
+        stored = any(
+            (e["sent"], e["received"]) == (received, sent)
+            and (not strict or e["interval"] == t.interval)
+            for e in tuples
+        )
+        if stored or received in ids:
+            hits.append(t.interval)
+    return MatchResult.from_intervals(hits)
+
+
+_clock_intervals = st.integers(0, 9)  # drawn afresh each step, so time also moves back
+_store_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("tuples"),
+            _clock_intervals,
+            st.lists(st.sampled_from(INTERVAL_POOL), min_size=1, max_size=6, unique=True),
+        ),
+        st.tuples(
+            st.just("secret"),
+            _clock_intervals,
+            st.sampled_from(SECRET_POOL),
+            st.integers(0, 4),
+            st.integers(0, DIFF_RETENTION),
+        ),
+        st.tuples(st.just("sweep"), _clock_intervals, st.integers(0, 15)),
+    ),
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["pairs", "strict"])
+@settings(deadline=None)
+@given(steps=_store_steps)
+def test_store_differential(strict, steps):
+    ha = HealthAuthorityCredential.from_seed(HA_SEED)
+    config = EnclaveConfig(
+        ha_verify_key=ha.verify_key,
+        time=TimeParams(t0=0),
+        retention=DIFF_RETENTION,
+        strict_interval_match=strict,
+    )
+    clock = ManualClock()
+    enclave = Enclave(config, PLATFORM_SECRET, clock=clock)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "state.sealed"
+        for k, (kind, interval, *args) in enumerate(steps):
+            clock.set_interval(interval)
+            if kind == "sweep":
+                enclave.expire_store(args[0])
+            else:
+                register(enclave, ha, token(k), interval)
+                if kind == "tuples":
+                    enclave.upload_contact_log(token(k), args[0])
+                else:
+                    secret, first, length = args
+                    enclave.upload_secret(token(k), secret, first, first + length)
+
+            state = enclave.serialize_state()
+            assert enclave.match_poll(POLL_POOL) == brute_force_match(
+                state, POLL_POOL, strict, interval
+            ), k
+            value = canonical_decode(state)
+            entries = value["tuples"] + value["derived_ids"] + value["gps_traces"]
+            assert enclave._expiries == Counter(e["expiry"] for e in entries), k
+            path.write_bytes(enclave.sealed_bytes())
+            assert reload_state(config, path, clock) == state, k
 
 
 # -- files that are not a replayable log ----------------------------------------------
