@@ -127,7 +127,16 @@ class EnclaveClient:
         if self._channel is None:
             self.connect()
         assert self._channel is not None
-        outer = self._exchange_plain(self._channel.encrypt(wire.encode(msg)), "envelope")
+        try:
+            outer = self._exchange_plain(self._channel.encrypt(wire.encode(msg)), "envelope")
+        except RemoteError as exc:
+            if exc.reason != "unknown session":
+                raise
+            # the backend dropped the session (it keeps a bounded table) and
+            # refused the envelope before decrypting it, so nothing was
+            # applied: open a new session and send once more
+            self.connect()
+            outer = self._exchange_plain(self._channel.encrypt(wire.encode(msg)), "envelope")
         return self._reply(self._channel.decrypt(outer), reply_type)
 
     # -- application calls -----------------------------------------------------

@@ -309,8 +309,8 @@ class Enclave:
         # (sent, received, interval) per tuple, the identifier per derived id
         self._tuples: dict[tuple[bytes, bytes, int], int] = {}
         self._derived: dict[bytes, int] = {}
-        # (sent, received) -> the latest expiry of its tuples: the match key
-        # outside strict mode; an index of _tuples, neither sealed nor counted
+        # (sent, received) -> the latest expiry of its tuples, the match key outside
+        # strict mode (empty in it); an index of _tuples, neither sealed nor counted
         self._pairs: dict[tuple[bytes, bytes], int] = {}
         self._gps: list[tuple[int, tuple[GpsPoint, ...]]] = []
         # expiry -> number of stored tuples, derived ids and GPS traces that carry it
@@ -536,10 +536,7 @@ class Enclave:
             )
         ]
         derived_entries = [
-            _derived_value(identifier, expiry)
-            for identifier, expiry in sorted(
-                self._derived.items(), key=lambda kv: kv[0]
-            )
+            _derived_value(identifier, expiry) for identifier, expiry in sorted(self._derived.items())
         ]
         record_entries = [
             r.to_value()
@@ -568,12 +565,14 @@ class Enclave:
         """
         for entry in value["records"]:
             self._insert_record(InfectionRecord.from_value(entry))
+        strict = self.config.strict_interval_match
         for entry in value["tuples"]:
             # every sealed tuple passed ContactTuple's checks at upload
             pair = (bytes.fromhex(entry["sent"]), bytes.fromhex(entry["received"]))
             expiry = entry["expiry"]
             self._insert_expiring(self._tuples, (*pair, entry["interval"]), expiry)
-            self._pairs[pair] = max(self._pairs.get(pair, expiry), expiry)
+            if not strict:
+                self._pairs[pair] = max(self._pairs.get(pair, expiry), expiry)
         for entry in value["derived_ids"]:
             self._insert_expiring(self._derived, bytes.fromhex(entry["id"]), entry["expiry"])
         for entry in value["gps_traces"]:

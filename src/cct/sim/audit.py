@@ -46,8 +46,6 @@ from cct.ident import IDENTIFIER_LEN
 
 # odd multiplier of the multiply-shift prefix hash (2^64 / golden ratio)
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15
-# the last member of every canonical handshake message, as "type" sorts last
-_HANDSHAKE_TAILS = tuple(b'"type":%s}' % wire.canonical_encode(t) for t in wire.HANDSHAKE_TYPES)
 
 
 def state_digest(enclave: Enclave) -> bytes:
@@ -60,7 +58,7 @@ def _is_handshake(raw: bytes) -> bool:
 
     Only the few messages that end like one pay for the full decode.
     """
-    if not raw.endswith(_HANDSHAKE_TAILS):
+    if not raw.endswith(wire.HANDSHAKE_TAILS):
         return False
     try:
         wire.decode(raw)

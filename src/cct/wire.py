@@ -338,6 +338,8 @@ def validate_message(msg: dict) -> None:
 
 # the last member of every canonical message, as "type" sorts after every field
 _TYPE_BY_TAIL = {b'"type":%s}' % canonical_encode(t): t for t in MESSAGE_SCHEMAS}
+# the tails of the handshake messages, for bytes.endswith
+HANDSHAKE_TAILS = tuple(tail for tail, t in _TYPE_BY_TAIL.items() if t in HANDSHAKE_TYPES)
 # the only field types the compiled encode path takes: a tuple renders as an
 # array, and a subclass may compare unlike its value, so either could match a
 # grammar and still fail validate_message

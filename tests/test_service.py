@@ -316,21 +316,57 @@ def _connected(service, config):
     return client
 
 
-def test_sessions_bounded_oldest_evicted(service, enclave_config):
+def _result_req(channel) -> bytes:
+    return wire.encode(channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()})))
+
+
+def test_sessions_bounded_oldest_evicted(service):
     cap = service_module.MAX_SESSIONS
-    clients = [_connected(service, enclave_config) for _ in range(cap + 50)]
+    channels = [manual_handshake(service)[0] for _ in range(cap + 50)]
     assert len(service._sessions) == cap
     # the 50 oldest were evicted, first in first out
-    for evicted in (clients[0], clients[49]):
-        with pytest.raises(RemoteError) as info:
-            evicted.poll_result(TOKEN)
-        assert info.value.reason == "unknown session"
-    assert clients[50].poll_result(TOKEN) == "unknown"
-    assert clients[-1].poll_result(TOKEN) == "unknown"
-    # an evicted client that connects again is served, and the table stays full
-    clients[0].connect()
-    assert clients[0].poll_result(TOKEN) == "unknown"
+    for evicted in (channels[0], channels[49]):
+        msg = wire.decode(service.handle(_result_req(evicted)))
+        assert msg == {"type": "error", "reason": "unknown session"}
+    for kept in (channels[50], channels[-1]):
+        assert wire.decode(service.handle(_result_req(kept)))["type"] == "envelope"
     assert len(service._sessions) == cap
+
+
+def test_client_reconnects_after_session_eviction(service, enclave_config, monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_SESSIONS", 2)
+    first = _connected(service, enclave_config)
+    old_id = first._channel.session_id
+    others = [_connected(service, enclave_config) for _ in range(2)]
+    assert old_id not in service._sessions
+    # the refused envelope is sent again over a new session
+    assert first.poll_result(TOKEN) == "unknown"
+    assert first._channel.session_id != old_id
+    assert first._channel.session_id in service._sessions
+    # which evicted the oldest of the others; it recovers the same way
+    assert others[0].poll_result(TOKEN) == "unknown"
+    assert len(service._sessions) == 2
+
+
+def test_client_resends_only_once(service, enclave_config):
+    class Refusing:
+        """Serves the handshake, answers every envelope `unknown session`."""
+
+        envelopes = 0
+
+        def request(self, raw):
+            if wire.decode(raw)["type"] != "envelope":
+                return service.handle(raw)
+            self.envelopes += 1
+            return wire.encode({"type": "error", "reason": "unknown session"})
+
+    transport = Refusing()
+    client = EnclaveClient(
+        transport, enclave_config.measurement(), platform_verify_key(PLATFORM_SECRET)
+    )
+    with pytest.raises(RemoteError, match="unknown session"):
+        client.poll_result(TOKEN)
+    assert transport.envelopes == 2
 
 
 def test_sessions_bounded_across_threads(service, enclave_config, monkeypatch):
@@ -358,11 +394,11 @@ def test_sessions_bounded_across_threads(service, enclave_config, monkeypatch):
     open_ids = set(service._sessions)
     assert open_ids <= {client._channel.session_id for client in clients}
     for client in clients:
+        msg = wire.decode(service.handle(_result_req(client._channel)))
         if client._channel.session_id in open_ids:
-            assert client.poll_result(TOKEN) == "unknown"
+            assert msg["type"] == "envelope"
         else:
-            with pytest.raises(RemoteError, match="unknown session"):
-                client.poll_result(TOKEN)
+            assert msg == {"type": "error", "reason": "unknown session"}
 
 
 def test_replayed_envelope_rejected(service):

@@ -614,6 +614,16 @@ def test_fig1_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("mode", ["tuple", "secret"])
+def test_run_survives_session_eviction(mode, monkeypatch):
+    from cct import service
+
+    expected = run_scenario(fig1_scenario(mode=mode)).to_json_bytes()
+    # fewer open sessions than clients: evicted clients connect again
+    monkeypatch.setattr(service, "MAX_SESSIONS", 2)
+    assert run_scenario(fig1_scenario(mode=mode)).to_json_bytes() == expected
+
+
 def test_no_infection_notifies_nobody():
     config = dataclasses.replace(fig1_scenario(), infected=())
     report = run_scenario(config)

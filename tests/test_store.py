@@ -397,6 +397,8 @@ def test_store_differential(strict, steps):
             value = canonical_decode(state)
             entries = value["tuples"] + value["derived_ids"] + value["gps_traces"]
             assert enclave._expiries == Counter(e["expiry"] for e in entries), k
+            # strict matching never reads the pair index, so it stays empty
+            assert not (strict and enclave._pairs), k
             path.write_bytes(enclave.sealed_bytes())
             assert reload_state(config, path, clock) == state, k
 
