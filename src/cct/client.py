@@ -10,6 +10,7 @@ expected measurement never receives a single application byte.
 from __future__ import annotations
 
 import socket
+from typing import Sequence
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
@@ -22,7 +23,6 @@ from cct.attestation import (
     verify_quote,
 )
 from cct.authority import SignedReport
-from cct.contact_log import ContactTuple
 from cct.enclave import (
     DEFAULT_GPS_D_MAX,
     DEFAULT_GPS_TAU,
@@ -123,12 +123,14 @@ class EnclaveClient:
             raise ProtocolError("session id mismatch")
         self._channel = channel
 
-    def _request(self, msg: dict, reply_type: str) -> dict:
+    def _request(self, msg: dict | bytes, reply_type: str) -> dict:
+        """Send one application message, or its encoded bytes, in an envelope."""
         if self._channel is None:
             self.connect()
         assert self._channel is not None
+        raw = msg if type(msg) is bytes else wire.encode(msg)
         try:
-            outer = self._exchange_plain(self._channel.encrypt(wire.encode(msg)), "envelope")
+            outer = self._exchange_plain(self._channel.encrypt(raw), "envelope")
         except RemoteError as exc:
             if exc.reason != "unknown session":
                 raise
@@ -136,7 +138,7 @@ class EnclaveClient:
             # refused the envelope before decrypting it, so nothing was
             # applied: open a new session and send once more
             self.connect()
-            outer = self._exchange_plain(self._channel.encrypt(wire.encode(msg)), "envelope")
+            outer = self._exchange_plain(self._channel.encrypt(raw), "envelope")
         return self._reply(self._channel.decrypt(outer), reply_type)
 
     # -- application calls -----------------------------------------------------
@@ -148,15 +150,8 @@ class EnclaveClient:
         resp = self._request({"type": "result_req", "token": token.hex()}, "result_resp")
         return resp["result"]
 
-    def upload_tuples(self, token: bytes, tuples: list[ContactTuple]) -> None:
-        self._request(
-            {
-                "type": "upload_req",
-                "token": token.hex(),
-                "tuples": [t.to_wire() for t in tuples],
-            },
-            "ack",
-        )
+    def upload_tuples(self, token: bytes, tuples: Sequence[tuple[int, bytes, bytes]]) -> None:
+        self._request(wire.encode_tuples(tuples, token), "ack")
 
     def upload_secret(self, token: bytes, secret: bytes, first: int, last: int) -> None:
         self._request(
@@ -170,11 +165,8 @@ class EnclaveClient:
             "ack",
         )
 
-    def poll(self, tuples: list[ContactTuple]) -> MatchResult:
-        resp = self._request(
-            {"type": "poll_req", "tuples": [t.to_wire() for t in tuples]}, "poll_resp"
-        )
-        return MatchResult.from_wire(resp)
+    def poll(self, tuples: Sequence[tuple[int, bytes, bytes]]) -> MatchResult:
+        return MatchResult.from_wire(self._request(wire.encode_tuples(tuples), "poll_resp"))
 
     def upload_gps(self, token: bytes, trace: list[GpsPoint]) -> None:
         self._request(

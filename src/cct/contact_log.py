@@ -9,9 +9,8 @@ the infected upload and the regular match polls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from cct import wire
 from cct.ident import IDENTIFIER_LEN
@@ -19,25 +18,35 @@ from cct.ident import IDENTIFIER_LEN
 DEFAULT_RETENTION = 1344  # 14 days of 900-second intervals
 
 
-@dataclass(frozen=True, order=True)
-class ContactTuple:
-    """One recorded identifier exchange: (sent, received, interval).
-
-    Field order gives the canonical sort: interval, then sent bytes, then
-    received bytes.
-    """
-
+class _ContactFields(NamedTuple):
     interval: int
     sent: bytes
     received: bytes
 
-    def __post_init__(self):
-        if len(self.sent) != IDENTIFIER_LEN or len(self.received) != IDENTIFIER_LEN:
+
+class ContactTuple(_ContactFields):
+    """One recorded identifier exchange: (interval, sent, received).
+
+    A plain tuple that is checked when it is built, so it sorts, hashes and
+    unpacks like one and equals the tuple of its fields. Field order gives
+    the canonical sort: interval, then sent bytes, then received bytes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, interval: int, sent: bytes, received: bytes) -> "ContactTuple":
+        if len(sent) != IDENTIFIER_LEN or len(received) != IDENTIFIER_LEN:
             raise ValueError(f"identifiers must be {IDENTIFIER_LEN} bytes")
-        if self.sent == self.received:
+        if sent == received:
             raise ValueError("self-contact")
-        if self.interval < 0:
+        if interval < 0:
             raise ValueError("interval must be non-negative")
+        return tuple.__new__(cls, (interval, sent, received))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ContactTuple":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
     def to_wire(self) -> dict:
         return {

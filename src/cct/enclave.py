@@ -41,7 +41,7 @@ from cct.authority import (
     token_hash,
     verify_report,
 )
-from cct.contact_log import DEFAULT_RETENTION, ContactTuple
+from cct.contact_log import DEFAULT_RETENTION
 from cct.errors import AuthorizationError, ProtocolError, SealError
 from cct.ident import TimeParams, derive_identifier_range, interval_index
 from cct.wire import canonical_decode, canonical_encode, read_key, read_object
@@ -371,12 +371,15 @@ class Enclave:
         inserted = entries(current + self.config.retention)
         self._commit(_delta(records=[spent.to_value()], sweep=current, **inserted))
 
-    def upload_contact_log(self, token: bytes, tuples: Sequence[ContactTuple]) -> None:
-        """Single-use upload of a positive user's contact log."""
+    def upload_contact_log(self, token: bytes, tuples: Sequence[tuple[int, bytes, bytes]]) -> None:
+        """Single-use upload of a positive user's (interval, sent, received) tuples."""
 
         def entries(expiry: int) -> dict:
             return {
-                "tuples": [_tuple_value(t.sent, t.received, t.interval, expiry) for t in tuples]
+                "tuples": [
+                    _tuple_value(sent, received, interval, expiry)
+                    for interval, sent, received in tuples
+                ]
             }
 
         self._upload(token, entries)
@@ -433,37 +436,34 @@ class Enclave:
 
     # -- matching -------------------------------------------------------------
 
-    def match_poll(self, tuples: Sequence[ContactTuple]) -> MatchResult:
-        """Match poll tuples against the infected store.
+    def match_poll(self, tuples: Sequence[tuple[int, bytes, bytes]]) -> MatchResult:
+        """Match poll (interval, sent, received) tuples against the infected store.
 
-        A poll tuple (s, r, i) matches when the swapped pair (r, s) is stored
+        A poll tuple (i, s, r) matches when the swapped pair (r, s) is stored
         (in strict mode: stored for the same interval i), or when r is a
         derived identifier. Expired entries never match even if a sweep has
         not physically removed them yet. Nothing about the poll is retained.
         """
         strict = self.config.strict_interval_match
         current = self.current_interval()
+        stored, pairs, derived = self._tuples, self._pairs, self._derived
         hits: list[int] = []
-        for t in tuples:
-            if self._tuple_matches(t, strict, current):
-                hits.append(t.interval)
+        for interval, sent, received in tuples:
+            if strict:
+                expiry = stored.get((received, sent, interval))
+            else:
+                expiry = pairs.get((received, sent))
+            if expiry is None or expiry < current:
+                expiry = derived.get(received)
+            if expiry is not None and expiry >= current:
+                hits.append(interval)
         result = MatchResult.from_intervals(hits)
         if self.log_polls:
             # negative-control misbehaviour: persist what should be transient
             expiry = current + self.config.retention
-            entries = [_tuple_value(t.sent, t.received, t.interval, expiry) for t in tuples]
+            entries = [_tuple_value(s, r, i, expiry) for i, s, r in tuples]
             self._commit(_delta(tuples=entries))
         return result
-
-    def _tuple_matches(self, t: ContactTuple, strict: bool, current: int) -> bool:
-        if strict:
-            expiry = self._tuples.get((t.received, t.sent, t.interval))
-        else:
-            expiry = self._pairs.get((t.received, t.sent))
-        if expiry is not None and expiry >= current:
-            return True
-        expiry = self._derived.get(t.received)
-        return expiry is not None and expiry >= current
 
     def match_gps(
         self,
@@ -528,7 +528,7 @@ class Enclave:
     # -- state serialization ----------------------------------------------------------
 
     def _state_value(self) -> dict:
-        # the canonical order of ContactTuple: interval, then sent, then received
+        # the canonical tuple order: interval, then sent, then received
         tuple_entries = [
             _tuple_value(sent, received, interval, expiry)
             for (sent, received, interval), expiry in sorted(
@@ -567,7 +567,7 @@ class Enclave:
             self._insert_record(InfectionRecord.from_value(entry))
         strict = self.config.strict_interval_match
         for entry in value["tuples"]:
-            # every sealed tuple passed ContactTuple's checks at upload
+            # every sealed tuple passed the wire's and the service's checks at upload
             pair = (bytes.fromhex(entry["sent"]), bytes.fromhex(entry["received"]))
             expiry = entry["expiry"]
             self._insert_expiring(self._tuples, (*pair, entry["interval"]), expiry)

@@ -3,7 +3,8 @@
 Everything that a well-formed but unacceptable request can trigger derives
 from ProtocolError; the service layer maps those onto wire error responses.
 Programming errors (wrong types, internal bugs) stay plain exceptions and
-are never masked.
+are never masked as a rejection: the service answers them with the fixed
+reason `internal error`, which says nothing about the request.
 """
 
 

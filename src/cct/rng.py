@@ -13,6 +13,8 @@ generators", 2008). numpy is imported only when it runs, so importing
 `cct` does not pay for it.
 """
 
+import functools
+
 # names the kernel implementation in benchmark run records
 BACKEND = "numpy"
 
@@ -116,13 +118,15 @@ def _gf2_matmul(a, b):
     return ((a @ b).astype(np.int32) & 1).astype(np.float32)
 
 
-def _lane_states(seed: int, stride: int):
-    """(4, LANES) state whose lane j sits at stream position j * stride.
+@functools.lru_cache(maxsize=8)
+def _lane_jumps(stride: int) -> tuple:
+    """The bit matrices T^(stride * 2^k) for each doubling round of `_lane_states`.
 
     xoshiro256**'s state update T is linear over GF(2). Stepping the 256
     unit states once gives T as a 256x256 bit matrix acting on row vectors;
-    repeated squaring gives T^stride. Each doubling round then moves every
-    lane held so far on by as many lanes as there are.
+    repeated squaring gives T^stride, and squaring that gives each next
+    round's jump. They depend on the scenario's shape alone, not on the
+    seed, so they are kept for the strides seen last.
     """
     import numpy as np
 
@@ -135,10 +139,25 @@ def _lane_states(seed: int, stride: int):
             jump = _gf2_matmul(jump, power)
         power = _gf2_matmul(power, power)
         stride >>= 1
+    jumps = [jump]
+    while 2 ** len(jumps) < LANES:
+        jumps.append(_gf2_matmul(jumps[-1], jumps[-1]))
+    for jump in jumps:
+        jump.setflags(write=False)  # shared by every later call
+    return tuple(jumps)
+
+
+def _lane_states(seed: int, stride: int):
+    """(4, LANES) state whose lane j sits at stream position j * stride.
+
+    Each doubling round moves every lane held so far on by as many lanes as
+    there are.
+    """
+    import numpy as np
+
     lanes = _to_bits(np.array([_seed_state(seed)], dtype=np.uint64).T)
-    while len(lanes) < LANES:
+    for jump in _lane_jumps(stride):
         lanes = np.concatenate([lanes, _gf2_matmul(lanes, jump)])
-        jump = _gf2_matmul(jump, jump)
     return _from_bits(lanes)
 
 

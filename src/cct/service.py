@@ -24,7 +24,6 @@ from cct.attestation import (
     generate_quote,
     platform_signing_key,
 )
-from cct.contact_log import ContactTuple
 from cct.enclave import Enclave, GpsPoint, gps_events_to_wire
 from cct.errors import ProtocolError, WireError
 from cct.authority import SignedReport
@@ -35,12 +34,34 @@ def _error(reason: str) -> dict:
     return {"type": "error", "reason": reason}
 
 
+def _internal_error(exc: Exception) -> dict:
+    """The reply to a failure no rejection foresees.
+
+    Neither the reply nor the log carries the exception's text, which may
+    hold request data: the log gets its type and the frames it came through.
+    """
+    # imported here, as they would add about 10 ms to importing cct
+    import logging
+    import traceback
+
+    frames = "".join(traceback.format_tb(exc.__traceback__))
+    logging.getLogger(__name__).error("internal error: %s\n%s", type(exc).__name__, frames)
+    return _error("internal error")
+
+
 def _token(msg: dict) -> bytes:
     return bytes.fromhex(msg["token"])
 
 
-def _tuples(msg: dict) -> list[ContactTuple]:
-    return [ContactTuple.from_wire(e) for e in msg["tuples"]]
+def _tuples(msg: dict) -> list[tuple[int, bytes, bytes]]:
+    """The (interval, sent, received) tuples; the wire checked each field's form."""
+    tuples = []
+    for e in msg["tuples"]:
+        sent, received = e["sent"], e["received"]
+        if sent == received:  # canonical hex: equal strings, equal identifiers
+            raise ValueError("self-contact")
+        tuples.append((e["interval"], bytes.fromhex(sent), bytes.fromhex(received)))
+    return tuples
 
 
 def _trace(msg: dict) -> list[GpsPoint]:
@@ -93,7 +114,9 @@ class EnclaveService:
         """One request in, one response out; all failures become error messages.
 
         Failures outside an established session are answered in plaintext;
-        inside one, _handle_envelope answers them enveloped.
+        inside one, _handle_envelope answers them enveloped. A rejection
+        gives its reason; any other exception gives `internal error`, and the
+        connection and the session stay up.
         """
         try:
             msg = wire.decode(raw)
@@ -109,6 +132,8 @@ class EnclaveService:
             raise ProtocolError("unexpected message type")
         except (ProtocolError, ValueError) as exc:
             return wire.encode(_error(str(exc)))
+        except Exception as exc:
+            return wire.encode(_internal_error(exc))
 
     # -- handshake -------------------------------------------------------------
 
@@ -147,6 +172,8 @@ class EnclaveService:
             response = self._dispatch(wire.decode(channel.decrypt(msg)))
         except (ProtocolError, ValueError) as exc:
             response = _error(str(exc))
+        except Exception as exc:
+            response = _internal_error(exc)
         reply = self._enveloped(channel, response)
         if len(reply) > wire.MAX_FRAME:
             # no frame could carry it; the session must outlive the refusal

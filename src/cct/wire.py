@@ -14,11 +14,13 @@ trailing `"type":"…"}` picks the grammar. A fullmatch proves the bytes
 canonical and the value valid: decode() then only needs json.loads, and
 encode() checks canonical_encode's output with the same fullmatch. The
 envelope needs no json at all: it is built as one bytes join and read with
-one small regex plus a hex check of the ciphertext. Anything the compiled
-path does not match (the GPS messages, `error`, a 20-digit uint, any
-malformed input) takes the generic path: decode() parses, re-encodes and
-rejects any input whose bytes differ, then validates; encode() validates,
-then encodes. Both paths accept the same values and give the same errors.
+one small regex plus a hex check of the ciphertext; encode_tuples() writes
+the poll and upload requests the same way, straight from the tuples.
+Anything the compiled path does not match (the GPS messages, `error`, a
+20-digit uint, any malformed input) takes the generic path: decode()
+parses, re-encodes and rejects any input whose bytes differ, then
+validates; encode() validates, then encodes. Both paths accept the same
+values and give the same errors.
 
 Transport framing is a 4-byte big-endian length prefix followed by the
 message body; it works identically over TCP sockets and in-process channels.
@@ -31,7 +33,8 @@ import json
 import math
 import re
 import struct
-from typing import Any, Callable, Iterable, Iterator
+from binascii import hexlify
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from cct.errors import WireError
 
@@ -435,6 +438,52 @@ def encode(msg: dict) -> bytes:
             return raw
     validate_message(msg)
     return canonical_encode(msg)
+
+
+_TUPLE_ENTRY = b'{"interval":%d,"received":"%s","sent":"%s"}'
+
+
+def encode_tuples(tuples: Sequence[tuple[int, bytes, bytes]], token: bytes | None = None) -> bytes:
+    """The canonical poll_req, or upload_req with `token`, of (interval, sent, received) tuples.
+
+    The same bytes as encode() of the message whose tuples are {"interval",
+    "received", "sent"} objects with hex identifiers, built without dicts or
+    json. Anything that is not plainly valid is handed to encode() in that
+    form, which gives its result or raises its WireError; an identifier or
+    token that is not bytes raises WireError.
+    """
+    entries = []
+    for interval, sent, received in tuples:
+        if not (
+            type(interval) is int
+            and 0 <= interval <= _MAX_UINT
+            and type(sent) is bytes
+            and len(sent) == 16
+            and type(received) is bytes
+            and len(received) == 16
+        ):
+            return encode(_tuple_message(tuples, token))
+        entries.append(_TUPLE_ENTRY % (interval, hexlify(received), hexlify(sent)))
+    body = b",".join(entries)
+    if token is None:
+        return b'{"tuples":[%s],"type":"poll_req"}' % body
+    if type(token) is not bytes or len(token) != 32:
+        return encode(_tuple_message(tuples, token))
+    return b'{"token":"%s","tuples":[%s],"type":"upload_req"}' % (hexlify(token), body)
+
+
+def _tuple_message(tuples: Sequence[tuple[int, bytes, bytes]], token: Any) -> dict:
+    """encode_tuples' message as a dict, for encode() to check."""
+
+    def field(v: Any) -> str:
+        if not isinstance(v, (bytes, bytearray)):
+            raise WireError(f"expected bytes, got {type(v).__name__}")
+        return v.hex()
+
+    entries = [{"interval": i, "received": field(r), "sent": field(s)} for i, s, r in tuples]
+    if token is None:
+        return {"type": "poll_req", "tuples": entries}
+    return {"type": "upload_req", "token": field(token), "tuples": entries}
 
 
 def decode(raw: bytes) -> dict:

@@ -21,6 +21,21 @@ def test_tuple_validation():
         ContactTuple(interval=0, sent=b"short", received=B)
 
 
+def test_tuple_is_a_checked_plain_tuple():
+    t = ContactTuple(interval=3, sent=A, received=B)
+    assert t == (3, A, B) and hash(t) == hash((3, A, B))
+    assert (t.interval, t.sent, t.received) == tuple(t) == (3, A, B)
+    assert ContactTuple(4, A, B) > t > (2, B, A)
+    assert t._replace(interval=4) == (4, A, B)
+    for bad in ((0, A, A), (-1, A, B), (0, b"short", B)):
+        with pytest.raises(ValueError):
+            ContactTuple(*bad)
+        with pytest.raises(ValueError):  # _make and _replace check too
+            ContactTuple._make(bad)
+    with pytest.raises(ValueError, match="self-contact"):
+        t._replace(received=A)
+
+
 def test_record_walkthrough():
     """A's view: meets B then C in interval 0."""
     log = ContactLog()

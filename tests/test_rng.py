@@ -211,6 +211,23 @@ def test_lanes_match_scalar_stream_property(seed, n_intervals, n_pairs, threshol
     _assert_plain_ints(events)
 
 
+@pytest.mark.parametrize("stride", [1, 5, 1237])
+def test_cached_lane_states_equal_a_fresh_computation(stride):
+    import numpy as np
+
+    rng._lane_jumps.cache_clear()
+    rng._lane_states(3, stride)  # another seed fills the cache
+    cached = rng._lane_states(19, stride)
+    assert rng._lane_jumps.cache_info().hits == 1
+    rng._lane_jumps.cache_clear()
+    fresh = rng._lane_states(19, stride)
+    assert np.array_equal(cached, fresh)
+    # lane j starts at stream position j * stride
+    draw = np.empty(rng.LANES, np.uint64)
+    rng._step_lanes(fresh, draw, np.empty(rng.LANES, np.uint64))
+    assert draw[:3].tolist() == rng.xoshiro_stream(19, 2 * stride + 1)[::stride]
+
+
 def test_scale_size_output_pinned():
     # recorded from the one-draw-at-a-time kernel this lane kernel replaced
     events = rng.poisson_pair_events(11, 500, 4950, pair_threshold(0.05, 100))

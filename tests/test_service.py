@@ -14,7 +14,7 @@ from cct.attestation import (
 from cct.authority import RESULT_POSITIVE, token_hash
 from cct.client import EnclaveClient, LoopbackTransport, RecordingTransport, TcpTransport
 from cct.contact_log import ContactTuple
-from cct.enclave import GpsPoint
+from cct.enclave import Enclave, GpsPoint
 from cct.errors import AttestationError, RemoteError
 from cct.ident import derive_identifier
 from cct.service import EnclaveService, EnclaveServer
@@ -521,6 +521,62 @@ def test_oversized_reply_refused_and_session_survives(
     finally:
         if over_tcp:
             transport.close()
+
+
+def test_self_contact_refused_and_upload_token_unspent(client, ha, clock):
+    clock.set_interval(0)
+    client.register_report(ha.sign_report(token_hash(TOKEN), RESULT_POSITIVE, 0))
+    a, c = derive_identifier(SECRET_A, 0), derive_identifier(SECRET_C, 0)
+    # plain tuples reach the wire unchecked; ContactTuple would refuse (0, a, a)
+    with_self_contact = [(0, c, a), (0, a, a)]
+    with pytest.raises(RemoteError, match="^self-contact$"):
+        client.poll(with_self_contact)
+    with pytest.raises(RemoteError, match="^self-contact$"):
+        client.upload_tuples(TOKEN, with_self_contact)
+    client.upload_tuples(TOKEN, [(0, c, a)])
+    assert client.poll([(0, a, c)]).matched_intervals == (0,)
+
+
+@pytest.mark.parametrize("over_tcp", [False, True], ids=["loopback", "tcp"])
+def test_internal_failure_answered_and_session_survives(
+    request, service, enclave_config, monkeypatch, caplog, over_tcp
+):
+    if over_tcp:
+        transport = TcpTransport("127.0.0.1", request.getfixturevalue("tcp_port"))
+    else:
+        transport = LoopbackTransport(service)
+    try:
+        client = EnclaveClient(
+            transport, enclave_config.measurement(), platform_verify_key(PLATFORM_SECRET)
+        )
+        poll = [(0, derive_identifier(SECRET_A, 0), derive_identifier(SECRET_C, 0))]
+        assert not client.poll(poll).matched
+        session = client._channel
+
+        def fail(_enclave, tuples):
+            raise RuntimeError(repr(tuples))
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Enclave, "match_poll", fail)
+            with pytest.raises(RemoteError, match="^internal error$"):
+                client.poll(poll)
+        assert not client.poll(poll).matched
+        assert client._channel is session
+        # the log names the failure's type and place, not its text
+        assert "RuntimeError" in caplog.text and "in fail" in caplog.text
+        assert repr(poll[0][1]) not in caplog.text
+    finally:
+        if over_tcp:
+            transport.close()
+
+
+def test_internal_failure_in_the_handshake_answered_in_plaintext(service, monkeypatch):
+    def fail(*_args):
+        raise RuntimeError("a failure inside the handshake")
+
+    monkeypatch.setattr(EnclaveService, "_attest", fail)
+    raw = service.handle(wire.encode({"type": "attest_req"}))
+    assert wire.decode(raw) == {"type": "error", "reason": "internal error"}
 
 
 def test_every_request_type_has_one_handler():

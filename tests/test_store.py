@@ -522,6 +522,31 @@ def test_log_stays_within_twice_its_compacted_size(config, path, clock, ha):
 
 # -- concurrent requests --------------------------------------------------------------
 
+def _upload_of(i: int):
+    """Token i's upload: a GPS trace for every fifth token, else contact tuples.
+
+    Each upload is found by one poll entry of its own, which reports it
+    under a value no other upload has: interval i, or the trace time.
+    """
+    if i % 5 == 0:
+        return "gps", [GpsPoint(lat=0.0, lon=0.0, t=3600.0 * i)]
+    sent, received = bytes([i, 1]) * 8, bytes([i, 2]) * 8
+    return "tuples", [ContactTuple(i, sent, received)] + random_tuples(random.Random(i), 9, i)
+
+
+def _polls() -> tuple[list, list]:
+    """A contact poll and a GPS poll that find every upload of the concurrency test."""
+    contact, trace = [], []
+    for i in range(40):
+        kind, entries = _upload_of(i)
+        if kind == "gps":
+            trace.extend(entries)
+        else:
+            first = entries[0]
+            contact.append((first.interval, first.received, first.sent))
+    return contact, trace
+
+
 def test_concurrent_uploads_over_tcp_spend_each_token_once(config, path, clock, ha):
     enclave = open_store(config, path, clock)
     clock.set_interval(0)
@@ -532,21 +557,37 @@ def test_concurrent_uploads_over_tcp_spend_each_token_once(config, path, clock, 
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     replies: list[str] = []
+    # the uploads each poll found, beside those acknowledged before it was
+    # sent and those sent before its reply came
+    sent: set[int] = set()
+    acked: set[int] = set()
+    polls: list[tuple[str, set[int], set[int], set[int]]] = []
     lock = threading.Lock()
+    writing = threading.Event()
+    writing.set()
+
+    def connect() -> tuple[TcpTransport, EnclaveClient]:
+        transport = TcpTransport("127.0.0.1", server.server_address[1])
+        client = EnclaveClient(
+            transport, config.measurement(), platform_verify_key(PLATFORM_SECRET)
+        )
+        return transport, client
 
     def attempts(worker: int) -> None:
         # worker w tries the tokens i with i % 4 in {w, w + 1}: two attempts each
-        r = random.Random(worker)
-        transport = TcpTransport("127.0.0.1", server.server_address[1])
+        transport, client = connect()
         try:
-            client = EnclaveClient(
-                transport, config.measurement(), platform_verify_key(PLATFORM_SECRET)
-            )
             for i, tok in enumerate(tokens):
                 if i % 4 not in (worker, (worker + 1) % 4):
                     continue
+                kind, entries = _upload_of(i)
+                with lock:
+                    sent.add(i)
                 try:
-                    client.upload_tuples(tok, random_tuples(r, 10, 0))
+                    if kind == "gps":
+                        client.upload_gps(tok, entries)
+                    else:
+                        client.upload_tuples(tok, entries)
                     reply = "ack"
                 except RemoteError as exc:
                     reply = exc.reason
@@ -554,17 +595,47 @@ def test_concurrent_uploads_over_tcp_spend_each_token_once(config, path, clock, 
                     reply = f"dropped: {exc!r}"
                 with lock:
                     replies.append(reply)
+                    if reply == "ack":
+                        acked.add(i)
+        finally:
+            transport.close()
+
+    contact_poll, gps_poll = _polls()
+
+    def poll_once(client: EnclaveClient, kind: str) -> None:
+        with lock:
+            before = set(acked)
+        if kind == "gps":
+            found = {int(t) // 3600 for t, _ in client.poll_gps(gps_poll)}
+        else:
+            found = set(client.poll(contact_poll).matched_intervals)
+        with lock:
+            polls.append((kind, before, found, set(sent)))
+
+    def reads() -> None:
+        transport, client = connect()
+        try:
+            while writing.is_set():
+                poll_once(client, "contact")
+                poll_once(client, "gps")
+            poll_once(client, "contact")
+            poll_once(client, "gps")
         finally:
             transport.close()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        readers = [threading.Thread(target=reads) for _ in range(2)]
         workers = [threading.Thread(target=attempts, args=(w,)) for w in range(4)]
+        for t in readers + workers:
+            t.start()
         for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
+            w.join(timeout=60)
+        writing.clear()
+        for r in readers:
+            r.join(timeout=60)
+        assert not any(t.is_alive() for t in readers + workers)
     finally:
         sys.setswitchinterval(interval)
         server.shutdown()
@@ -574,4 +645,12 @@ def test_concurrent_uploads_over_tcp_spend_each_token_once(config, path, clock, 
     assert sorted(set(replies)) == ["ack", "upload already used"], replies
     assert replies.count("ack") == 40
     assert replies.count("upload already used") == 40
+    # each poll answers for a state between its send and its reply: every
+    # upload acknowledged before it, and only uploads already sent
+    gps_tokens = {i for i in range(40) if _upload_of(i)[0] == "gps"}
+    for kind, before, found, sent_by_reply in polls:
+        own = gps_tokens if kind == "gps" else set(range(40)) - gps_tokens
+        assert before & own <= found <= sent_by_reply & own, (kind, before, found)
+    # each reader's last two polls were sent after every upload was acknowledged
+    assert sum(before == set(range(40)) for _, before, _, _ in polls) >= 4
     assert reload_state(config, path, clock) == enclave.serialize_state()

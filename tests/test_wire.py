@@ -797,6 +797,80 @@ def test_encode_differential(mtype, data):
     assert outcome(wire.encode, msg) == outcome(generic_encode, msg)
 
 
+# -- differential: the tuple emitter against encode() of the dict form ------------
+
+_identifier_st = st.binary(min_size=16, max_size=16)
+# values the dict form refuses, and ones it takes as it takes a valid field
+_REFUSED_INTERVALS = [True, False, -1, MAX_UINT + 1]
+_NEAR_INTERVALS = _REFUSED_INTERVALS + [1.0, _Int(3)]
+_REFUSED_IDENTIFIERS = [bytes(15), bytes(17), "00" * 16, None, 16]
+_NEAR_IDENTIFIERS = _REFUSED_IDENTIFIERS + [bytearray(range(16))]
+_REFUSED_TOKENS = [bytes(31), bytes(33), "11" * 32, 32]
+_NEAR_TOKENS = _REFUSED_TOKENS + [bytearray(32)]
+
+
+def tuple_dict_form(tuples, token) -> dict:
+    """The poll_req (no token) or upload_req that encode_tuples encodes."""
+    entries = [{"interval": i, "received": r.hex(), "sent": s.hex()} for i, s, r in tuples]
+    if token is None:
+        return {"type": "poll_req", "tuples": entries}
+    return {"type": "upload_req", "token": token.hex(), "tuples": entries}
+
+
+@st.composite
+def emitter_input_st(draw):
+    """Valid tuples and token, with at most one field moved to a nearby value."""
+    tuples = draw(st.lists(st.tuples(uint_st, _identifier_st, _identifier_st), max_size=4))
+    if tuples and draw(st.booleans()):
+        k, field = draw(st.integers(0, len(tuples) - 1)), draw(st.integers(0, 2))
+        near = _NEAR_INTERVALS if field == 0 else _NEAR_IDENTIFIERS
+        edited = list(tuples[k])
+        edited[field] = draw(st.sampled_from(near))
+        tuples[k] = tuple(edited)
+    token = draw(
+        st.one_of(st.none(), st.binary(min_size=32, max_size=32), st.sampled_from(_NEAR_TOKENS))
+    )
+    return tuples, token
+
+
+@given(emitter_input_st())
+def test_tuple_emitter_differential(case):
+    tuples, token = case
+    fields = [v for t in tuples for v in t[1:]] + ([] if token is None else [token])
+    if not all(isinstance(v, (bytes, bytearray)) for v in fields):
+        with pytest.raises(WireError):
+            wire.encode_tuples(tuples, token)
+        return
+    emitted = outcome(lambda args: wire.encode_tuples(*args), (tuples, token))
+    assert emitted == outcome(wire.encode, tuple_dict_form(tuples, token))
+
+
+@pytest.mark.parametrize("token", [None, b"\x11" * 32], ids=["poll", "upload"])
+def test_tuple_emitter_differential_edges(token, monkeypatch):
+    cases = []
+    for intervals in ([], [0], [MAX_UINT], [0, MAX_UINT, 10**19]):
+        tuples = [(i, bytes([k]) * 16, bytes([k + 1]) * 16) for k, i in enumerate(intervals)]
+        expected = wire.encode(tuple_dict_form(tuples, token))
+        assert wire.decode(expected) == tuple_dict_form(tuples, token)
+        cases.append((tuples, expected))
+    with monkeypatch.context() as patched:
+        # valid tuples need neither json nor encode()
+        patched.setattr(wire, "json", None)
+        patched.setattr(wire, "encode", None)
+        for tuples, expected in cases:
+            assert wire.encode_tuples(tuples, token) == expected
+    good = (0, bytes(16), b"\x01" * 16)
+    refused = [[(i, *good[1:])] for i in _REFUSED_INTERVALS]
+    refused += [[(0, v, good[2])] for v in _REFUSED_IDENTIFIERS]
+    refused += [[(0, good[1], v)] for v in _REFUSED_IDENTIFIERS]
+    for tuples in refused:
+        with pytest.raises(WireError):
+            wire.encode_tuples(tuples, token)
+    for bad_token in _REFUSED_TOKENS if token else []:
+        with pytest.raises(WireError):
+            wire.encode_tuples([good], bad_token)
+
+
 @pytest.mark.parametrize(
     "msg",
     [m for m in SAMPLE_MESSAGES if m["type"] not in GENERIC_TYPES],
