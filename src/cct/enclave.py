@@ -26,11 +26,14 @@ import os
 import secrets
 import struct
 import time
+from binascii import hexlify
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from cct import attestation
 from cct.attestation import Measurement, seal, unseal
@@ -102,6 +105,9 @@ def haversine_distance(p: GpsPoint, q: GpsPoint) -> float:
 # Records and results
 # ---------------------------------------------------------------------------
 
+_INFECTION_RECORD = b'{"interval":%d,"result":%s,"token_hash":"%s","upload_used":%s}'
+
+
 @dataclass
 class InfectionRecord:
     token_hash: bytes
@@ -109,13 +115,14 @@ class InfectionRecord:
     registered_interval: int
     upload_used: bool = False
 
-    def to_value(self) -> dict:
-        return {
-            "interval": self.registered_interval,
-            "result": self.result,
-            "token_hash": self.token_hash.hex(),
-            "upload_used": self.upload_used,
-        }
+    def render(self) -> bytes:
+        """The canonical JSON of the record's value, which from_value reads."""
+        return _INFECTION_RECORD % (
+            self.registered_interval,
+            canonical_encode(self.result),
+            hexlify(self.token_hash),
+            b"true" if self.upload_used else b"false",
+        )
 
     @classmethod
     def from_value(cls, value: dict) -> "InfectionRecord":
@@ -258,26 +265,70 @@ def _replace_file(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
-# The entry values of each delta record and of the state; _apply reads them.
+class _Change(NamedTuple):
+    """One change of the state in the enclave's own types: the entries it
+    inserts, then the interval it sweeps at (None: no sweep). The whole state
+    is one change without a sweep; _render writes either as a record."""
 
-def _tuple_value(sent: bytes, received: bytes, interval: int, expiry: int) -> dict:
-    return {"expiry": expiry, "interval": interval, "received": received.hex(), "sent": sent.hex()}
+    records: Sequence[InfectionRecord] = ()
+    # (sent, received, interval, expiry)
+    tuples: Sequence[tuple[bytes, bytes, int, int]] = ()
+    # (identifier, expiry)
+    derived: Sequence[tuple[bytes, int]] = ()
+    # (expiry, points)
+    gps: Sequence[tuple[int, tuple[GpsPoint, ...]]] = ()
+    sweep: int | None = None
 
 
-def _derived_value(identifier: bytes, expiry: int) -> dict:
-    return {"expiry": expiry, "id": identifier.hex()}
+# the expiry, last in a tuple or derived-id entry of a change
+_EXPIRY = itemgetter(-1)
+_TUPLE_ENTRY = b'{"expiry":%d,"interval":%d,"received":"%s","sent":"%s"}'
+_DERIVED_ENTRY = b'{"expiry":%d,"id":"%s"}'
 
 
-def _gps_value(expiry: int, points: Sequence[GpsPoint]) -> dict:
-    return {"expiry": expiry, "points": [p.to_wire() for p in points]}
+def _gps_entry(expiry: int, points: Sequence[GpsPoint]) -> bytes:
+    return canonical_encode({"expiry": expiry, "points": [p.to_wire() for p in points]})
 
 
-def _delta(sweep: int | None = None, **entries: list) -> dict:
-    """One change in the shape of the state value, plus the interval it sweeps at."""
-    delta = {"derived_ids": [], "gps_traces": [], "records": [], "tuples": [], **entries}
-    if sweep is not None:
-        delta["sweep"] = sweep
-    return delta
+def _render(change: _Change) -> bytes:
+    """The record of a change: canonical JSON, written as one bytes join.
+
+    The one spelling of every entry; _load reads it back. Keys in canonical
+    order: derived_ids, gps_traces, records, sweep (if any), tuples.
+    """
+    sweep = b"" if change.sweep is None else b',"sweep":%d' % change.sweep
+    return b"".join(
+        (
+            b'{"derived_ids":[',
+            b",".join([_DERIVED_ENTRY % (e, hexlify(i)) for i, e in change.derived]),
+            b'],"gps_traces":[',
+            b",".join([_gps_entry(e, points) for e, points in change.gps]),
+            b'],"records":[',
+            b",".join([r.render() for r in change.records]),
+            b"]",
+            sweep,
+            b',"tuples":[',
+            b",".join([_TUPLE_ENTRY % (e, i, hexlify(r), hexlify(s)) for s, r, i, e in change.tuples]),
+            b"]}",
+        )
+    )
+
+
+def _read_change(value: dict) -> _Change:
+    """A record's value back in the enclave's types; the one place hex becomes bytes."""
+    return _Change(
+        records=[InfectionRecord.from_value(e) for e in value["records"]],
+        tuples=[
+            (bytes.fromhex(e["sent"]), bytes.fromhex(e["received"]), e["interval"], e["expiry"])
+            for e in value["tuples"]
+        ],
+        derived=[(bytes.fromhex(e["id"]), e["expiry"]) for e in value["derived_ids"]],
+        gps=[
+            (e["expiry"], tuple(GpsPoint.from_wire(p) for p in e["points"]))
+            for e in value["gps_traces"]
+        ],
+        sweep=value.get("sweep"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +402,7 @@ class Enclave:
             result=report.result,
             registered_interval=report.interval,
         )
-        self._commit(_delta(records=[record.to_value()]))
+        self._commit(_Change(records=(record,)))
 
     def poll_test_result(self, token: bytes) -> str:
         record = self._records.get(token_hash(token))
@@ -359,7 +410,7 @@ class Enclave:
 
     # -- infected uploads -----------------------------------------------------
 
-    def _upload(self, token: bytes, entries: Callable[[int], dict]) -> None:
+    def _upload(self, token: bytes, entries: Callable[[int], dict[str, list]]) -> None:
         """Authorize, then commit one record: the entries at one expiry, a sweep, the spent token."""
         record = self._records.get(token_hash(token))
         if record is None or record.result != RESULT_POSITIVE:
@@ -369,18 +420,16 @@ class Enclave:
         current = self.current_interval()
         spent = dataclasses.replace(record, upload_used=True)
         inserted = entries(current + self.config.retention)
-        self._commit(_delta(records=[spent.to_value()], sweep=current, **inserted))
+        self._commit(_Change(records=(spent,), sweep=current, **inserted))
 
     def upload_contact_log(self, token: bytes, tuples: Sequence[tuple[int, bytes, bytes]]) -> None:
         """Single-use upload of a positive user's (interval, sent, received) tuples."""
 
-        def entries(expiry: int) -> dict:
-            return {
-                "tuples": [
-                    _tuple_value(sent, received, interval, expiry)
-                    for interval, sent, received in tuples
-                ]
-            }
+        def entries(expiry: int) -> dict[str, list]:
+            # the record spells an interval with %d, which would cut a float
+            if not all(type(i) is int for i, _, _ in tuples):
+                raise ValueError("interval must be an integer")
+            return {"tuples": [(sent, received, i, expiry) for i, sent, received in tuples]}
 
         self._upload(token, entries)
 
@@ -391,22 +440,22 @@ class Enclave:
         never sealed or persisted.
         """
 
-        def entries(expiry: int) -> dict:
+        def entries(expiry: int) -> dict[str, list]:
             identifiers = derive_identifier_range(
                 secret, first, last, max_range=self.config.retention
             )
-            return {"derived_ids": [_derived_value(i, expiry) for i in identifiers]}
+            return {"derived": [(i, expiry) for i in identifiers]}
 
         self._upload(token, entries)
 
     def upload_gps_trace(self, token: bytes, trace: Sequence[GpsPoint]) -> None:
         """GPS variant: the hospital uploads an infected patient's trace."""
 
-        def entries(expiry: int) -> dict:
+        def entries(expiry: int) -> dict[str, list]:
             if not trace:
                 raise ValueError("empty trace")
             validate_trace(trace)
-            return {"gps_traces": [_gps_value(expiry, trace)]}
+            return {"gps": [(expiry, tuple(trace))]}
 
         self._upload(token, entries)
 
@@ -417,22 +466,52 @@ class Enclave:
             self._dead += 1
         self._records[record.token_hash] = record
 
-    def _insert_expiring(self, store: dict, key: Any, expiry: int) -> None:
-        """Store key at expiry; a stored copy is replaced and keeps the later expiry."""
-        old = store.get(key)
-        if old is not None:
-            self._dead += 1
-            if old >= expiry:
-                return
-            self._expiries[old] -= 1
-            if not self._expiries[old]:
-                del self._expiries[old]
-        store[key] = expiry
-        self._expiries[expiry] += 1
+    def _insert_expiring(self, store: dict, keys: list, expiry: int) -> None:
+        """Store keys at one expiry; a stored copy is replaced and keeps the later expiry.
 
-    def _insert_gps(self, trace: Sequence[GpsPoint], expiry: int) -> None:
-        self._gps.append((expiry, tuple(trace)))
-        self._expiries[expiry] += 1
+        In bulk: each overlap with the store is found by one keys
+        intersection, and each expiry's count moves once.
+        """
+        new = dict.fromkeys(keys, expiry)
+        dead = len(keys) - len(new)  # repeated within keys
+        overlap = new.keys() & store.keys()
+        if overlap:
+            dead += len(overlap)
+            replaced: Counter[int] = Counter()
+            for key in overlap:
+                old = store[key]
+                if old >= expiry:
+                    del new[key]
+                else:
+                    replaced[old] += 1
+            for old, n in replaced.items():
+                if self._expiries[old] == n:
+                    del self._expiries[old]
+                else:
+                    self._expiries[old] -= n
+        self._dead += dead
+        if new:
+            store.update(new)
+            self._expiries[expiry] += len(new)
+
+    def _insert_tuples(self, entries: Iterable[tuple[bytes, bytes, int, int]]) -> None:
+        """Store (sent, received, interval, expiry) tuples, keeping the pair index."""
+        strict = self.config.strict_interval_match
+        pairs = self._pairs
+        for expiry, group in groupby(sorted(entries, key=_EXPIRY), _EXPIRY):
+            keys = [(sent, received, interval) for sent, received, interval, _ in group]
+            self._insert_expiring(self._tuples, keys, expiry)
+            if not strict:
+                # a pair keeps the latest expiry of its tuples
+                new = dict.fromkeys([(sent, received) for sent, received, _ in keys], expiry)
+                for pair in new.keys() & pairs.keys():
+                    if pairs[pair] >= expiry:
+                        del new[pair]
+                pairs.update(new)
+
+    def _insert_derived(self, entries: Iterable[tuple[bytes, int]]) -> None:
+        for expiry, group in groupby(sorted(entries, key=_EXPIRY), _EXPIRY):
+            self._insert_expiring(self._derived, [identifier for identifier, _ in group], expiry)
 
     # -- matching -------------------------------------------------------------
 
@@ -461,8 +540,7 @@ class Enclave:
         if self.log_polls:
             # negative-control misbehaviour: persist what should be transient
             expiry = current + self.config.retention
-            entries = [_tuple_value(s, r, i, expiry) for i, s, r in tuples]
-            self._commit(_delta(tuples=entries))
+            self._commit(_Change(tuples=[(s, r, i, expiry) for i, s, r in tuples]))
         return result
 
     def match_gps(
@@ -505,7 +583,7 @@ class Enclave:
         """
         if not self._expired(current):
             return 0
-        return self._commit(_delta(sweep=current))
+        return self._commit(_Change(sweep=current))
 
     def _expired(self, current: int) -> list[int]:
         """The counted expiries before current."""
@@ -527,57 +605,38 @@ class Enclave:
 
     # -- state serialization ----------------------------------------------------------
 
-    def _state_value(self) -> dict:
-        # the canonical tuple order: interval, then sent, then received
-        tuple_entries = [
-            _tuple_value(sent, received, interval, expiry)
-            for (sent, received, interval), expiry in sorted(
-                self._tuples.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])
-            )
-        ]
-        derived_entries = [
-            _derived_value(identifier, expiry) for identifier, expiry in sorted(self._derived.items())
-        ]
-        record_entries = [
-            r.to_value()
-            for r in sorted(self._records.values(), key=lambda r: r.token_hash)
-        ]
-        gps_entries = sorted(
-            (_gps_value(expiry, stored) for expiry, stored in self._gps),
-            key=lambda e: (e["expiry"], canonical_encode(e)),
+    def _state(self) -> _Change:
+        """The whole state as one change, each store in its canonical order."""
+        # tuples by interval, then sent, then received
+        tuples = sorted([(i, s, r, e) for (s, r, i), e in self._tuples.items()])
+        return _Change(
+            records=sorted(self._records.values(), key=lambda r: r.token_hash),
+            tuples=[(s, r, i, e) for i, s, r, e in tuples],
+            derived=sorted(self._derived.items()),
+            gps=sorted(self._gps, key=lambda g: (g[0], _gps_entry(*g))),
         )
-        return {
-            "derived_ids": derived_entries,
-            "gps_traces": gps_entries,
-            "records": record_entries,
-            "tuples": tuple_entries,
-        }
 
     def serialize_state(self) -> bytes:
         """Canonical plaintext form of all long-lived enclave state."""
-        return canonical_encode(self._state_value())
+        return _render(self._state())
 
-    def _apply(self, value: dict) -> int:
-        """Insert a record's entries, then run its sweep; returns the count swept.
+    def _apply(self, change: _Change) -> int:
+        """Insert a change's entries, then run its sweep; returns the count swept.
 
-        The one way the state changes: every change applies its own record
-        after appending it, and _load replays the log through here.
+        The one way the state changes: every change applies itself after
+        appending its record, and _load replays the log through here.
         """
-        for entry in value["records"]:
-            self._insert_record(InfectionRecord.from_value(entry))
-        strict = self.config.strict_interval_match
-        for entry in value["tuples"]:
-            # every sealed tuple passed the wire's and the service's checks at upload
-            pair = (bytes.fromhex(entry["sent"]), bytes.fromhex(entry["received"]))
-            expiry = entry["expiry"]
-            self._insert_expiring(self._tuples, (*pair, entry["interval"]), expiry)
-            if not strict:
-                self._pairs[pair] = max(self._pairs.get(pair, expiry), expiry)
-        for entry in value["derived_ids"]:
-            self._insert_expiring(self._derived, bytes.fromhex(entry["id"]), entry["expiry"])
-        for entry in value["gps_traces"]:
-            self._insert_gps([GpsPoint.from_wire(p) for p in entry["points"]], entry["expiry"])
-        return self._sweep(value["sweep"]) if "sweep" in value else 0
+        for record in change.records:
+            self._insert_record(record)
+        # every sealed tuple passed the wire's and the service's checks at upload
+        if change.tuples:
+            self._insert_tuples(change.tuples)
+        if change.derived:
+            self._insert_derived(change.derived)
+        for expiry, points in change.gps:
+            self._gps.append((expiry, points))
+            self._expiries[expiry] += 1
+        return 0 if change.sweep is None else self._sweep(change.sweep)
 
     # -- the sealed log -------------------------------------------------------------
 
@@ -585,14 +644,14 @@ class Enclave:
         """The sealed log exactly as persisted."""
         return bytes(self._log)
 
-    def _commit(self, delta: dict) -> int:
-        """Append the delta, then apply it; returns the count swept.
+    def _commit(self, change: _Change) -> int:
+        """Append the change's record, then apply it; returns the count swept.
 
         A failed append raises before memory changes. Once dead entries
         reach the live ones the log is compacted.
         """
-        self._persist(delta)
-        removed = self._apply(delta)
+        self._persist(change)
+        removed = self._apply(change)
         if self._dead and self._dead >= len(self._records) + self._expiries.total():
             # the change is already durable; a failed compaction leaves the
             # valid log in place and the next change tries again
@@ -600,10 +659,10 @@ class Enclave:
                 self._rewrite()
         return removed
 
-    def _persist(self, delta: dict) -> None:
-        """Seal one delta record and append it to the log, file first."""
+    def _persist(self, change: _Change) -> None:
+        """Seal one change's record and append it to the log, file first."""
         aad = _record_aad(self._file_id, self._seq)
-        frame = _frame(seal(canonical_encode(delta), self.measurement, self._platform_secret, aad))
+        frame = _frame(seal(_render(change), self.measurement, self._platform_secret, aad))
         if self._store_path is not None:
             try:
                 self._append(frame)
@@ -660,7 +719,8 @@ class Enclave:
                 break
             aad = _record_aad(file_id, seq)
             sealed = raw[body:body + length]
-            self._apply(canonical_decode(unseal(sealed, self.measurement, self._platform_secret, aad)))
+            plaintext = unseal(sealed, self.measurement, self._platform_secret, aad)
+            self._apply(_read_change(canonical_decode(plaintext)))
             pos, seq = body + length, seq + 1
         if seq == 0:
             raise SealError("unseal failed")

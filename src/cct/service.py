@@ -13,7 +13,7 @@ from __future__ import annotations
 import socketserver
 import threading
 from collections import OrderedDict
-from typing import Callable
+from typing import Any, Callable
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
@@ -53,32 +53,22 @@ def _token(msg: dict) -> bytes:
     return bytes.fromhex(msg["token"])
 
 
-def _tuples(msg: dict) -> list[tuple[int, bytes, bytes]]:
-    """The (interval, sent, received) tuples; the wire checked each field's form."""
-    tuples = []
-    for e in msg["tuples"]:
-        sent, received = e["sent"], e["received"]
-        if sent == received:  # canonical hex: equal strings, equal identifiers
-            raise ValueError("self-contact")
-        tuples.append((e["interval"], bytes.fromhex(sent), bytes.fromhex(received)))
-    return tuples
-
-
 def _trace(msg: dict) -> list[GpsPoint]:
     return [GpsPoint.from_wire(e) for e in msg["trace"]]
 
 
 # The application request types, each with the enclave call that answers it;
 # a call that returns nothing is acknowledged. Only these may cross the
-# boundary, and only inside an envelope.
-_APP_HANDLERS: dict[str, Callable[[Enclave, dict], dict | None]] = {
+# boundary, and only inside an envelope. A handler takes the decoded
+# message, or for the tuple requests the (token, tuples) of decode_tuples.
+_APP_HANDLERS: dict[str, Callable[[Enclave, Any], dict | None]] = {
     "report_req": lambda e, m: e.register_test_result(SignedReport.from_wire(m)),
     "result_req": lambda e, m: {"type": "result_resp", "result": e.poll_test_result(_token(m))},
-    "upload_req": lambda e, m: e.upload_contact_log(_token(m), _tuples(m)),
+    "upload_req": lambda e, r: e.upload_contact_log(*r),
     "secret_upload_req": lambda e, m: e.upload_secret(
         _token(m), bytes.fromhex(m["secret"]), m["from_interval"], m["to_interval"]
     ),
-    "poll_req": lambda e, m: e.match_poll(_tuples(m)).to_wire(),
+    "poll_req": lambda e, r: e.match_poll(r[1]).to_wire(),
     "gps_upload_req": lambda e, m: e.upload_gps_trace(_token(m), _trace(m)),
     "gps_poll_req": lambda e, m: gps_events_to_wire(
         e.match_gps(_trace(m), d_max=m["d_max"], tau=m["tau"])
@@ -169,7 +159,7 @@ class EnclaveService:
         if channel is None:
             raise ProtocolError("unknown session")
         try:
-            response = self._dispatch(wire.decode(channel.decrypt(msg)))
+            response = self._dispatch(channel.decrypt(msg))
         except (ProtocolError, ValueError) as exc:
             response = _error(str(exc))
         except Exception as exc:
@@ -185,12 +175,21 @@ class EnclaveService:
 
     # -- application dispatch -----------------------------------------------------
 
-    def _dispatch(self, msg: dict) -> dict:
-        handler = _APP_HANDLERS.get(msg["type"])
+    def _request(self, plaintext: bytes) -> tuple[str, Any]:
+        """The request's type, and what its handler takes."""
+        if plaintext.endswith(wire.TUPLE_TAILS):
+            request = wire.decode_tuples(plaintext)
+            return ("poll_req" if request[0] is None else "upload_req"), request
+        msg = wire.decode(plaintext)
+        return msg["type"], msg
+
+    def _dispatch(self, plaintext: bytes) -> dict:
+        mtype, request = self._request(plaintext)
+        handler = _APP_HANDLERS.get(mtype)
         if handler is None:
             raise ProtocolError("unexpected message type")
         with self._enclave_lock:
-            return handler(self.enclave, msg) or {"type": "ack"}
+            return handler(self.enclave, request) or {"type": "ack"}
 
 
 # ---------------------------------------------------------------------------

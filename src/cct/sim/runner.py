@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Any
 
 from cct import wire
 from cct.attestation import platform_verify_key
@@ -101,16 +102,21 @@ class _Clock:
 
 
 class _PlaintextTranscriptService(EnclaveService):
-    """Negative control: every application request and response, as the
-    canonical plaintext that `_dispatch` sees, joins the audited transcript."""
+    """Negative control: the canonical plaintext of every application request
+    that decodes, and of every answer `_dispatch` gives, joins the audited
+    transcript."""
 
     def __init__(self, enclave: Enclave, platform_secret: bytes, transcript: wire.Transcript):
         super().__init__(enclave, platform_secret)
         self._transcript = transcript
 
-    def _dispatch(self, msg: dict) -> dict:
-        self._transcript.append("c2e", wire.encode(msg))
-        response = super()._dispatch(msg)
+    def _request(self, plaintext: bytes) -> tuple[str, Any]:
+        request = super()._request(plaintext)
+        self._transcript.append("c2e", plaintext)
+        return request
+
+    def _dispatch(self, plaintext: bytes) -> dict:
+        response = super()._dispatch(plaintext)
         self._transcript.append("e2c", wire.encode(response))
         return response
 

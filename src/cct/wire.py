@@ -15,10 +15,11 @@ canonical and the value valid: decode() then only needs json.loads, and
 encode() checks canonical_encode's output with the same fullmatch. The
 envelope needs no json at all: it is built as one bytes join and read with
 one small regex plus a hex check of the ciphertext; encode_tuples() writes
-the poll and upload requests the same way, straight from the tuples.
-Anything the compiled path does not match (the GPS messages, `error`, a
-20-digit uint, any malformed input) takes the generic path: decode()
-parses, re-encodes and rejects any input whose bytes differ, then
+the poll and upload requests the same way, straight from the tuples, and
+decode_tuples() reads them back with the grammar's fullmatch and one
+findall. Anything the compiled path does not match (the GPS messages,
+`error`, a 20-digit uint, any malformed input) takes the generic path:
+decode() parses, re-encodes and rejects any input whose bytes differ, then
 validates; encode() validates, then encodes. Both paths accept the same
 values and give the same errors.
 
@@ -33,7 +34,7 @@ import json
 import math
 import re
 import struct
-from binascii import hexlify
+from binascii import hexlify, unhexlify
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from cct.errors import WireError
@@ -343,6 +344,8 @@ def validate_message(msg: dict) -> None:
 _TYPE_BY_TAIL = {b'"type":%s}' % canonical_encode(t): t for t in MESSAGE_SCHEMAS}
 # the tails of the handshake messages, for bytes.endswith
 HANDSHAKE_TAILS = tuple(tail for tail, t in _TYPE_BY_TAIL.items() if t in HANDSHAKE_TYPES)
+# the tails of the requests that decode_tuples reads
+TUPLE_TAILS = tuple(tail for tail, t in _TYPE_BY_TAIL.items() if t in ("poll_req", "upload_req"))
 # the only field types the compiled encode path takes: a tuple renders as an
 # array, and a subclass may compare unlike its value, so either could match a
 # grammar and still fail validate_message
@@ -501,6 +504,52 @@ def decode(raw: bytes) -> dict:
     value = canonical_decode(raw)
     validate_message(value)
     return value
+
+
+# the token's hex in a canonical upload_req, which starts {"token":"
+_TOKEN_HEX = slice(10, 74)
+
+
+@functools.cache
+def _tuple_entries() -> Callable[[bytes], list[tuple[bytes, bytes, bytes]]]:
+    """findall of (interval, received hex, sent hex) over bytes the grammar matched.
+
+    The fullmatch has checked every field, so this only cuts them out; `.`
+    runs about 2.5x faster here than the hex class.
+    """
+    return re.compile(rb'"interval":([0-9]+),"received":"(.{32})","sent":"(.{32})"').findall
+
+
+def decode_tuples(raw: bytes) -> tuple[bytes | None, list[tuple[int, bytes, bytes]]]:
+    """Inverse of encode_tuples: the token (None for a poll_req) and the
+    (interval, sent, received) tuples of a poll_req or upload_req.
+
+    The compiled grammar's fullmatch proves the bytes canonical; one findall
+    then reads the tuples, with no json and no dicts. Anything else goes
+    through decode(), so the same bytes are accepted and the same WireErrors
+    raised. A tuple whose identifiers are equal is refused with
+    ValueError("self-contact").
+    """
+    mtype = _TYPE_BY_TAIL.get(raw[raw.rfind(b'"type":') :]) if type(raw) is bytes else None
+    if mtype in ("poll_req", "upload_req") and _grammar(mtype)(raw):
+        token = None if mtype == "poll_req" else unhexlify(raw[_TOKEN_HEX])
+        tuples = [
+            (int(interval), unhexlify(sent), unhexlify(received))
+            for interval, received, sent in _tuple_entries()(raw)
+        ]
+    else:
+        msg = decode(raw)
+        mtype = msg["type"]
+        if mtype not in ("poll_req", "upload_req"):
+            raise WireError(f"expected poll_req or upload_req, got {mtype}")
+        token = bytes.fromhex(msg["token"]) if mtype == "upload_req" else None
+        tuples = [
+            (e["interval"], bytes.fromhex(e["sent"]), bytes.fromhex(e["received"]))
+            for e in msg["tuples"]
+        ]
+    if any(sent == received for _, sent, received in tuples):
+        raise ValueError("self-contact")
+    return token, tuples
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,19 @@ def test_upload_single_use(enclave, ha, clock):
         enclave.upload_secret(TOKEN, SECRET_C, 0, 1)
 
 
+@pytest.mark.parametrize("interval", [1.5, 1.0, True])
+def test_upload_refuses_an_interval_that_is_not_an_int(enclave, ha, clock, interval):
+    # a record writes each interval with %d, so 1.5 would be sealed as 1
+    clock.set_interval(0)
+    register_positive(enclave, ha, TOKEN, 0)
+    state = enclave.serialize_state()
+    with pytest.raises(ValueError, match="interval must be an integer"):
+        enclave.upload_contact_log(TOKEN, [(interval, ident(SECRET_A, 0), ident(SECRET_B, 0))])
+    assert enclave.serialize_state() == state
+    # the token is unspent
+    enclave.upload_contact_log(TOKEN, [(1, ident(SECRET_A, 0), ident(SECRET_B, 0))])
+
+
 def test_secret_upload_stores_derived_ids(enclave, ha, clock):
     clock.set_interval(1)
     register_positive(enclave, ha, TOKEN, 1)
@@ -378,7 +391,7 @@ def test_infection_record_value_round_trip():
     record = InfectionRecord(
         token_hash=b"\x5a" * 32, result=RESULT_POSITIVE, registered_interval=9, upload_used=True
     )
-    value = record.to_value()
+    value = canonical_decode(record.render())
     assert value == {
         "interval": 9,
         "result": "positive",

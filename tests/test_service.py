@@ -434,9 +434,9 @@ def test_racing_copies_of_one_envelope_dispatched_once(service):
     dispatched = []
     dispatch = service._dispatch
 
-    def counted(msg):
-        dispatched.append(msg["type"])
-        return dispatch(msg)
+    def counted(plaintext):
+        dispatched.append(wire.decode(plaintext)["type"])
+        return dispatch(plaintext)
 
     service._dispatch = counted
     interval = sys.getswitchinterval()

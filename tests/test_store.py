@@ -4,10 +4,12 @@ Covers the file format's integrity (torn tails, dropped, duplicated,
 reordered and spliced records), the refusal of files that hold no
 replayable log, failed writes and compactions, expiry against a
 brute-force count, matching and reloads against a brute-force scan of the
-state, the cost of one change, and the service's atomic requests under
-concurrent clients.
+state, the record renderer against canonical_encode, record plaintexts
+pinned by hash, the cost of one change, and the service's atomic requests
+and commit order under concurrent clients.
 """
 
+import hashlib
 import os
 import random
 import sys
@@ -19,11 +21,22 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cct.attestation import platform_verify_key, seal
-from cct.authority import RESULT_POSITIVE, HealthAuthorityCredential, token_hash
+from cct.attestation import platform_verify_key, seal, unseal
+from cct.authority import RESULT_NEGATIVE, RESULT_POSITIVE, HealthAuthorityCredential, token_hash
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactTuple
-from cct.enclave import _HEADER_LEN, _LOG_MAGIC, Enclave, EnclaveConfig, GpsPoint, MatchResult
+from cct.enclave import (
+    _HEADER_LEN,
+    _LOG_MAGIC,
+    Enclave,
+    EnclaveConfig,
+    GpsPoint,
+    InfectionRecord,
+    MatchResult,
+    _Change,
+    _read_change,
+    _render,
+)
 from cct.errors import RemoteError, SealError
 from cct.ident import TimeParams, derive_identifier
 from cct.service import EnclaveServer, EnclaveService
@@ -348,7 +361,7 @@ _store_steps = st.lists(
         st.tuples(
             st.just("tuples"),
             _clock_intervals,
-            st.lists(st.sampled_from(INTERVAL_POOL), min_size=1, max_size=6, unique=True),
+            st.lists(st.sampled_from(INTERVAL_POOL), min_size=1, max_size=6),  # repeats too
         ),
         st.tuples(
             st.just("secret"),
@@ -361,6 +374,17 @@ _store_steps = st.lists(
     ),
     max_size=12,
 )
+
+
+def logged_entries(raw: bytes, config) -> int:
+    """The entries of every record in a log."""
+    header, frames = split(raw)
+    file_id, count = header[len(_LOG_MAGIC):], 0
+    for seq, frame in enumerate(frames):
+        aad = file_id + seq.to_bytes(8, "big")
+        value = canonical_decode(unseal(frame[4:], config.measurement(), PLATFORM_SECRET, aad))
+        count += sum(len(value[k]) for k in ("records", "tuples", "derived_ids", "gps_traces"))
+    return count
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["pairs", "strict"])
@@ -397,10 +421,144 @@ def test_store_differential(strict, steps):
             value = canonical_decode(state)
             entries = value["tuples"] + value["derived_ids"] + value["gps_traces"]
             assert enclave._expiries == Counter(e["expiry"] for e in entries), k
-            # strict matching never reads the pair index, so it stays empty
-            assert not (strict and enclave._pairs), k
+            # every entry the log holds beyond the state is dead
+            live = len(entries) + len(value["records"])
+            assert enclave._dead == logged_entries(enclave.sealed_bytes(), config) - live, k
+            # the pair index holds each stored pair's latest expiry; strict
+            # matching never reads it, so there it stays empty
+            pairs: dict[tuple[bytes, bytes], int] = {}
+            for (sent, received, _), expiry in enclave._tuples.items():
+                pairs[sent, received] = max(expiry, pairs.get((sent, received), expiry))
+            assert enclave._pairs == ({} if strict else pairs), k
             path.write_bytes(enclave.sealed_bytes())
             assert reload_state(config, path, clock) == state, k
+
+
+# -- the record renderer against canonical_encode of the dict form --------------------
+
+def record_value(change: _Change) -> dict:
+    """The value whose canonical JSON is the change's record."""
+    value = {
+        "derived_ids": [{"expiry": e, "id": i.hex()} for i, e in change.derived],
+        "gps_traces": [
+            {"expiry": e, "points": [p.to_wire() for p in points]} for e, points in change.gps
+        ],
+        "records": [
+            {
+                "interval": r.registered_interval,
+                "result": r.result,
+                "token_hash": r.token_hash.hex(),
+                "upload_used": r.upload_used,
+            }
+            for r in change.records
+        ],
+        "tuples": [
+            {"expiry": e, "interval": i, "received": r.hex(), "sent": s.hex()}
+            for s, r, i, e in change.tuples
+        ],
+    }
+    if change.sweep is not None:
+        value["sweep"] = change.sweep
+    return value
+
+
+# 19- and 20-digit values, and few identifiers, so entries repeat
+_uint_st = st.one_of(
+    st.integers(0, 2**64 - 1), st.sampled_from([0, 10**18, 10**19 - 1, 10**19, 2**64 - 1])
+)
+_id_st = st.one_of(st.binary(min_size=16, max_size=16), st.sampled_from([bytes(16), b"\xff" * 16]))
+_point_st = st.builds(
+    GpsPoint,
+    lat=st.one_of(st.floats(-90, 90), st.sampled_from([1e-07, -0.0, 90])),
+    lon=st.floats(-180, 180, exclude_min=True),
+    t=st.one_of(st.floats(0, 1e17), st.integers(0, 2**53), st.sampled_from([1e-07, 1e16])),
+)
+_record_st = st.builds(
+    InfectionRecord,
+    token_hash=st.binary(min_size=32, max_size=32),
+    result=st.sampled_from([RESULT_POSITIVE, RESULT_NEGATIVE]),
+    registered_interval=_uint_st,
+    upload_used=st.booleans(),
+)
+_change_st = st.builds(
+    _Change,
+    records=st.lists(_record_st, max_size=3),
+    tuples=st.lists(st.tuples(_id_st, _id_st, _uint_st, _uint_st), max_size=5).map(
+        lambda ts: ts + ts[:1]  # a repeated tuple
+    ),
+    derived=st.lists(st.tuples(_id_st, _uint_st), max_size=4),
+    gps=st.lists(st.tuples(_uint_st, st.lists(_point_st, min_size=1, max_size=3).map(tuple)), max_size=2),
+    sweep=st.one_of(st.none(), _uint_st),
+)
+
+
+@settings(deadline=None)
+@given(_change_st)
+def test_record_renderer_differential(change):
+    rendered = _render(change)
+    assert rendered == canonical_encode(record_value(change))
+    assert _read_change(canonical_decode(rendered)) == change
+
+
+# -- the sealed log, pinned -----------------------------------------------------------
+
+# SHA-256 of each record plaintext that pinned_sequence seals, in order (seal
+# nonces are random, so the plaintexts are pinned, not the log), and of the
+# final serialize_state(); taken with the earlier record writer, which built
+# each record as dicts of hex and ran canonical_encode
+PINNED_RECORDS = [
+    "d450dc57e6973d6a428b0fa59763dcaf732ad41b12f7d877a2ae8cd8d629fa8a",
+    "f9cee3ecbc9696bd10759cc0ed6e0181cff207e8f087d3ac1a746cbb32d19aee",
+    "24b6405264c7f430e286c1c932b939d43752a5604191f71f66bbcf321739f398",
+    "a7dd018a20f86b825a275cac4700400bbe32b671b591f644a54685fdcd719258",
+    "87a91dbbc3f951d224fc13d5473f03ee5217d3d1c6efedcf738e91d08db67121",
+    "5065957cc1000a41a002205952f870fa3c343b4131d80c297071adb8efb38daf",
+    "56efcdffdd3a460306f5dc36d5859b386a4724656d9eb057cb73d819d6ceb9ba",
+    "9cbf9f81f59785d72290daec7117ab32fa9aeccfc6f1c2762117d5147f498389",
+    "0528cbe1b664c0ab9fdb6e3c82ba46e8b337de78a620dbc04c452e41f3130eb2",
+    "3e641ab783294715bd9dbb4e417d1deda8a0fe789dbf84b8c0c6f08568f16d91",
+]
+PINNED_STATE = "3e641ab783294715bd9dbb4e417d1deda8a0fe789dbf84b8c0c6f08568f16d91"
+
+
+def pinned_sequence(config, path, clock, ha) -> Enclave:
+    """Register; tuples with one repeated; a secret; a GPS trace; a logged poll;
+    a sweep that expires the tuples and leaves the log due for compaction."""
+    clock.set_interval(0)
+    enclave = Enclave(config, PLATFORM_SECRET, store_path=path, clock=clock, log_polls=True)
+    for i in range(3):
+        register(enclave, ha, token(i))
+    tuples = random_tuples(random.Random(17), 10, 0) + [ContactTuple(2, b"\x21" * 16, b"\x12" * 16)]
+    enclave.upload_contact_log(token(0), tuples + tuples[3:4])
+    clock.set_interval(1)
+    enclave.upload_secret(token(1), b"\x0b" * 32, 0, 2)
+    trace = [GpsPoint(lat=1e-07, lon=-0.5, t=1800.0), GpsPoint(lat=45.0, lon=180.0, t=2700)]
+    enclave.upload_gps_trace(token(2), trace)
+    clock.set_interval(2)
+    first = tuples[0]
+    enclave.match_poll([(first.interval, first.received, first.sent), (2, b"\x12" * 16, b"\x21" * 16)])
+    assert enclave.expire_store(6) == 11
+    return enclave
+
+
+def test_sealed_log_plaintexts_pinned(config, path, clock, ha, monkeypatch):
+    import cct.enclave
+
+    plaintexts = []
+
+    def recording_seal(data, *args):
+        plaintexts.append(bytes(data))
+        return seal(data, *args)
+
+    monkeypatch.setattr(cct.enclave, "seal", recording_seal)
+    enclave = pinned_sequence(config, path, clock, ha)
+    monkeypatch.undo()
+    state = enclave.serialize_state()
+    # the sweep's record, then the compaction: one record of the whole state
+    assert plaintexts[-1] == state and len(split(path.read_bytes())[1]) == 1
+    assert [hashlib.sha256(p).hexdigest() for p in plaintexts] == PINNED_RECORDS
+    assert hashlib.sha256(state).hexdigest() == PINNED_STATE
+    assert reload_state(config, path, clock) == state
 
 
 # -- files that are not a replayable log ----------------------------------------------
@@ -547,12 +705,20 @@ def _polls() -> tuple[list, list]:
     return contact, trace
 
 
-def test_concurrent_uploads_over_tcp_spend_each_token_once(config, path, clock, ha):
-    enclave = open_store(config, path, clock)
-    clock.set_interval(0)
+def own_uploads(kind: str) -> set[int]:
+    """The uploads a poll of this kind can find."""
+    gps = {i for i in range(40) if _upload_of(i)[0] == "gps"}
+    return gps if kind == "gps" else set(range(40)) - gps
+
+
+def concurrent_run(enclave, config) -> tuple[list[str], list]:
+    """Four uploaders beside two pollers over TCP; every token is tried twice.
+
+    Returns the upload replies, and per poll its kind, the uploads
+    acknowledged before it was sent, those it found and those sent before
+    its reply came.
+    """
     tokens = [token(i) for i in range(40)]
-    for tok in tokens:
-        register(enclave, ha, tok)
     server = EnclaveServer(EnclaveService(enclave, PLATFORM_SECRET), host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -641,16 +807,48 @@ def test_concurrent_uploads_over_tcp_spend_each_token_once(config, path, clock, 
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+    return replies, polls
 
+
+def registered_store(config, path, clock, ha) -> Enclave:
+    enclave = open_store(config, path, clock)
+    clock.set_interval(0)
+    for i in range(40):
+        register(enclave, ha, token(i))
+    return enclave
+
+
+def test_concurrent_uploads_over_tcp_spend_each_token_once(config, path, clock, ha):
+    enclave = registered_store(config, path, clock, ha)
+    replies, polls = concurrent_run(enclave, config)
     assert sorted(set(replies)) == ["ack", "upload already used"], replies
     assert replies.count("ack") == 40
     assert replies.count("upload already used") == 40
     # each poll answers for a state between its send and its reply: every
     # upload acknowledged before it, and only uploads already sent
-    gps_tokens = {i for i in range(40) if _upload_of(i)[0] == "gps"}
     for kind, before, found, sent_by_reply in polls:
-        own = gps_tokens if kind == "gps" else set(range(40)) - gps_tokens
+        own = own_uploads(kind)
         assert before & own <= found <= sent_by_reply & own, (kind, before, found)
     # each reader's last two polls were sent after every upload was acknowledged
     assert sum(before == set(range(40)) for _, before, _, _ in polls) >= 4
     assert reload_state(config, path, clock) == enclave.serialize_state()
+
+
+def test_concurrent_polls_answer_for_a_prefix_of_the_commit_order(config, path, clock, ha):
+    enclave = registered_store(config, path, clock, ha)
+    by_hash = {token_hash(token(i)): i for i in range(40)}
+    committed: list[int] = []  # the uploads, in the order their records were appended
+    persist = enclave._persist
+
+    def recording(change):
+        persist(change)
+        committed.extend(by_hash[r.token_hash] for r in change.records if r.upload_used)
+
+    enclave._persist = recording
+    replies, polls = concurrent_run(enclave, config)
+    assert replies.count("ack") == 40 and sorted(committed) == list(range(40))
+    # each answer is the matches of the uploads committed before some point
+    for kind, _, found, _ in polls:
+        own = own_uploads(kind)
+        prefixes = [set(committed[:n]) & own for n in range(41)]
+        assert found in prefixes, (kind, found)

@@ -699,7 +699,11 @@ def single_edits(raw: bytes) -> list[bytes]:
 @st.composite
 def mutated_bytes_st(draw, mtype: str):
     """A canonical message with up to three edits, each one of single_edits or a raw splice."""
-    raw = wire.canonical_encode(draw(valid_message_st(mtype)))
+    return mutated(draw, wire.canonical_encode(draw(valid_message_st(mtype))))
+
+
+def mutated(draw, raw: bytes) -> bytes:
+    """raw with up to three edits, each one of single_edits or a raw splice."""
     for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2, 3]))):
         if draw(st.integers(min_value=0, max_value=4)):
             raw = draw(st.sampled_from(single_edits(raw) or [raw]))
@@ -869,6 +873,91 @@ def test_tuple_emitter_differential_edges(token, monkeypatch):
     for bad_token in _REFUSED_TOKENS if token else []:
         with pytest.raises(WireError):
             wire.encode_tuples([good], bad_token)
+
+
+# -- differential: the tuple decoder against decode() plus the dict-to-tuple step -----
+
+def reference_decode_tuples(raw: bytes):
+    """decode(), then the step that turned the decoded dicts into tuples."""
+    msg = wire.decode(raw)
+    if msg["type"] not in ("poll_req", "upload_req"):
+        raise WireError(f"expected poll_req or upload_req, got {msg['type']}")
+    tuples = []
+    for e in msg["tuples"]:
+        if e["sent"] == e["received"]:
+            raise ValueError("self-contact")
+        tuples.append((e["interval"], bytes.fromhex(e["sent"]), bytes.fromhex(e["received"])))
+    return (bytes.fromhex(msg["token"]) if msg["type"] == "upload_req" else None), tuples
+
+
+# few identifiers, so that some tuples are self-contacts
+_pooled_identifier_st = st.one_of(_identifier_st, st.sampled_from([bytes(16), b"\x01" * 16]))
+
+
+@st.composite
+def tuple_request_st(draw):
+    """A poll_req or upload_req from encode_tuples, with up to three edits."""
+    tuples = draw(
+        st.lists(st.tuples(uint_st, _pooled_identifier_st, _pooled_identifier_st), max_size=4)
+    )
+    token = draw(st.one_of(st.none(), st.binary(min_size=32, max_size=32)))
+    return mutated(draw, wire.encode_tuples(tuples, token))
+
+
+@given(tuple_request_st())
+def test_tuple_decoder_differential(raw):
+    assert outcome(wire.decode_tuples, raw) == outcome(reference_decode_tuples, raw)
+
+
+def _tuple_request_edges() -> list:
+    a, b = "aa" * 16, "bb" * 16
+    entry = '{"interval":%s,"received":"%s","sent":"%s"}'
+    poll = '{"tuples":[%s],"type":"poll_req"}'
+    upload = '{"token":"%s","tuples":[%s],"type":"upload_req"}'
+    one = entry % (7, a, b)
+    raws = [
+        poll % "",
+        upload % (HEX32, ""),
+        poll % one,
+        poll % ",".join([one, entry % (0, b, a), one]),  # a repeated tuple
+        upload % (HEX32, one),
+        poll % (entry % (7, a.upper(), b)),
+        upload % (("ab" * 32).upper(), one),
+        upload % (HEX32[:-2], one),
+        upload % ("zz" + HEX32[2:], one),
+        poll % (entry % ("1" + "0" * 19, a, b)),  # 20 digits: the generic path takes it
+        poll % (entry % (MAX_UINT, a, b)),
+        poll % (entry % (MAX_UINT + 1, a, b)),
+        poll % (entry % ("07", a, b)),
+        poll % (entry % ("-1", a, b)),
+        poll % (entry % (7, a, a)),  # self-contact
+        poll % ",".join([entry % (1, "00" * 16, "00" * 16), entry % (2, a, a)]),
+        poll % (entry % (7, a, b)).replace(",", ", "),
+        poll % one + " ",
+        poll % (one[:-1] + ',"extra":1}'),
+        poll % ('{"interval":7,"received":"%s"}' % a),
+        '{"tuples":[%s]}' % one,
+        '{"tuples":[%s],"type":"ack"}' % one,
+        '{"type":"ack"}',
+        "",
+    ]
+    raws += [(upload % (HEX32, one))[:cut] for cut in (1, 20, 80, -20, -1)]
+    return [r.encode() for r in raws] + [bytearray((poll % one).encode())]
+
+
+@pytest.mark.parametrize("raw", _tuple_request_edges())
+def test_tuple_decoder_differential_edges(raw):
+    assert outcome(wire.decode_tuples, raw) == outcome(reference_decode_tuples, raw)
+
+
+def test_tuple_decoder_needs_no_json(monkeypatch):
+    tuples = [(0, bytes(16), b"\x01" * 16), (10**19 - 1, b"\x02" * 16, b"\x03" * 16)]
+    token = b"\x11" * 32
+    poll, upload = wire.encode_tuples(tuples), wire.encode_tuples(tuples, token)
+    monkeypatch.setattr(wire, "json", None)
+    monkeypatch.setattr(wire, "decode", None)
+    assert wire.decode_tuples(poll) == (None, tuples)
+    assert wire.decode_tuples(upload) == (token, tuples)
 
 
 @pytest.mark.parametrize(
