@@ -12,9 +12,10 @@ Each AEAD use has one form and one entry point:
 
 - Envelopes: a `SecureChannel`, the one session object. The handshake
   (`establish_session` on the client, `accept_session` in the enclave)
-  returns it built for its side. It writes and reads the envelope message
-  itself, and owns the sequence numbers, the nonce (the sequence itself)
-  and the replay rule.
+  returns it built for its side. `encrypt` returns the canonical envelope
+  bytes and `decrypt` opens them, reading them with `wire.decode_envelope`;
+  no envelope crosses as a dict. The channel owns the sequence numbers, the
+  nonce (the sequence itself) and the replay rule.
 - Sealing: `seal` returns `nonce ‖ ciphertext` under a key bound to the
   measurement and `unseal` opens it. Both require associated data, which
   the enclave's log uses to bind each record to its file and position.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 import threading
+from binascii import hexlify
 from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -43,6 +45,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from cct import wire
 from cct.errors import AttestationError, EnvelopeError, KeyExchangeError, SealError
 
 MEASUREMENT_LEN = 32
@@ -233,42 +236,41 @@ class SecureChannel:
 
     def __init__(self, session_id: bytes, send_key: bytes, recv_key: bytes):
         self.session_id = session_id
+        self._session_hex = hexlify(session_id)
         self._send = ChaCha20Poly1305(send_key)
         self._recv = ChaCha20Poly1305(recv_key)
         self._next_send = 1
         self._last_recv = 0
         self._lock = threading.Lock()
 
-    def encrypt(self, plaintext: bytes) -> dict:
-        """The envelope message carrying plaintext."""
+    def encrypt(self, plaintext: bytes) -> bytes:
+        """The canonical envelope bytes carrying plaintext."""
         with self._lock:
             sequence = self._next_send
             if sequence >= 2**64:
                 raise ValueError("sequence out of range")
             self._next_send = sequence + 1
         nonce = _sequence_nonce(sequence)
-        return {
-            "ciphertext": self._send.encrypt(nonce, plaintext, self.session_id).hex(),
-            "nonce": nonce.hex(),
-            "sequence": sequence,
-            "session_id": self.session_id.hex(),
-            "type": "envelope",
-        }
+        ciphertext = self._send.encrypt(nonce, plaintext, self.session_id)
+        return wire.ENVELOPE % (hexlify(ciphertext), hexlify(nonce), sequence, self._session_hex)
 
-    def decrypt(self, envelope: dict) -> bytes:
-        """The plaintext of an envelope message that wire.decode has validated."""
-        sequence = envelope["sequence"]
-        nonce = _sequence_nonce(sequence)
+    def decrypt(self, raw: bytes) -> bytes:
+        """The plaintext of the envelope in raw.
+
+        A malformed envelope raises its WireError before anything else is
+        checked; then a replayed sequence, then a wrong session id or nonce
+        or a bad tag, raise EnvelopeError. A refused envelope does not use
+        up its sequence.
+        """
+        ciphertext, nonce, sequence, session_id = wire.decode_envelope(raw)
         # held across the open, so that racing copies of one envelope open once
         with self._lock:
             if sequence <= self._last_recv:
                 raise EnvelopeError("replay")
-            if envelope["session_id"] != self.session_id.hex() or envelope["nonce"] != nonce.hex():
+            if session_id != self.session_id or nonce != _sequence_nonce(sequence):
                 raise EnvelopeError("decrypt failed")
             try:
-                plaintext = self._recv.decrypt(
-                    nonce, bytes.fromhex(envelope["ciphertext"]), self.session_id
-                )
+                plaintext = self._recv.decrypt(nonce, ciphertext, self.session_id)
             except InvalidTag:
                 raise EnvelopeError("decrypt failed") from None
             self._last_recv = sequence

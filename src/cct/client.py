@@ -130,7 +130,7 @@ class EnclaveClient:
         assert self._channel is not None
         raw = msg if type(msg) is bytes else wire.encode(msg)
         try:
-            outer = self._exchange_plain(self._channel.encrypt(raw), "envelope")
+            plaintext = self._open(self._transport.request(self._channel.encrypt(raw)))
         except RemoteError as exc:
             if exc.reason != "unknown session":
                 raise
@@ -138,8 +138,14 @@ class EnclaveClient:
             # refused the envelope before decrypting it, so nothing was
             # applied: open a new session and send once more
             self.connect()
-            outer = self._exchange_plain(self._channel.encrypt(raw), "envelope")
-        return self._reply(self._channel.decrypt(outer), reply_type)
+            plaintext = self._open(self._transport.request(self._channel.encrypt(raw)))
+        return self._reply(plaintext, reply_type)
+
+    def _open(self, raw: bytes) -> bytes:
+        """The plaintext of the backend's envelope; any other reply raises as in _reply."""
+        if not raw.endswith(wire.ENVELOPE_TAIL):
+            self._reply(raw, "envelope")
+        return self._channel.decrypt(raw)
 
     # -- application calls -----------------------------------------------------
 

@@ -39,6 +39,8 @@ class ContactTuple(_ContactFields):
             raise ValueError(f"identifiers must be {IDENTIFIER_LEN} bytes")
         if sent == received:
             raise ValueError("self-contact")
+        if not isinstance(interval, int) or isinstance(interval, bool):
+            raise ValueError("interval must be an integer")
         if interval < 0:
             raise ValueError("interval must be non-negative")
         return tuple.__new__(cls, (interval, sent, received))

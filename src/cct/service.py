@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import socketserver
 import threading
+from binascii import unhexlify
 from collections import OrderedDict
 from typing import Any, Callable
 
@@ -25,7 +26,7 @@ from cct.attestation import (
     platform_signing_key,
 )
 from cct.enclave import Enclave, GpsPoint, gps_events_to_wire
-from cct.errors import ProtocolError, WireError
+from cct.errors import EnvelopeError, ProtocolError, WireError
 from cct.authority import SignedReport
 
 
@@ -109,10 +110,10 @@ class EnclaveService:
         connection and the session stay up.
         """
         try:
+            if raw.endswith(wire.ENVELOPE_TAIL):
+                return self._handle_envelope(raw)
             msg = wire.decode(raw)
             mtype = msg["type"]
-            if mtype == "envelope":
-                return self._handle_envelope(msg)
             if mtype == "attest_req":
                 return wire.encode(self._attest())
             if mtype == "session_req":
@@ -153,13 +154,30 @@ class EnclaveService:
 
     # -- enveloped application traffic -----------------------------------------
 
-    def _handle_envelope(self, msg: dict) -> bytes:
-        with self._tables_lock:
-            channel = self._sessions.get(bytes.fromhex(msg["session_id"]))
-        if channel is None:
-            raise ProtocolError("unknown session")
+    def _handle_envelope(self, raw: bytes) -> bytes:
+        """The enveloped reply to an envelope of an open session.
+
+        A malformed envelope raises its WireError, and one of no open
+        session `unknown session` before anything is decrypted; handle
+        answers both in plaintext.
+        """
         try:
-            response = self._dispatch(channel.decrypt(msg))
+            session_id = unhexlify(raw[wire.ENVELOPE_SESSION_HEX])
+        except ValueError:
+            session_id = None
+        with self._tables_lock:
+            channel = self._sessions.get(session_id)
+        if channel is None:
+            wire.decode_envelope(raw)  # a malformed envelope is refused as such
+            raise ProtocolError("unknown session")
+        # a canonical envelope names this session where it was read; decrypt
+        # proves raw canonical first, so a malformed one still gets its WireError
+        try:
+            plaintext = channel.decrypt(raw)
+        except EnvelopeError as exc:
+            return self._enveloped(channel, _error(str(exc)))
+        try:
+            response = self._dispatch(plaintext)
         except (ProtocolError, ValueError) as exc:
             response = _error(str(exc))
         except Exception as exc:
@@ -171,7 +189,7 @@ class EnclaveService:
         return reply
 
     def _enveloped(self, channel: SecureChannel, msg: dict) -> bytes:
-        return wire.encode(channel.encrypt(wire.encode(msg)))
+        return channel.encrypt(wire.encode(msg))
 
     # -- application dispatch -----------------------------------------------------
 

@@ -8,20 +8,24 @@ injective over message values.
 
 encode() and decode() run a compiled path first. Every schema whose fields
 all have one fixed canonical form (hex of a fixed length, uints, booleans,
-enums, arrays and objects of those) is compiled on first use into a grammar
-over its canonical bytes. "type" sorts after every other field, so the
-trailing `"type":"…"}` picks the grammar. A fullmatch proves the bytes
-canonical and the value valid: decode() then only needs json.loads, and
-encode() checks canonical_encode's output with the same fullmatch. The
-envelope needs no json at all: it is built as one bytes join and read with
-one small regex plus a hex check of the ciphertext; encode_tuples() writes
-the poll and upload requests the same way, straight from the tuples, and
-decode_tuples() reads them back with the grammar's fullmatch and one
-findall. Anything the compiled path does not match (the GPS messages,
-`error`, a 20-digit uint, any malformed input) takes the generic path:
-decode() parses, re-encodes and rejects any input whose bytes differ, then
-validates; encode() validates, then encodes. Both paths accept the same
-values and give the same errors.
+enums, arrays and objects of those) is compiled on first use, from the
+`grammar` and `emit` that each field validator carries, into a grammar over
+its canonical bytes and a template that writes them. "type" sorts after
+every other field, so the trailing `"type":"…"}` picks the grammar. A
+fullmatch proves the bytes canonical and the value valid: decode() then
+only needs json.loads. encode() fills the template, with no json; a field
+of any but its exact types (a bool where an int goes, a str subclass) leaves
+the message to the generic path. encode_tuples() writes the poll and upload
+requests the same way, straight from the tuples, and decode_tuples() reads
+them back with the grammar's fullmatch and one findall. The envelope, whose
+ciphertext has no fixed length, has no template: SecureChannel writes it as
+one %-join of ENVELOPE, and decode_envelope(), the one envelope parser,
+reads it with one small regex plus a hex check of the ciphertext, with no
+json and no dict. Anything a compiled path does not match (the GPS
+messages, `error`, a 20-digit uint, any malformed input) takes the generic
+path: decode() parses, re-encodes and rejects any input whose bytes differ,
+then validates; encode() validates, then encodes. Both paths accept the
+same values and give the same errors.
 
 Transport framing is a 4-byte big-endian length prefix followed by the
 message body; it works identically over TCP sockets and in-process channels.
@@ -167,7 +171,16 @@ def _hex_field(nbytes: int | None) -> Validator:
         if len(v) % 2 != 0 or not _hex_chars(v):
             raise WireError("not lowercase hex")
 
-    check.grammar = None if nbytes is None else rb'"[0-9a-f]{%d}"' % (2 * nbytes)
+    if nbytes is None:
+        check.grammar = check.emit = None
+        return check
+    width = 2 * nbytes
+    check.grammar = rb'"[0-9a-f]{%d}"' % width
+
+    def emit(v: Any) -> str | None:
+        return '"%s"' % v if type(v) is str and len(v) == width and _hex_chars(v) else None
+
+    check.emit = emit
     return check
 
 
@@ -179,6 +192,7 @@ def _uint(v: Any) -> None:
 # every 19-digit number is below 2^64; a 20-digit one takes the generic path,
 # so the exact bound is checked in _uint alone
 _uint.grammar = rb"(?:0|[1-9][0-9]{0,18})"
+_uint.emit = lambda v: "%d" % v if type(v) is int and 0 <= v <= _MAX_UINT else None
 
 
 def _number(v: Any) -> None:
@@ -190,7 +204,7 @@ def _number(v: Any) -> None:
         raise WireError("number out of range")
 
 
-_number.grammar = None  # a float has many spellings that decode to one value
+_number.grammar = _number.emit = None  # a float has many spellings that decode to one value
 
 
 def _boolean(v: Any) -> None:
@@ -199,6 +213,7 @@ def _boolean(v: Any) -> None:
 
 
 _boolean.grammar = rb"(?:true|false)"
+_boolean.emit = lambda v: "true" if v is True else "false" if v is False else None
 
 
 def _string(v: Any) -> None:
@@ -206,7 +221,7 @@ def _string(v: Any) -> None:
         raise WireError("expected string")
 
 
-_string.grammar = None
+_string.grammar = _string.emit = None
 
 
 def _enum(*allowed: str) -> Validator:
@@ -214,7 +229,9 @@ def _enum(*allowed: str) -> Validator:
         if v not in allowed:
             raise WireError(f"expected one of {allowed}")
 
-    check.grammar = b"(?:%s)" % b"|".join(re.escape(canonical_encode(a)) for a in allowed)
+    spelled = {a: canonical_encode(a).decode("ascii") for a in allowed}
+    check.grammar = b"(?:%s)" % b"|".join(re.escape(t).encode("ascii") for t in spelled.values())
+    check.emit = lambda v: spelled.get(v) if type(v) is str else None
     return check
 
 
@@ -225,8 +242,19 @@ def _array(item: Validator) -> Validator:
         for elem in v:
             item(elem)
 
-    g = item.grammar
+    g, item_emit = item.grammar, item.emit
     check.grammar = None if g is None else rb"\[(?:%s(?:,%s)*)?\]" % (g, g)
+    if item_emit is None:
+        check.emit = None
+        return check
+
+    def emit(v: Any) -> str | None:
+        if type(v) is not list:
+            return None
+        items = [item_emit(elem) for elem in v]
+        return None if None in items else "[%s]" % ",".join(items)
+
+    check.emit = emit
     return check
 
 
@@ -240,6 +268,7 @@ def _obj(schema: dict[str, Validator]) -> Validator:
             validator(v[name])
 
     check.grammar = _object_grammar(schema)
+    check.emit = _object_emitter(schema)
     return check
 
 
@@ -252,6 +281,29 @@ def _object_grammar(schema: dict[str, Validator]) -> bytes | None:
             return None
         members.append(re.escape(canonical_encode(name)) + b":" + g)
     return rb"\{%s\}" % b",".join(members)
+
+
+def _object_emitter(schema: dict[str, Validator]) -> Callable[[Any], str | None] | None:
+    """The canonical text of a plainly valid object, else None; None if some field has no emitter.
+
+    Each field's emitter takes only its exact types (str, int, bool, list,
+    dict; a subclass may compare or render unlike its value), so anything
+    it returns None for is left to the generic path.
+    """
+    names = sorted(schema)
+    members = [(name, schema[name].emit) for name in names]
+    if any(emit is None for _, emit in members):
+        return None
+    fmt = "{%s}" % ",".join(canonical_encode(name).decode("ascii") + ":%s" for name in names)
+    size = len(members)
+
+    def emit(v: Any) -> str | None:
+        if type(v) is not dict or len(v) != size:
+            return None
+        values = tuple([field(v.get(name)) for name, field in members])
+        return None if None in values else fmt % values
+
+    return emit
 
 
 TUPLE_FIELDS = {"interval": _uint, "received": _hex_field(16), "sent": _hex_field(16)}
@@ -346,10 +398,13 @@ _TYPE_BY_TAIL = {b'"type":%s}' % canonical_encode(t): t for t in MESSAGE_SCHEMAS
 HANDSHAKE_TAILS = tuple(tail for tail, t in _TYPE_BY_TAIL.items() if t in HANDSHAKE_TYPES)
 # the tails of the requests that decode_tuples reads
 TUPLE_TAILS = tuple(tail for tail, t in _TYPE_BY_TAIL.items() if t in ("poll_req", "upload_req"))
-# the only field types the compiled encode path takes: a tuple renders as an
-# array, and a subclass may compare unlike its value, so either could match a
-# grammar and still fail validate_message
-_PLAIN_TYPES = frozenset({str, int, bool, list})
+# the tail of every canonical envelope, and its session id's 32 hex digits,
+# which end just before the `",` in front of that tail
+ENVELOPE_TAIL = next(tail for tail, t in _TYPE_BY_TAIL.items() if t == "envelope")
+ENVELOPE_SESSION_HEX = slice(-52, -20)
+# the canonical envelope of (ciphertext hex, nonce hex, sequence, session id hex)
+ENVELOPE = b'{"ciphertext":"%s","nonce":"%s","sequence":%d,"session_id":"%s","type":"envelope"}'
+_ENVELOPE_HEAD = b'{"ciphertext":"'
 
 
 @functools.cache
@@ -359,84 +414,63 @@ def _grammar(mtype: str) -> Callable[[bytes], Any] | None:
     return None if pattern is None else re.compile(pattern).fullmatch
 
 
-_ENVELOPE_HEAD = b'{"ciphertext":"'
-# everything after the ciphertext; the ciphertext itself is checked with
-# bytes.translate, which runs about 15x faster than a regex over its hex
-_envelope_rest = re.compile(
-    rb'","nonce":"([0-9a-f]{24})","sequence":(%s),"session_id":"([0-9a-f]{32})","type":"envelope"\}'
-    % _uint.grammar
-).fullmatch
+@functools.cache
+def _template(mtype: str) -> Callable[[dict], str | None] | None:
+    """The canonical text of a plainly valid `mtype` message, if every field has an emitter."""
+    return _object_emitter({**MESSAGE_SCHEMAS[mtype], "type": _enum(mtype)})
 
 
-def _encode_envelope(msg: dict) -> bytes | None:
-    """The canonical envelope, or None when msg is not plainly a valid one."""
-    ciphertext, nonce = msg.get("ciphertext"), msg.get("nonce")
-    sequence, session_id = msg.get("sequence"), msg.get("session_id")
-    if not (
-        len(msg) == 5
-        and type(ciphertext) is str
-        and type(nonce) is str
-        and type(session_id) is str
-        and type(sequence) is int
-        and 0 <= sequence <= _MAX_UINT
-        and ciphertext.isascii()
-        and nonce.isascii()
-        and session_id.isascii()
-    ):
-        return None
-    ct, n, sid = ciphertext.encode("ascii"), nonce.encode("ascii"), session_id.encode("ascii")
-    if (
-        len(ct) % 2
-        or len(n) != 24
-        or len(sid) != 32
-        or ct.translate(None, _HEX_DIGITS)
-        or n.translate(None, _HEX_DIGITS)
-        or sid.translate(None, _HEX_DIGITS)
-    ):
-        return None
-    return b"".join(
-        (
-            _ENVELOPE_HEAD, ct, b'","nonce":"', n, b'","sequence":', b"%d" % sequence,
-            b',"session_id":"', sid, b'","type":"envelope"}',
-        )
+@functools.cache
+def _envelope_rest() -> Callable[[bytes, int], Any]:
+    """fullmatch of everything after an envelope's ciphertext, from the quote that ends it.
+
+    The ciphertext itself is checked with bytes.translate, which runs about
+    15x faster than a regex over its hex.
+    """
+    return re.compile(
+        rb'","nonce":"([0-9a-f]{24})","sequence":(%s),"session_id":"([0-9a-f]{32})",%s'
+        % (_uint.grammar, re.escape(ENVELOPE_TAIL))
+    ).fullmatch
+
+
+def decode_envelope(raw: bytes) -> tuple[bytes, bytes, int, bytes]:
+    """The (ciphertext, nonce, sequence, session id) of an envelope in canonical bytes.
+
+    The one envelope parser. Bytes that are plainly a canonical envelope are
+    read with one regex, a hex check and unhexlify, with no json and no
+    dict; anything else goes through decode(), so the same bytes are
+    accepted and the same WireErrors raised. A valid message of another
+    type is refused too.
+    """
+    if type(raw) is bytes and raw.startswith(_ENVELOPE_HEAD):
+        end = raw.find(b'"', len(_ENVELOPE_HEAD))
+        rest = _envelope_rest()(raw, end) if end > 0 else None
+        ciphertext = raw[len(_ENVELOPE_HEAD) : end]
+        if rest is not None and not (len(ciphertext) % 2 or ciphertext.translate(None, _HEX_DIGITS)):
+            return unhexlify(ciphertext), unhexlify(rest[1]), int(rest[2]), unhexlify(rest[3])
+    msg = decode(raw)
+    if msg["type"] != "envelope":
+        raise WireError(f"expected envelope, got {msg['type']}")
+    return (
+        bytes.fromhex(msg["ciphertext"]),
+        bytes.fromhex(msg["nonce"]),
+        msg["sequence"],
+        bytes.fromhex(msg["session_id"]),
     )
-
-
-def _decode_envelope(raw: bytes) -> dict | None:
-    """The envelope in canonical bytes, or None when raw is not plainly one."""
-    if not raw.startswith(_ENVELOPE_HEAD):
-        return None
-    end = raw.find(b'"', len(_ENVELOPE_HEAD))
-    rest = _envelope_rest(raw, end) if end > 0 else None
-    ct = raw[len(_ENVELOPE_HEAD) : end]
-    if rest is None or len(ct) % 2 or ct.translate(None, _HEX_DIGITS):
-        return None
-    return {
-        "ciphertext": ct.decode("ascii"),
-        "nonce": rest[1].decode("ascii"),
-        "sequence": int(rest[2]),
-        "session_id": rest[3].decode("ascii"),
-        "type": "envelope",
-    }
 
 
 def _encode_compiled(mtype: str, msg: dict) -> bytes | None:
     """The canonical bytes, or None when msg is not plainly a valid `mtype` message."""
-    grammar = _grammar(mtype) if mtype in MESSAGE_SCHEMAS else None
-    if grammar is None or not all(type(v) in _PLAIN_TYPES for v in msg.values()):
-        return None
-    try:
-        raw = canonical_encode(msg)
-    except WireError:
-        return None  # the generic path raises the error validate_message finds first
-    return raw if grammar(raw) else None
+    template = _template(mtype) if mtype in MESSAGE_SCHEMAS else None
+    text = None if template is None else template(msg)
+    return None if text is None else text.encode("ascii")
 
 
 def encode(msg: dict) -> bytes:
     """Canonical bytes for a message; raises WireError on schema violations."""
     mtype = msg.get("type") if type(msg) is dict else None
     if type(mtype) is str:
-        raw = _encode_envelope(msg) if mtype == "envelope" else _encode_compiled(mtype, msg)
+        raw = _encode_compiled(mtype, msg)
         if raw is not None:
             return raw
     validate_message(msg)
@@ -493,11 +527,7 @@ def decode(raw: bytes) -> dict:
     """Parse and validate a message from canonical bytes."""
     # other buffers (a bytearray slice is not hashable) take the generic path
     mtype = _TYPE_BY_TAIL.get(raw[raw.rfind(b'"type":') :]) if type(raw) is bytes else None
-    if mtype == "envelope":
-        msg = _decode_envelope(raw)
-        if msg is not None:
-            return msg
-    elif mtype is not None:
+    if mtype is not None:
         grammar = _grammar(mtype)
         if grammar is not None and grammar(raw):
             return json.loads(raw)

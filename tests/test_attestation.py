@@ -6,7 +6,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings, strategies as st
 
-from cct import attestation
+from cct import attestation, wire
 from cct.attestation import (
     AttestationQuote,
     Measurement,
@@ -196,8 +196,8 @@ def test_envelope_pinned_vector():
     enclave = SecureChannel(session_id, send_key=e2c, recv_key=c2e)
     request, reply = client.encrypt(b"hello"), enclave.encrypt(b"world")
     common = {"nonce": "00" * 11 + "01", "sequence": 1, "session_id": "03" * 16, "type": "envelope"}
-    assert request == {"ciphertext": "7d3dec44c646d743e9992662398cab6fc13804111a", **common}
-    assert reply == {"ciphertext": "570a35f29426c70016f9e95fc8325952442aa3a6e6", **common}
+    assert request == wire.encode({"ciphertext": "7d3dec44c646d743e9992662398cab6fc13804111a", **common})
+    assert reply == wire.encode({"ciphertext": "570a35f29426c70016f9e95fc8325952442aa3a6e6", **common})
 
 
 def test_handshake_pinned_vector():
@@ -217,14 +217,15 @@ def test_handshake_pinned_vector():
         "session_id": "e6c49f90510de63ec9f2e09118373cca",
         "type": "envelope",
     }
-    assert client.encrypt(b"hello") == {"ciphertext": "78d249f8a4230deb1d922bd19358b4d6c67c681caf", **common}
-    assert enclave.encrypt(b"world") == {"ciphertext": "d1287a78908fe8241890fb73c0b8cb02a74970ceb5", **common}
+    hello = wire.encode({"ciphertext": "78d249f8a4230deb1d922bd19358b4d6c67c681caf", **common})
+    world = wire.encode({"ciphertext": "d1287a78908fe8241890fb73c0b8cb02a74970ceb5", **common})
+    assert (client.encrypt(b"hello"), enclave.encrypt(b"world")) == (hello, world)
 
 
 def test_envelope_nonce_is_sequence():
     client, _ = _channels()
     for _ in range(7):
-        envelope = client.encrypt(b"x")
+        envelope = wire.decode(client.encrypt(b"x"))
     assert envelope["nonce"] == (bytes(4) + (7).to_bytes(8, "big")).hex()
     assert envelope["sequence"] == 7
 
@@ -253,8 +254,9 @@ def test_envelope_direction_separation():
 def test_envelope_tamper_rejected():
     client, enclave = _channels()
     envelope = client.encrypt(b"payload")
-    ciphertext = bytes.fromhex(envelope["ciphertext"])
-    tampered = {**envelope, "ciphertext": (bytes([ciphertext[0] ^ 1]) + ciphertext[1:]).hex()}
+    fields = wire.decode(envelope)
+    ciphertext = bytes.fromhex(fields["ciphertext"])
+    tampered = wire.encode({**fields, "ciphertext": (bytes([ciphertext[0] ^ 1]) + ciphertext[1:]).hex()})
     with pytest.raises(EnvelopeError, match="decrypt failed"):
         enclave.decrypt(tampered)
     # a refused envelope does not use up its sequence number
@@ -264,7 +266,7 @@ def test_envelope_tamper_rejected():
 def test_envelope_wrong_session_id_rejected():
     client, enclave = _channels()
     envelope = client.encrypt(b"x")
-    relabeled = {**envelope, "session_id": bytes(16).hex()}
+    relabeled = wire.encode({**wire.decode(envelope), "session_id": bytes(16).hex()})
     with pytest.raises(EnvelopeError):
         enclave.decrypt(relabeled)
     # nor does an envelope of another session open
@@ -277,12 +279,12 @@ def test_envelope_sequence_bounds():
     client, enclave = _channels()
     envelope = client.encrypt(b"x")
     # sequence 0 is never sent, so an envelope claiming it is a replay
-    zero = {**envelope, "sequence": 0, "nonce": bytes(12).hex()}
+    zero = wire.encode({**wire.decode(envelope), "sequence": 0, "nonce": bytes(12).hex()})
     with pytest.raises(EnvelopeError, match="replay"):
         enclave.decrypt(zero)
     # the last sequence a nonce can hold is sent once, then the channel stops
     client._next_send = 2**64 - 1
-    assert client.encrypt(b"x")["sequence"] == 2**64 - 1
+    assert wire.decode(client.encrypt(b"x"))["sequence"] == 2**64 - 1
     with pytest.raises(ValueError, match="sequence out of range"):
         client.encrypt(b"x")
 
@@ -294,7 +296,7 @@ def test_concurrent_encrypts_take_distinct_sequences():
 
     def send():
         for _ in range(2000):
-            sequences.append(client.encrypt(b"x")["sequence"])
+            sequences.append(wire.decode_envelope(client.encrypt(b"x"))[2])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -313,10 +315,10 @@ def test_secure_channel_sequencing():
     client, server = _channels()
     for n in range(1, 4):
         envelope = client.encrypt(f"msg{n}".encode())
-        assert envelope["sequence"] == n
+        assert wire.decode(envelope)["sequence"] == n
         assert server.decrypt(envelope) == f"msg{n}".encode()
     reply = server.encrypt(b"reply")
-    assert reply["sequence"] == 1
+    assert wire.decode(reply)["sequence"] == 1
     assert client.decrypt(reply) == b"reply"
     # replaying the last client envelope into the server now fails
     with pytest.raises(EnvelopeError, match="replay"):
@@ -329,7 +331,7 @@ def test_ciphertext_hides_plaintext_substring():
     hits = 0
     for _ in range(10_000):
         identifier = secrets.token_bytes(16)
-        if identifier in bytes.fromhex(client.encrypt(identifier)["ciphertext"]):
+        if identifier in wire.decode_envelope(client.encrypt(identifier))[0]:
             hits += 1
     assert hits == 0
 

@@ -21,6 +21,21 @@ def test_tuple_validation():
         ContactTuple(interval=0, sent=b"short", received=B)
 
 
+def test_tuple_interval_must_be_an_integer():
+    t = ContactTuple(interval=3, sent=A, received=B)
+    for bad in (1.5, 3.0, True, False, "3", None):
+        with pytest.raises(ValueError, match="interval must be an integer"):
+            ContactTuple(bad, A, B)
+        with pytest.raises(ValueError, match="interval must be an integer"):
+            ContactTuple._make((bad, A, B))
+        with pytest.raises(ValueError, match="interval must be an integer"):
+            t._replace(interval=bad)
+    log = ContactLog()
+    with pytest.raises(ValueError, match="interval must be an integer"):
+        log.record(A, B, interval=1.5)
+    assert len(log) == 0
+
+
 def test_tuple_is_a_checked_plain_tuple():
     t = ContactTuple(interval=3, sent=A, received=B)
     assert t == (3, A, B) and hash(t) == hash((3, A, B))

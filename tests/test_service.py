@@ -15,7 +15,7 @@ from cct.authority import RESULT_POSITIVE, token_hash
 from cct.client import EnclaveClient, LoopbackTransport, RecordingTransport, TcpTransport
 from cct.contact_log import ContactTuple
 from cct.enclave import Enclave, GpsPoint
-from cct.errors import AttestationError, RemoteError
+from cct.errors import AttestationError, ProtocolError, RemoteError
 from cct.ident import derive_identifier
 from cct.service import EnclaveService, EnclaveServer
 from cct.wire import canonical_encode
@@ -154,8 +154,8 @@ def test_remote_errors_surface(client, ha, clock):
 
 def enveloped(service, channel, msg: dict) -> dict:
     """The reply to msg sent in an envelope, past the client's own schema check."""
-    raw = service.handle(wire.encode(channel.encrypt(canonical_encode(msg))))
-    return wire.decode(channel.decrypt(wire.decode(raw)))
+    raw = service.handle(channel.encrypt(canonical_encode(msg)))
+    return wire.decode(channel.decrypt(raw))
 
 
 def test_integer_too_large_for_a_float_refused(service, enclave, ha, clock):
@@ -236,9 +236,7 @@ def test_handshake_key_is_one_shot(service):
     msg = wire.decode(service.handle(wire.encode(retry)))
     assert msg == {"type": "error", "reason": "unknown handshake"}
     # the already-established session keeps working
-    raw = service.handle(
-        wire.encode(channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()})))
-    )
+    raw = service.handle(channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()})))
     assert wire.decode(raw)["type"] == "envelope"
 
 
@@ -271,7 +269,7 @@ def test_pending_handshakes_bounded_oldest_evicted(service):
     assert resp["type"] == "session_resp"
     channel = establish_session(private, quotes[-1])
     request = channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
-    inner = wire.decode(channel.decrypt(wire.decode(service.handle(wire.encode(request)))))
+    inner = wire.decode(channel.decrypt(service.handle(request)))
     assert inner == {"type": "result_resp", "result": "unknown"}
     assert len(service._pending) == cap - 2
 
@@ -317,7 +315,7 @@ def _connected(service, config):
 
 
 def _result_req(channel) -> bytes:
-    return wire.encode(channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()})))
+    return channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
 
 
 def test_sessions_bounded_oldest_evicted(service):
@@ -403,13 +401,11 @@ def test_sessions_bounded_across_threads(service, enclave_config, monkeypatch):
 
 def test_replayed_envelope_rejected(service):
     channel, _ = manual_handshake(service)
-    request = wire.encode(
-        channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
-    )
-    first = wire.decode(service.handle(request))
-    assert first["type"] == "envelope"
-    replayed = wire.decode(service.handle(request))
-    assert replayed["type"] == "envelope"
+    request = channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
+    first = service.handle(request)
+    assert wire.decode(first)["type"] == "envelope"
+    replayed = service.handle(request)
+    assert wire.decode(replayed)["type"] == "envelope"
     channel.decrypt(first)
     inner = wire.decode(channel.decrypt(replayed))
     assert inner == {"type": "error", "reason": "replay"}
@@ -417,15 +413,71 @@ def test_replayed_envelope_rejected(service):
 
 def test_tampered_envelope_rejected(service):
     channel, _ = manual_handshake(service)
-    envelope = channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
+    envelope = wire.decode(channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()})))
     body = bytearray(bytes.fromhex(envelope["ciphertext"]))
     body[0] ^= 0x01
     envelope["ciphertext"] = bytes(body).hex()
     raw = service.handle(wire.encode(envelope))
     outer = wire.decode(raw)
     assert outer["type"] == "envelope"
-    inner = wire.decode(channel.decrypt(outer))
+    inner = wire.decode(channel.decrypt(raw))
     assert inner == {"type": "error", "reason": "decrypt failed"}
+
+
+def test_envelope_refusals_keep_their_order(service):
+    channel, _ = manual_handshake(service)
+    request = channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
+    fields = wire.decode(request)
+    foreign = {**fields, "session_id": "ab" * 16}
+    plain = lambda raw: wire.decode(service.handle(raw))
+    opened = lambda raw: wire.decode(channel.decrypt(service.handle(raw)))
+    # a malformed envelope gets its WireError in plaintext, whether or not its session is open
+    upper = wire.encode(fields).replace(fields["ciphertext"].encode(), fields["ciphertext"].upper().encode())
+    assert plain(upper) == {"type": "error", "reason": "envelope.ciphertext: not lowercase hex"}
+    spaced = wire.encode(foreign).replace(b',"nonce"', b', "nonce"')
+    assert plain(spaced) == {"type": "error", "reason": "non-canonical encoding"}
+    # then an envelope of no open session, before anything is decrypted
+    assert plain(wire.encode({**foreign, "ciphertext": "00"})) == {"type": "error", "reason": "unknown session"}
+    # then, enveloped, a wrong nonce and a bad tag
+    wrong_nonce = wire.encode({**fields, "nonce": "00" * 12})
+    assert opened(wrong_nonce) == {"type": "error", "reason": "decrypt failed"}
+    last = int(fields["ciphertext"][-2:], 16) ^ 1
+    bad_tag = wire.encode({**fields, "ciphertext": fields["ciphertext"][:-2] + "%02x" % last})
+    assert opened(bad_tag) == {"type": "error", "reason": "decrypt failed"}
+    # none of them used up the sequence; a replay of it is refused after it opens
+    assert opened(request) == {"type": "result_resp", "result": "unknown"}
+    assert opened(request) == {"type": "error", "reason": "replay"}
+    # a 20-digit sequence is accepted
+    channel._next_send = 10**19
+    assert opened(channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))) == {
+        "type": "result_resp",
+        "result": "unknown",
+    }
+
+
+def test_client_refuses_a_reply_that_is_not_an_envelope(service, enclave_config):
+    class Answering:
+        """Serves the handshake, answers every envelope with `reply`."""
+
+        def __init__(self, reply):
+            self.reply = reply
+
+        def request(self, raw):
+            if not raw.endswith(wire.ENVELOPE_TAIL):
+                return service.handle(raw)
+            return wire.encode(self.reply)
+
+    for reply, error in (
+        ({"type": "error", "reason": "nope"}, RemoteError("nope")),
+        ({"type": "ack"}, ProtocolError("unexpected message type")),
+        ({"type": "attest_req"}, ProtocolError("unexpected message type")),
+    ):
+        client = EnclaveClient(
+            Answering(reply), enclave_config.measurement(), platform_verify_key(PLATFORM_SECRET)
+        )
+        with pytest.raises(ProtocolError) as raised:
+            client.poll_result(TOKEN)
+        assert (type(raised.value), str(raised.value)) == (type(error), str(error))
 
 
 def test_racing_copies_of_one_envelope_dispatched_once(service):
@@ -443,9 +495,7 @@ def test_racing_copies_of_one_envelope_dispatched_once(service):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(100):
-            request = wire.encode(
-                channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
-            )
+            request = channel.encrypt(wire.encode({"type": "result_req", "token": TOKEN.hex()}))
             threads = [threading.Thread(target=service.handle, args=(request,)) for _ in range(2)]
             for thread in threads:
                 thread.start()
@@ -458,10 +508,8 @@ def test_racing_copies_of_one_envelope_dispatched_once(service):
 
 def test_handshake_inside_envelope_rejected(service):
     channel, _ = manual_handshake(service)
-    raw = service.handle(
-        wire.encode(channel.encrypt(wire.encode({"type": "attest_req"})))
-    )
-    inner = wire.decode(channel.decrypt(wire.decode(raw)))
+    raw = service.handle(channel.encrypt(wire.encode({"type": "attest_req"})))
+    inner = wire.decode(channel.decrypt(raw))
     assert inner == {"type": "error", "reason": "unexpected message type"}
 
 
@@ -481,8 +529,8 @@ def test_deeply_nested_plaintext_gets_error_reply(service):
 
 def test_deeply_nested_envelope_gets_enveloped_error_reply(service):
     channel, _ = manual_handshake(service)
-    raw = service.handle(wire.encode(channel.encrypt(DEEP)))
-    inner = wire.decode(channel.decrypt(wire.decode(raw)))
+    raw = service.handle(channel.encrypt(DEEP))
+    inner = wire.decode(channel.decrypt(raw))
     assert inner == NESTED_TOO_DEEPLY
 
 

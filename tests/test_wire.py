@@ -6,8 +6,12 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
 from cct import wire
-from cct.errors import WireError
+from cct.attestation import SecureChannel
+from cct.errors import EnvelopeError, WireError
 
 HEX16 = "00" * 16
 HEX32 = "11" * 32
@@ -960,6 +964,238 @@ def test_tuple_decoder_needs_no_json(monkeypatch):
     assert wire.decode_tuples(upload) == (token, tuples)
 
 
+# -- differential: the envelope codec against the dict form -----------------------
+#
+# SecureChannel used to write an envelope as a dict of hex strings for
+# encode(), and to open the dict that decode() made. The bytes codec must give
+# the same bytes, and the same plaintext or the same refusal.
+
+_C2E, _E2C, _SID = b"\x01" * 32, b"\x02" * 32, b"\xab\xcd" * 8
+_FOREIGN_SID, _FOREIGN_KEY = b"\x04" * 16, b"\x05" * 32
+_SEQUENCES = [1, 2, 10**19 - 1, 10**19, MAX_UINT]
+
+
+def _sequence_nonce(sequence: int) -> bytes:
+    return bytes(4) + sequence.to_bytes(8, "big")
+
+
+def dict_envelope(key: bytes, session_id: bytes, sequence: int, plaintext: bytes) -> dict:
+    """The envelope message that encrypt returned before it returned bytes."""
+    nonce = _sequence_nonce(sequence)
+    return {
+        "ciphertext": ChaCha20Poly1305(key).encrypt(nonce, plaintext, session_id).hex(),
+        "nonce": nonce.hex(),
+        "sequence": sequence,
+        "session_id": session_id.hex(),
+        "type": "envelope",
+    }
+
+
+def reference_open(channel: SecureChannel, raw: bytes) -> bytes:
+    """decode(), then the dict form's decrypt, on a channel's receive state.
+
+    The service sent only envelopes to decrypt; any other valid message is
+    refused here as decode_envelope refuses it.
+    """
+    envelope = wire.decode(raw)
+    if envelope["type"] != "envelope":
+        raise WireError(f"expected envelope, got {envelope['type']}")
+    sequence = envelope["sequence"]
+    nonce = _sequence_nonce(sequence)
+    if sequence <= channel._last_recv:
+        raise EnvelopeError("replay")
+    if envelope["session_id"] != channel.session_id.hex() or envelope["nonce"] != nonce.hex():
+        raise EnvelopeError("decrypt failed")
+    try:
+        plaintext = channel._recv.decrypt(nonce, bytes.fromhex(envelope["ciphertext"]), channel.session_id)
+    except InvalidTag:
+        raise EnvelopeError("decrypt failed") from None
+    channel._last_recv = sequence
+    return plaintext
+
+
+def _sender(sequence: int, session_id: bytes = _SID, key: bytes = _C2E) -> SecureChannel:
+    channel = SecureChannel(session_id, send_key=key, recv_key=_E2C)
+    channel._next_send = sequence
+    return channel
+
+
+def _receivers() -> tuple[SecureChannel, SecureChannel]:
+    """The enclave's end twice: one opens with decrypt, one with reference_open."""
+    return tuple(SecureChannel(_SID, send_key=_E2C, recv_key=_C2E) for _ in range(2))
+
+
+def assert_opens_alike(raws) -> None:
+    """Both open paths agree on each envelope in turn, receive state included."""
+    new, old = _receivers()
+    for raw in raws:
+        assert outcome(new.decrypt, raw) == outcome(lambda r: reference_open(old, r), raw), raw
+        assert new._last_recv == old._last_recv
+
+
+@given(
+    st.sampled_from(_SEQUENCES) | st.integers(1, MAX_UINT),
+    st.sampled_from([_SID, _FOREIGN_SID]),
+    st.sampled_from([_C2E, _FOREIGN_KEY]),
+    st.binary(max_size=64),
+)
+def test_envelope_encrypt_differential(sequence, session_id, key, plaintext):
+    raw = _sender(sequence, session_id, key).encrypt(plaintext)
+    assert raw == wire.encode(dict_envelope(key, session_id, sequence, plaintext))
+
+
+@st.composite
+def envelope_stream_st(draw):
+    """Envelopes from this session or a foreign one, each with up to three edits."""
+    raws = []
+    for _ in range(draw(st.integers(1, 4))):
+        sender = _sender(
+            draw(st.sampled_from(_SEQUENCES) | st.integers(1, MAX_UINT)),
+            draw(st.sampled_from([_SID, _SID, _FOREIGN_SID])),
+            draw(st.sampled_from([_C2E, _C2E, _FOREIGN_KEY])),
+        )
+        raw = sender.encrypt(draw(st.binary(max_size=24)))
+        raws.append(mutated(draw, raw))
+        if draw(st.booleans()):
+            raws.append(raws[-1])  # a replay, or a second try of a refused one
+    return raws
+
+
+@given(envelope_stream_st())
+def test_envelope_open_differential(raws):
+    assert_opens_alike(raws)
+
+
+def _envelope_edges() -> list:
+    ok = _sender(0xAB).encrypt(b"payload")  # hex letters in the nonce and session id
+    fields = wire.decode(ok)
+    ct, nonce = fields["ciphertext"].encode(), fields["nonce"].encode()
+    sid = fields["session_id"].encode()
+    seq = b"171"
+    # mutations keep the rest of the envelope canonical
+    spelled = lambda c=ct, n=nonce, q=seq, s=sid: wire.ENVELOPE.replace(b"%d", b"%s") % (c, n, q, s)
+    raws = [
+        ok,
+        spelled(c=ct.upper()),
+        spelled(c=ct[:-1]),
+        spelled(c=ct[:-2]),  # a bad tag
+        spelled(c=b""),
+        spelled(c=ct[:4] + b"\\u0030" + ct[5:]),
+        spelled(n=nonce.upper()),
+        spelled(n=nonce[:-1]),
+        spelled(n=_sequence_nonce(0xAC).hex().encode()),  # the nonce of another sequence
+        spelled(q=b"0171"),
+        spelled(q=b"-171"),
+        spelled(q=b"171.0"),
+        spelled(q=b"172"),
+        spelled(q=b"1" + b"0" * 19),
+        spelled(q=b"%d" % (MAX_UINT + 1)),
+        spelled(s=sid.upper()),
+        spelled(s=_FOREIGN_SID.hex().encode()),
+        spelled(s=sid[:-2]),
+        ok.replace(b',"nonce"', b', "nonce"'),
+        ok + b" ",
+        b" " + ok,
+        ok.replace(b'"nonce"', b'"extra":1,"nonce"'),
+        ok.replace(b',"nonce":"%s"' % nonce, b""),
+        ok.replace(b'"type":"envelope"', b'"type":"ack"'),
+        b'{"type":"ack"}',
+        b'{"type":"envelope"}',
+        bytearray(ok),
+        b"",
+    ]
+    raws += [ok[:cut] for cut in (1, 15, 40, -30, -1)]
+    # 20-digit sequences are read by the generic path and accepted
+    raws += [_sender(sequence).encrypt(b"late") for sequence in (10**19 - 1, 10**19, MAX_UINT)]
+    return raws
+
+
+@pytest.mark.parametrize("raw", _envelope_edges())
+def test_envelope_open_differential_edges(raw):
+    assert_opens_alike([raw])
+
+
+def test_envelope_open_differential_sequence_of_edges():
+    # one receiver through every edge in turn: refusals must not move its state
+    assert_opens_alike(_envelope_edges())
+
+
+def test_envelope_codec_needs_no_json(monkeypatch):
+    sender, (receiver, _) = _sender(1), _receivers()
+    raws = [sender.encrypt(b"x" * n) for n in (0, 1, 1000)]
+    monkeypatch.setattr(wire, "json", None)
+    monkeypatch.setattr(wire, "decode", None)
+    assert [receiver.decrypt(raw) for raw in raws] == [b"", b"x", b"x" * 1000]
+    assert sender.encrypt(b"y").endswith(wire.ENVELOPE_TAIL)
+
+
+# -- differential: the fixed-shape templates against canonical_encode ---------------
+
+TEMPLATE_TYPES = [t for t in wire.MESSAGE_SCHEMAS if wire._template(t) is not None]
+
+
+def test_template_types():
+    # every schema with a grammar but the envelope, whose ciphertext has no fixed length
+    assert set(TEMPLATE_TYPES) == set(FUZZ_TYPES) - {"envelope", "gps_upload_req", "error"}
+    for mtype in ("poll_resp", "ack", "result_resp", *wire.HANDSHAKE_TYPES):
+        assert mtype in TEMPLATE_TYPES
+
+
+def assert_template_agrees(mtype: str, msg) -> None:
+    """The template writes canonical_encode's bytes of a valid message, or
+    leaves msg to the generic path, and encode() gives the generic result."""
+    text = wire._template(mtype)(msg)
+    if text is not None:
+        assert outcome(generic_encode, msg) == _ok(text.encode())
+    assert outcome(wire.encode, msg) == outcome(generic_encode, msg)
+
+
+@pytest.mark.parametrize("mtype", TEMPLATE_TYPES)
+@given(data=st.data())
+def test_template_differential(mtype, data):
+    assert_template_agrees(mtype, data.draw(mutated_message_st(mtype)))
+
+
+_TEMPLATE_EDGES = [
+    {**_REPORT, "interval": True},
+    {**_REPORT, "interval": _Int(7)},
+    {**_REPORT, "interval": 7.0},
+    {**_REPORT, "interval": MAX_UINT},
+    {**_REPORT, "interval": MAX_UINT + 1},
+    {**_REPORT, "interval": 10**19},
+    {**_REPORT, "result": _Text("positive")},
+    {**_REPORT, "token_hash": HEX32.upper()},
+    {**_SECRET_UPLOAD, "from_interval": False},
+    {**_SECRET_UPLOAD, "to_interval": -1},
+    {**_POLL_RESP, "matched_intervals": []},
+    {**_POLL_RESP, "matched": False, "matched_intervals": []},
+    {**_POLL_RESP, "matched": 1},
+    {**_POLL_RESP, "matched_intervals": [True]},
+    {**_POLL_RESP, "matched_intervals": [_Int(3)]},
+    {**_POLL_RESP, "matched_intervals": [MAX_UINT, MAX_UINT + 1]},
+    {**_POLL_RESP, "matched_intervals": (0,)},
+    {**_UPLOAD, "tuples": []},
+    {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "interval": True}]},
+    {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "sent": HEX16.upper()}]},
+    {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "extra": 1}]},
+    {"type": "session_resp", "session_id": HEX16.upper()},
+    {"type": "session_resp", "session_id": _Text(HEX16)},
+    {"type": "session_resp", "session_id": HEX16.encode()},
+    {"type": "session_resp", "session_id": "٠" + HEX16[1:]},
+    {"type": "session_resp"},
+    {"type": "session_resp", "session_id": HEX16, "extra": HEX16},
+    {"type": "result_resp", "result": "maybe"},
+    {"type": "result_resp", "result": ["unknown"]},
+    {"type": "attest_req", "extra": 1},
+    {"type": "ack", "reason": "x"},
+]
+
+
+@pytest.mark.parametrize("msg", _TEMPLATE_EDGES, ids=lambda m: m["type"])
+def test_template_differential_edges(msg):
+    assert_template_agrees(msg["type"], msg)
+
+
 @pytest.mark.parametrize(
     "msg",
     [m for m in SAMPLE_MESSAGES if m["type"] not in GENERIC_TYPES],
@@ -974,8 +1210,19 @@ def test_fixed_schemas_take_the_compiled_path(msg, monkeypatch):
     for name in ("validate_message", "canonical_decode"):
         monkeypatch.setattr(wire, name, refuse)
     if msg["type"] == "envelope":
-        monkeypatch.setattr(wire, "json", None)  # no json call either way
-    assert (wire.encode(msg), wire.decode(raw)) == (raw, msg)
+        # SecureChannel writes envelopes with wire.ENVELOPE and reads them with
+        # decode_envelope; neither calls json
+        monkeypatch.setattr(wire, "json", None)
+        ciphertext, nonce, session_id = (msg[k].encode() for k in ("ciphertext", "nonce", "session_id"))
+        assert wire.ENVELOPE % (ciphertext, nonce, msg["sequence"], session_id) == raw
+        fields = (bytes.fromhex(msg["ciphertext"]), bytes.fromhex(msg["nonce"]), msg["sequence"])
+        assert wire.decode_envelope(raw) == (*fields, bytes.fromhex(msg["session_id"]))
+        return
+    assert wire.encode(msg) == raw  # builds the template on first use
+    with monkeypatch.context() as patched:
+        patched.setattr(wire, "json", None)  # a template writes without json
+        assert wire.encode(msg) == raw
+    assert wire.decode(raw) == msg
 
 
 # -- framing -------------------------------------------------------------------
