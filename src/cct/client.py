@@ -143,7 +143,7 @@ class EnclaveClient:
 
     def _open(self, raw: bytes) -> bytes:
         """The plaintext of the backend's envelope; any other reply raises as in _reply."""
-        if not raw.endswith(wire.ENVELOPE_TAIL):
+        if wire.message_type(raw) != "envelope":
             self._reply(raw, "envelope")
         return self._channel.decrypt(raw)
 

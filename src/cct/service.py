@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import socketserver
 import threading
-from binascii import unhexlify
 from collections import OrderedDict
 from typing import Any, Callable
 
@@ -110,7 +109,7 @@ class EnclaveService:
         connection and the session stay up.
         """
         try:
-            if raw.endswith(wire.ENVELOPE_TAIL):
+            if wire.message_type(raw) == "envelope":
                 return self._handle_envelope(raw)
             msg = wire.decode(raw)
             mtype = msg["type"]
@@ -161,12 +160,8 @@ class EnclaveService:
         session `unknown session` before anything is decrypted; handle
         answers both in plaintext.
         """
-        try:
-            session_id = unhexlify(raw[wire.ENVELOPE_SESSION_HEX])
-        except ValueError:
-            session_id = None
         with self._tables_lock:
-            channel = self._sessions.get(session_id)
+            channel = self._sessions.get(wire.envelope_session(raw))
         if channel is None:
             wire.decode_envelope(raw)  # a malformed envelope is refused as such
             raise ProtocolError("unknown session")
@@ -195,9 +190,9 @@ class EnclaveService:
 
     def _request(self, plaintext: bytes) -> tuple[str, Any]:
         """The request's type, and what its handler takes."""
-        if plaintext.endswith(wire.TUPLE_TAILS):
-            request = wire.decode_tuples(plaintext)
-            return ("poll_req" if request[0] is None else "upload_req"), request
+        mtype = wire.message_type(plaintext)
+        if mtype in ("poll_req", "upload_req"):
+            return mtype, wire.decode_tuples(plaintext)
         msg = wire.decode(plaintext)
         return msg["type"], msg
 

@@ -58,7 +58,7 @@ def _is_handshake(raw: bytes) -> bool:
 
     Only the few messages that end like one pay for the full decode.
     """
-    if not raw.endswith(wire.HANDSHAKE_TAILS):
+    if wire.message_type(raw) not in wire.HANDSHAKE_TYPES:
         return False
     try:
         wire.decode(raw)

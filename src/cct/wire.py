@@ -10,19 +10,23 @@ encode() and decode() run a compiled path first. Every schema whose fields
 all have one fixed canonical form (hex of a fixed length, uints, booleans,
 enums, arrays and objects of those) is compiled on first use, from the
 `grammar` and `emit` that each field validator carries, into a grammar over
-its canonical bytes and a template that writes them. "type" sorts after
-every other field, so the trailing `"type":"…"}` picks the grammar. A
-fullmatch proves the bytes canonical and the value valid: decode() then
-only needs json.loads. encode() fills the template, with no json; a field
-of any but its exact types (a bool where an int goes, a str subclass) leaves
-the message to the generic path. encode_tuples() writes the poll and upload
-requests the same way, straight from the tuples, and decode_tuples() reads
-them back with the grammar's fullmatch and one findall. The envelope, whose
-ciphertext has no fixed length, has no template: SecureChannel writes it as
-one %-join of ENVELOPE, and decode_envelope(), the one envelope parser,
-reads it with one small regex plus a hex check of the ciphertext, with no
-json and no dict. Anything a compiled path does not match (the GPS
-messages, `error`, a 20-digit uint, any malformed input) takes the generic
+its canonical bytes and a template that writes them. The grammars are
+exact: a uint's takes the numerals of 0..2^64-1 and no others, so each
+takes exactly the canonical bytes of the valid messages of its type. "type"
+sorts after every other field, and message_type(), the one reader of the
+trailing `"type":"…"}`, picks the grammar. A fullmatch proves the bytes
+canonical and the value valid: decode() then only needs json.loads.
+encode() fills the template, with no json; a field of any but its exact
+types (a bool where an int goes, a str subclass) leaves the message to the
+generic path. encode_tuples() writes the poll and upload requests the same
+way, straight from the tuples, and decode_tuples() reads them back with the
+grammar's fullmatch and one findall. The envelope, whose ciphertext has no
+fixed length, has no template: SecureChannel writes it as one %-join of
+ENVELOPE, and decode_envelope(), the one envelope parser, reads it with one
+small regex plus a hex check of the ciphertext, with no json and no dict.
+These two readers have no second path: what they refuse, decode() refuses
+too, and they raise its WireError. Anything else a compiled path does not
+match (the GPS messages, `error`, any malformed input) takes the generic
 path: decode() parses, re-encodes and rejects any input whose bytes differ,
 then validates; encode() validates, then encodes. Both paths accept the
 same values and give the same errors.
@@ -189,9 +193,19 @@ def _uint(v: Any) -> None:
         raise WireError("expected unsigned 64-bit integer")
 
 
-# every 19-digit number is below 2^64; a 20-digit one takes the generic path,
-# so the exact bound is checked in _uint alone
-_uint.grammar = rb"(?:0|[1-9][0-9]{0,18})"
+def _numerals(top: int) -> bytes:
+    """A grammar of exactly the canonical numerals of 0..top, for top >= 10: the
+    shorter ones, and those of its length that first differ from it by a lower digit."""
+    digits = b"%d" % top
+    branches = [b"0", b"[1-9][0-9]{0,%d}" % (len(digits) - 2)]
+    for i, digit in enumerate(digits):
+        low = 0x31 if i == 0 else 0x30  # no leading zero
+        if digit > low:
+            branches.append(b"%s[%c-%c][0-9]{%d}" % (digits[:i], low, digit - 1, len(digits) - i - 1))
+    return b"(?:%s)" % b"|".join(branches + [digits])
+
+
+_uint.grammar = _numerals(_MAX_UINT)
 _uint.emit = lambda v: "%d" % v if type(v) is int and 0 <= v <= _MAX_UINT else None
 
 
@@ -394,17 +408,30 @@ def validate_message(msg: dict) -> None:
 
 # the last member of every canonical message, as "type" sorts after every field
 _TYPE_BY_TAIL = {b'"type":%s}' % canonical_encode(t): t for t in MESSAGE_SCHEMAS}
-# the tails of the handshake messages, for bytes.endswith
-HANDSHAKE_TAILS = tuple(tail for tail, t in _TYPE_BY_TAIL.items() if t in HANDSHAKE_TYPES)
-# the tails of the requests that decode_tuples reads
-TUPLE_TAILS = tuple(tail for tail, t in _TYPE_BY_TAIL.items() if t in ("poll_req", "upload_req"))
-# the tail of every canonical envelope, and its session id's 32 hex digits,
-# which end just before the `",` in front of that tail
-ENVELOPE_TAIL = next(tail for tail, t in _TYPE_BY_TAIL.items() if t == "envelope")
-ENVELOPE_SESSION_HEX = slice(-52, -20)
 # the canonical envelope of (ciphertext hex, nonce hex, sequence, session id hex)
 ENVELOPE = b'{"ciphertext":"%s","nonce":"%s","sequence":%d,"session_id":"%s","type":"envelope"}'
 _ENVELOPE_HEAD = b'{"ciphertext":"'
+
+
+def message_type(raw: bytes) -> str | None:
+    """The type that raw's last member names, if raw ends as a canonical message does.
+
+    The one reader of a message's type tail; only a reader of that type
+    proves the rest of raw canonical.
+    """
+    return _TYPE_BY_TAIL.get(bytes(raw[raw.rfind(b'"type":') :]))
+
+
+def envelope_session(raw: bytes) -> bytes | None:
+    """The session id read where a canonical envelope holds it; None if that is not hex.
+
+    Only decode_envelope proves raw an envelope.
+    """
+    try:
+        # its 32 hex digits end just before the `","type":"envelope"}` tail
+        return unhexlify(raw[-52:-20])
+    except ValueError:
+        return None
 
 
 @functools.cache
@@ -428,51 +455,35 @@ def _envelope_rest() -> Callable[[bytes, int], Any]:
     15x faster than a regex over its hex.
     """
     return re.compile(
-        rb'","nonce":"([0-9a-f]{24})","sequence":(%s),"session_id":"([0-9a-f]{32})",%s'
-        % (_uint.grammar, re.escape(ENVELOPE_TAIL))
+        rb'","nonce":"([0-9a-f]{24})","sequence":(%s),"session_id":"([0-9a-f]{32})","type":"envelope"\}'
+        % _uint.grammar
     ).fullmatch
 
 
 def decode_envelope(raw: bytes) -> tuple[bytes, bytes, int, bytes]:
     """The (ciphertext, nonce, sequence, session id) of an envelope in canonical bytes.
 
-    The one envelope parser. Bytes that are plainly a canonical envelope are
-    read with one regex, a hex check and unhexlify, with no json and no
-    dict; anything else goes through decode(), so the same bytes are
-    accepted and the same WireErrors raised. A valid message of another
-    type is refused too.
+    The one envelope parser: one regex, a hex check and unhexlify, with no
+    json and no dict, read exactly the canonical envelopes. Anything else is
+    refused with decode()'s WireError, or, if it is a valid message of
+    another type, with `expected envelope, got <type>`.
     """
-    if type(raw) is bytes and raw.startswith(_ENVELOPE_HEAD):
+    if raw.startswith(_ENVELOPE_HEAD):
         end = raw.find(b'"', len(_ENVELOPE_HEAD))
         rest = _envelope_rest()(raw, end) if end > 0 else None
         ciphertext = raw[len(_ENVELOPE_HEAD) : end]
         if rest is not None and not (len(ciphertext) % 2 or ciphertext.translate(None, _HEX_DIGITS)):
             return unhexlify(ciphertext), unhexlify(rest[1]), int(rest[2]), unhexlify(rest[3])
-    msg = decode(raw)
-    if msg["type"] != "envelope":
-        raise WireError(f"expected envelope, got {msg['type']}")
-    return (
-        bytes.fromhex(msg["ciphertext"]),
-        bytes.fromhex(msg["nonce"]),
-        msg["sequence"],
-        bytes.fromhex(msg["session_id"]),
-    )
-
-
-def _encode_compiled(mtype: str, msg: dict) -> bytes | None:
-    """The canonical bytes, or None when msg is not plainly a valid `mtype` message."""
-    template = _template(mtype) if mtype in MESSAGE_SCHEMAS else None
-    text = None if template is None else template(msg)
-    return None if text is None else text.encode("ascii")
+    raise WireError(f"expected envelope, got {decode(raw)['type']}")
 
 
 def encode(msg: dict) -> bytes:
     """Canonical bytes for a message; raises WireError on schema violations."""
     mtype = msg.get("type") if type(msg) is dict else None
-    if type(mtype) is str:
-        raw = _encode_compiled(mtype, msg)
-        if raw is not None:
-            return raw
+    template = _template(mtype) if type(mtype) is str and mtype in MESSAGE_SCHEMAS else None
+    text = None if template is None else template(msg)  # None: not plainly valid
+    if text is not None:
+        return text.encode("ascii")
     validate_message(msg)
     return canonical_encode(msg)
 
@@ -525,19 +536,13 @@ def _tuple_message(tuples: Sequence[tuple[int, bytes, bytes]], token: Any) -> di
 
 def decode(raw: bytes) -> dict:
     """Parse and validate a message from canonical bytes."""
-    # other buffers (a bytearray slice is not hashable) take the generic path
-    mtype = _TYPE_BY_TAIL.get(raw[raw.rfind(b'"type":') :]) if type(raw) is bytes else None
-    if mtype is not None:
-        grammar = _grammar(mtype)
-        if grammar is not None and grammar(raw):
-            return json.loads(raw)
+    mtype = message_type(raw)
+    grammar = None if mtype is None else _grammar(mtype)
+    if grammar is not None and grammar(raw):
+        return json.loads(raw)
     value = canonical_decode(raw)
     validate_message(value)
     return value
-
-
-# the token's hex in a canonical upload_req, which starts {"token":"
-_TOKEN_HEX = slice(10, 74)
 
 
 @functools.cache
@@ -554,29 +559,21 @@ def decode_tuples(raw: bytes) -> tuple[bytes | None, list[tuple[int, bytes, byte
     """Inverse of encode_tuples: the token (None for a poll_req) and the
     (interval, sent, received) tuples of a poll_req or upload_req.
 
-    The compiled grammar's fullmatch proves the bytes canonical; one findall
-    then reads the tuples, with no json and no dicts. Anything else goes
-    through decode(), so the same bytes are accepted and the same WireErrors
-    raised. A tuple whose identifiers are equal is refused with
-    ValueError("self-contact").
+    The compiled grammar's fullmatch, which takes exactly the canonical
+    requests, proves the bytes valid; one findall then reads the tuples,
+    with no json and no dicts. Anything else is refused with decode()'s
+    WireError, or, if it is a valid message of another type, with `expected
+    poll_req or upload_req, got <type>`. A tuple whose identifiers are equal
+    is refused with ValueError("self-contact").
     """
-    mtype = _TYPE_BY_TAIL.get(raw[raw.rfind(b'"type":') :]) if type(raw) is bytes else None
-    if mtype in ("poll_req", "upload_req") and _grammar(mtype)(raw):
-        token = None if mtype == "poll_req" else unhexlify(raw[_TOKEN_HEX])
-        tuples = [
-            (int(interval), unhexlify(sent), unhexlify(received))
-            for interval, received, sent in _tuple_entries()(raw)
-        ]
-    else:
-        msg = decode(raw)
-        mtype = msg["type"]
-        if mtype not in ("poll_req", "upload_req"):
-            raise WireError(f"expected poll_req or upload_req, got {mtype}")
-        token = bytes.fromhex(msg["token"]) if mtype == "upload_req" else None
-        tuples = [
-            (e["interval"], bytes.fromhex(e["sent"]), bytes.fromhex(e["received"]))
-            for e in msg["tuples"]
-        ]
+    mtype = message_type(raw)
+    if mtype not in ("poll_req", "upload_req") or not _grammar(mtype)(raw):
+        raise WireError(f"expected poll_req or upload_req, got {decode(raw)['type']}")
+    token = None if mtype == "poll_req" else unhexlify(raw[10:74])  # after {"token":"
+    tuples = [
+        (int(interval), unhexlify(sent), unhexlify(received))
+        for interval, received, sent in _tuple_entries()(raw)
+    ]
     if any(sent == received for _, sent, received in tuples):
         raise ValueError("self-contact")
     return token, tuples

@@ -463,7 +463,7 @@ def test_client_refuses_a_reply_that_is_not_an_envelope(service, enclave_config)
             self.reply = reply
 
         def request(self, raw):
-            if not raw.endswith(wire.ENVELOPE_TAIL):
+            if wire.message_type(raw) != "envelope":
                 return service.handle(raw)
             return wire.encode(self.reply)
 

@@ -929,7 +929,7 @@ def _tuple_request_edges() -> list:
         upload % (("ab" * 32).upper(), one),
         upload % (HEX32[:-2], one),
         upload % ("zz" + HEX32[2:], one),
-        poll % (entry % ("1" + "0" * 19, a, b)),  # 20 digits: the generic path takes it
+        poll % (entry % ("1" + "0" * 19, a, b)),  # 20 digits below 2^64: the grammar takes it
         poll % (entry % (MAX_UINT, a, b)),
         poll % (entry % (MAX_UINT + 1, a, b)),
         poll % (entry % ("07", a, b)),
@@ -956,6 +956,7 @@ def test_tuple_decoder_differential_edges(raw):
 
 def test_tuple_decoder_needs_no_json(monkeypatch):
     tuples = [(0, bytes(16), b"\x01" * 16), (10**19 - 1, b"\x02" * 16, b"\x03" * 16)]
+    tuples += [(10**19, b"\x04" * 16, b"\x05" * 16), (MAX_UINT, b"\x06" * 16, b"\x07" * 16)]
     token = b"\x11" * 32
     poll, upload = wire.encode_tuples(tuples), wire.encode_tuples(tuples, token)
     monkeypatch.setattr(wire, "json", None)
@@ -1105,7 +1106,7 @@ def _envelope_edges() -> list:
         b"",
     ]
     raws += [ok[:cut] for cut in (1, 15, 40, -30, -1)]
-    # 20-digit sequences are read by the generic path and accepted
+    # 20-digit sequences below 2^64 are read by the compiled reader and accepted
     raws += [_sender(sequence).encrypt(b"late") for sequence in (10**19 - 1, 10**19, MAX_UINT)]
     return raws
 
@@ -1123,10 +1124,71 @@ def test_envelope_open_differential_sequence_of_edges():
 def test_envelope_codec_needs_no_json(monkeypatch):
     sender, (receiver, _) = _sender(1), _receivers()
     raws = [sender.encrypt(b"x" * n) for n in (0, 1, 1000)]
+    raws += [_sender(sequence).encrypt(b"late") for sequence in (10**19, MAX_UINT)]
     monkeypatch.setattr(wire, "json", None)
     monkeypatch.setattr(wire, "decode", None)
-    assert [receiver.decrypt(raw) for raw in raws] == [b"", b"x", b"x" * 1000]
-    assert sender.encrypt(b"y").endswith(wire.ENVELOPE_TAIL)
+    assert [receiver.decrypt(raw) for raw in raws] == [b"", b"x", b"x" * 1000, b"late", b"late"]
+    assert wire.message_type(sender.encrypt(b"y")) == "envelope"
+
+
+def test_decode_reads_the_largest_uint_compiled(monkeypatch):
+    raw = _report_bytes(_MAX)
+    monkeypatch.setattr(wire, "canonical_decode", None)
+    assert wire.decode(raw) == {**_REPORT, "interval": MAX_UINT}
+    assert wire.decode(bytearray(raw)) == {**_REPORT, "interval": MAX_UINT}
+
+
+def _uint_numerals() -> list[bytes]:
+    """Numerals of every length from 1 to 21 digits, the neighbours of 2^64-1, and near-misses."""
+    numerals = [b"", b"-0", b"00", b"007", b"-1", b"+1", b" 1", b"1_0", b"1.0"]
+    for length in range(1, 22):
+        numerals += [b"1" + b"0" * (length - 1), b"9" * length, b"0" * length, b"0" + b"9" * (length - 1)]
+        numerals += [b"%d" % (10 ** (length - 1) + 7 ** length % 10 ** (length - 1))]
+    for k in [*range(1001), *(10**j for j in range(4, 20))]:
+        numerals += [b"%d" % (MAX_UINT - k), b"%d" % (MAX_UINT + 1 + k)]
+    # 2^64-1 with one digit raised or lowered: each branch of the grammar, and just past it
+    for i, digit in enumerate(_MAX):
+        for near in (digit - 1, digit + 1):
+            if 0x30 <= near <= 0x39:
+                numerals.append(_MAX[:i] + bytes([near]) + _MAX[i + 1 :])
+    return numerals
+
+
+def _is_uint_numeral(text: bytes) -> bool:
+    """Whether text is the canonical numeral of a value _uint accepts."""
+    try:
+        value = int(text)
+        wire._uint(value)
+    except (ValueError, WireError):
+        return False
+    return wire.canonical_encode(value) == text
+
+
+def test_uint_grammar_boundary():
+    grammar = re.compile(wire._uint.grammar).fullmatch
+    numerals = _uint_numerals()
+    assert sum(map(_is_uint_numeral, numerals)) > 1000 and not all(map(_is_uint_numeral, numerals))
+    for text in numerals:
+        assert (grammar(text) is not None) == _is_uint_numeral(text), text
+
+
+@given(
+    st.one_of(
+        tuple_request_st(),
+        envelope_stream_st().flatmap(st.sampled_from),
+        st.sampled_from(FUZZ_TYPES).flatmap(mutated_bytes_st),
+    )
+)
+def test_message_type_differential(raw):
+    """message_type names the type of every message the generic path accepts,
+    and reads a bytearray as it reads bytes."""
+    mtype = wire.message_type(raw)
+    assert wire.message_type(bytearray(raw)) == mtype
+    try:
+        msg = generic_decode(raw)
+    except WireError:
+        return
+    assert mtype == msg["type"]
 
 
 # -- differential: the fixed-shape templates against canonical_encode ---------------
