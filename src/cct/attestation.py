@@ -30,7 +30,7 @@ import hashlib
 import secrets
 import threading
 from binascii import hexlify
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -68,15 +68,24 @@ def _hkdf(ikm: bytes, info: bytes, length: int, salt: bytes | None = None) -> by
 # Measurement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Measurement:
-    """32-byte hash identifying the enclave code and configuration."""
-
+class _MeasurementFields(NamedTuple):
     value: bytes
 
-    def __post_init__(self):
-        if len(self.value) != MEASUREMENT_LEN:
+
+class Measurement(_MeasurementFields):
+    """32-byte hash identifying the enclave code and configuration."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: bytes) -> "Measurement":
+        if len(value) != MEASUREMENT_LEN:
             raise ValueError(f"measurement must be {MEASUREMENT_LEN} bytes")
+        return tuple.__new__(cls, (value,))
+
+    @classmethod
+    def _make(cls, iterable) -> "Measurement":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
     def hex(self) -> str:
         return self.value.hex()
@@ -112,19 +121,30 @@ def platform_verify_key(platform_secret: bytes) -> bytes:
     return platform_signing_key(platform_secret).public_key().public_bytes_raw()
 
 
-@dataclass(frozen=True)
-class AttestationQuote:
-    """Platform-signed statement binding a measurement to a session key."""
-
+class _QuoteFields(NamedTuple):
     measurement: Measurement
     enclave_session_pub: bytes
     platform_signature: bytes
 
-    def __post_init__(self):
-        if len(self.enclave_session_pub) != 32:
+
+class AttestationQuote(_QuoteFields):
+    """Platform-signed statement binding a measurement to a session key."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, measurement: Measurement, enclave_session_pub: bytes, platform_signature: bytes
+    ) -> "AttestationQuote":
+        if len(enclave_session_pub) != 32:
             raise ValueError("enclave session public key must be 32 bytes")
-        if len(self.platform_signature) != 64:
+        if len(platform_signature) != 64:
             raise ValueError("platform signature must be 64 bytes")
+        return tuple.__new__(cls, (measurement, enclave_session_pub, platform_signature))
+
+    @classmethod
+    def _make(cls, iterable) -> "AttestationQuote":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
     def signed_payload(self) -> bytes:
         return self.measurement.value + self.enclave_session_pub
@@ -153,9 +173,7 @@ def generate_quote(
 ) -> AttestationQuote:
     # the signature is not part of signed_payload(), so a placeholder will do
     unsigned = AttestationQuote(measurement, enclave_session_pub, bytes(64))
-    return replace(
-        unsigned, platform_signature=signing_key.sign(unsigned.signed_payload())
-    )
+    return unsigned._replace(platform_signature=signing_key.sign(unsigned.signed_payload()))
 
 
 def verify_quote(

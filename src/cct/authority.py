@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import secrets
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -41,8 +41,7 @@ def issue_test_token() -> bytes:
     return secrets.token_bytes(TOKEN_LEN)
 
 
-@dataclass(frozen=True)
-class SignedReport:
+class SignedReport(NamedTuple):
     """HA-signed test outcome bound to a token hash."""
 
     token_hash: bytes

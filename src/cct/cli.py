@@ -10,7 +10,6 @@ channel. keygen emits a fresh platform/health-authority key set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import secrets
 import sys
@@ -93,7 +92,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = ScenarioConfig.from_file(args.scenario)
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = config._replace(seed=args.seed)
     if args.mode is not None:
         config = config.with_mode(args.mode)
     report = run_scenario(
@@ -112,8 +111,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _deployment(args: argparse.Namespace) -> DeploymentConfig:
     """The --config file with --host and --port applied, checked like the file."""
     deployment = DeploymentConfig.from_file(args.config)
-    return dataclasses.replace(
-        deployment,
+    return deployment._replace(
         host=args.host or deployment.host,
         port=deployment.port if args.port is None else args.port,
     )

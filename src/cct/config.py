@@ -10,33 +10,42 @@ measurement; the host, port, store path and platform key do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from cct.enclave import EnclaveConfig
 from cct.service import DEFAULT_HOST, DEFAULT_PORT
 from cct.wire import canonical_encode, lenient_decode, read_key, read_object
 
 
-@dataclass(frozen=True)
-class DeploymentConfig:
+class _DeploymentFields(NamedTuple):
     enclave: EnclaveConfig
     host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT
     platform_verify_key: bytes | None = None
     store_path: str | None = None
 
-    def __post_init__(self) -> None:
+
+class DeploymentConfig(_DeploymentFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "DeploymentConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in 0-65535")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "DeploymentConfig":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
     @classmethod
     def from_value(cls, value: Any) -> "DeploymentConfig":
         # placeholders give the optional fields their kind in the template
         template = cls(EnclaveConfig(b""), platform_verify_key=b"", store_path="").to_value()
         full = read_object(value, template, (), "config")
-        own = {f.name for f in fields(cls)} - {"enclave"}
+        own = set(cls._fields) - {"enclave"}
         return cls(
             enclave=EnclaveConfig.from_value({k: v for k, v in value.items() if k not in own}),
             host=full["host"],

@@ -19,7 +19,6 @@ the flush audit.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -29,7 +28,6 @@ import time
 from binascii import hexlify
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -60,23 +58,32 @@ DEFAULT_GPS_TAU = 900.0
 # GPS types and distance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GpsPoint:
+class _GpsFields(NamedTuple):
     lat: float
     lon: float
     t: float
 
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
+
+class GpsPoint(_GpsFields):
+    __slots__ = ()
+
+    def __new__(cls, lat: float, lon: float, t: float) -> "GpsPoint":
+        if not -90.0 <= lat <= 90.0:
             raise ValueError("latitude out of range")
-        if not -180.0 < self.lon <= 180.0:
+        if not -180.0 < lon <= 180.0:
             raise ValueError("longitude out of range")
         try:
-            finite = math.isfinite(self.t)
+            finite = math.isfinite(t)
         except (TypeError, OverflowError):  # not a number, or an int past any float
             finite = False
         if not finite:
             raise ValueError("time out of range")
+        return tuple.__new__(cls, (lat, lon, t))
+
+    @classmethod
+    def _make(cls, iterable) -> "GpsPoint":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
     def to_wire(self) -> dict:
         return {"lat": self.lat, "lon": self.lon, "t": self.t}
@@ -108,8 +115,7 @@ def haversine_distance(p: GpsPoint, q: GpsPoint) -> float:
 _INFECTION_RECORD = b'{"interval":%d,"result":%s,"token_hash":"%s","upload_used":%s}'
 
 
-@dataclass
-class InfectionRecord:
+class InfectionRecord(NamedTuple):
     token_hash: bytes
     result: str
     registered_interval: int
@@ -134,8 +140,7 @@ class InfectionRecord:
         )
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     matched: bool
     matched_intervals: tuple[int, ...]
 
@@ -174,25 +179,35 @@ def gps_events_from_wire(msg: dict) -> list[tuple[float, float]]:
 # Configuration and measurement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnclaveConfig:
+class _EnclaveFields(NamedTuple):
+    ha_verify_key: bytes
+    time: TimeParams = TimeParams(t0=0)
+    retention: int = DEFAULT_RETENTION
+    strict_interval_match: bool = False
+    gps_d_max: float = DEFAULT_GPS_D_MAX
+    gps_tau: float = DEFAULT_GPS_TAU
+
+
+class EnclaveConfig(_EnclaveFields):
     """Everything that defines enclave behaviour, and hence its measurement.
 
     Two deployments with the same code version and the same config digest
     are, by construction, the same enclave to a verifying client.
     """
 
-    ha_verify_key: bytes
-    time: TimeParams = field(default_factory=lambda: TimeParams(t0=0))
-    retention: int = DEFAULT_RETENTION
-    strict_interval_match: bool = False
-    gps_d_max: float = DEFAULT_GPS_D_MAX
-    gps_tau: float = DEFAULT_GPS_TAU
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "EnclaveConfig":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("retention", "gps_d_max", "gps_tau"):
             if not getattr(self, name) >= 0:  # also refuses NaN
                 raise ValueError(f"{name} must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "EnclaveConfig":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
     def to_value(self) -> dict:
         return {
@@ -418,7 +433,7 @@ class Enclave:
         if record.upload_used:
             raise AuthorizationError("upload already used")
         current = self.current_interval()
-        spent = dataclasses.replace(record, upload_used=True)
+        spent = record._replace(upload_used=True)
         inserted = entries(current + self.config.retention)
         self._commit(_Change(records=(spent,), sweep=current, **inserted))
 
@@ -564,14 +579,17 @@ class Enclave:
             raise ProtocolError(f"tau above the configured {self.config.gps_tau} s")
         validate_trace(trace)
         current = self.current_interval()
+        # each point's time is read once, not once per pair
+        poll = [(q.t, q) for q in trace]
         events: set[tuple[float, float]] = set()
         for expiry, stored in self._gps:
             if expiry < current:
                 continue
             for p in stored:
-                for q in trace:
-                    if abs(p.t - q.t) <= tau and haversine_distance(p, q) <= d_max:
-                        events.add((p.t, q.t))
+                t_infected = p.t
+                for t_poller, q in poll:
+                    if abs(t_infected - t_poller) <= tau and haversine_distance(p, q) <= d_max:
+                        events.add((t_infected, t_poller))
         return sorted(events)
 
     # -- housekeeping -----------------------------------------------------------
@@ -703,9 +721,11 @@ class Enclave:
     def _load(self, raw: bytes) -> None:
         """Replay a log; a torn final frame is cut off, as its write never finished.
 
-        Anything else that does not replay is refused and left as it is: a
-        file without the log header, a record that fails to unseal, and a log
-        with no complete record (the first record is written whole, with the
+        So is an all-zero tail after a complete record, which an append that
+        was never fsynced can leave. Anything else that does not replay is
+        refused and left as it is: a file without the log header, a record
+        that fails to unseal, zeros followed by any other byte, and a log with
+        no complete record (the first record is written whole, with the
         header, so no crash can tear it).
         """
         if len(raw) < _HEADER_LEN or not raw.startswith(_LOG_MAGIC):
@@ -716,6 +736,9 @@ class Enclave:
             (length,) = _FRAME_LEN.unpack_from(raw, pos)
             body = pos + _FRAME_LEN.size
             if body + length > len(raw):
+                break
+            # no sealed frame is empty, so a zero length starts zeros or damage
+            if length == 0 and raw.count(0, pos) == len(raw) - pos:
                 break
             aad = _record_aad(file_id, seq)
             sealed = raw[body:body + length]

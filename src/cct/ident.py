@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SECRET_LEN = 32
 IDENTIFIER_LEN = 16
@@ -51,18 +51,28 @@ def _check_index(index: int) -> None:
         raise ValueError("interval index out of range")
 
 
-@dataclass(frozen=True)
-class TimeParams:
-    """Protocol epoch origin and interval length, both in seconds."""
-
+class _TimeFields(NamedTuple):
     t0: int
     delta_t: int = DEFAULT_DELTA_T
 
-    def __post_init__(self):
+
+class TimeParams(_TimeFields):
+    """Protocol epoch origin and interval length, both in seconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "TimeParams":
+        self = super().__new__(cls, *args, **kwargs)
         if self.delta_t <= 0:
             raise ValueError("delta_t must be positive")
         if self.t0 < 0:
             raise ValueError("t0 must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "TimeParams":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
 
 def interval_index(t: float, params: TimeParams) -> int:

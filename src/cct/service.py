@@ -79,8 +79,8 @@ _APP_HANDLERS: dict[str, Callable[[Enclave, Any], dict | None]] = {
 # attested handshakes awaiting their session_req; past this many, the oldest
 # is dropped and its session_req gets `unknown handshake`
 MAX_PENDING_HANDSHAKES = 1024
-# open sessions; past this many, the oldest is dropped and its envelopes get
-# `unknown session`
+# open sessions; past this many, the least recently used is dropped and its
+# envelopes get `unknown session`
 MAX_SESSIONS = 1024
 
 
@@ -171,6 +171,10 @@ class EnclaveService:
             plaintext = channel.decrypt(raw)
         except EnvelopeError as exc:
             return self._enveloped(channel, _error(str(exc)))
+        # only an envelope that opened counts as a use of its session
+        with self._tables_lock:
+            if channel.session_id in self._sessions:
+                self._sessions.move_to_end(channel.session_id)
         try:
             response = self._dispatch(plaintext)
         except (ProtocolError, ValueError) as exc:

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from cct import wire
 from cct.attestation import platform_verify_key
@@ -52,8 +51,7 @@ from cct.sim.scenario import (
 from cct.service import EnclaveServer, EnclaveService
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Reduced outcome of one scenario run; canonical JSON is the wire form."""
 
     notified: tuple[int, ...]
@@ -121,8 +119,7 @@ class _PlaintextTranscriptService(EnclaveService):
         return response
 
 
-@dataclass
-class _Device:
+class _Device(NamedTuple):
     index: int
     secret: bytes
     # identifier_table(secret, n_intervals): the identifier of interval k is [k]

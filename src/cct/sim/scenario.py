@@ -10,9 +10,8 @@ simulation runs byte-reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from cct.contact_log import DEFAULT_RETENTION
 from cct.ident import DEFAULT_DELTA_T, TimeParams
@@ -34,8 +33,7 @@ def material(seed: int, label: str, index: int) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
-@dataclass(frozen=True)
-class InfectionSpec:
+class InfectionSpec(NamedTuple):
     """One scheduled positive test: who, when, and whether/how they upload."""
 
     device: int
@@ -57,22 +55,29 @@ class InfectionSpec:
         return cls(**read_object(value, template, ("device", "test_interval"), "infected"))
 
 
-@dataclass(frozen=True, order=True)
-class EncounterEvent:
-    """Symmetric proximity event; produces reciprocal log entries on both sides."""
-
+class _EncounterFields(NamedTuple):
     interval: int
     device_i: int
     device_j: int
 
-    def __post_init__(self):
-        if self.device_i == self.device_j:
+
+class EncounterEvent(_EncounterFields):
+    """Symmetric proximity event; produces reciprocal log entries on both sides."""
+
+    __slots__ = ()
+
+    def __new__(cls, interval: int, device_i: int, device_j: int) -> "EncounterEvent":
+        if device_i == device_j:
             raise ValueError("encounter requires two distinct devices")
         # normalize so (i, j) and (j, i) are the same event
-        i, j = self.device_i, self.device_j
-        if i > j:
-            object.__setattr__(self, "device_i", j)
-            object.__setattr__(self, "device_j", i)
+        if device_i > device_j:
+            device_i, device_j = device_j, device_i
+        return tuple.__new__(cls, (interval, device_i, device_j))
+
+    @classmethod
+    def _make(cls, iterable) -> "EncounterEvent":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
     def to_value(self) -> dict:
         return {"device_i": self.device_i, "device_j": self.device_j, "interval": self.interval}
@@ -84,8 +89,7 @@ class EncounterEvent:
         return cls(**read_object(value, template, template, "encounter"))
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class _ScenarioFields(NamedTuple):
     n_devices: int
     n_intervals: int
     name: str = "scenario"
@@ -101,8 +105,19 @@ class ScenarioConfig:
     retention: int = DEFAULT_RETENTION
     strict_interval_match: bool = False
 
-    def __post_init__(self) -> None:
+
+class ScenarioConfig(_ScenarioFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ScenarioConfig":
+        self = super().__new__(cls, *args, **kwargs)
         self.validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ScenarioConfig":
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)
 
     def validate(self) -> None:
         """Reject inconsistent configurations before any protocol work starts."""
@@ -142,9 +157,7 @@ class ScenarioConfig:
 
     def with_mode(self, mode: str) -> "ScenarioConfig":
         """Same scenario with every upload switched to the given mode."""
-        return replace(
-            self, infected=tuple(replace(s, mode=mode) for s in self.infected)
-        )
+        return self._replace(infected=tuple(s._replace(mode=mode) for s in self.infected))
 
     # -- canonical JSON form --------------------------------------------------
 

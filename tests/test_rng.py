@@ -238,10 +238,27 @@ def test_scale_size_output_pinned():
     _assert_plain_ints(events)
 
 
-def test_importing_the_simulator_does_not_import_numpy():
-    # the benchmark's set-up time is a cold `import cct, cct.sim`
+def _run_fresh(code: str) -> None:
+    """Run code in a new interpreter that imports cct from this source tree."""
     src = str(Path(rng.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, cct, cct.sim; assert 'numpy' not in sys.modules, 'numpy imported'"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_importing_the_simulator_does_not_import_numpy():
+    # the benchmark's set-up time is a cold `import cct, cct.sim`
+    _run_fresh("import sys, cct, cct.sim; assert 'numpy' not in sys.modules, 'numpy imported'")
+
+
+def test_importing_cct_loads_no_submodule_and_no_dataclasses():
+    # every cct process pays for what its imports load: the package alone
+    # loads nothing more, and no value type is built by generating code
+    _run_fresh(
+        "import sys, cct\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('cct'))\n"
+        "assert loaded == ['cct'], loaded\n"
+        "import cct.sim, cct.service, cct.cli\n"
+        "loaded = sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
+        "assert not loaded, loaded\n"
+    )

@@ -256,7 +256,7 @@ def test_pending_handshakes_bounded_oldest_evicted(service):
         for _ in range(cap + 50)
     ]
     assert len(service._pending) == cap
-    # the 50 oldest were evicted, first in first out
+    # the 50 oldest were evicted, least recently used
     for evicted in (quotes[0], quotes[49]):
         _, req = _session_req(evicted)
         msg = wire.decode(service.handle(wire.encode(req)))
@@ -322,13 +322,46 @@ def test_sessions_bounded_oldest_evicted(service):
     cap = service_module.MAX_SESSIONS
     channels = [manual_handshake(service)[0] for _ in range(cap + 50)]
     assert len(service._sessions) == cap
-    # the 50 oldest were evicted, first in first out
+    # the 50 oldest were evicted, least recently used
     for evicted in (channels[0], channels[49]):
         msg = wire.decode(service.handle(_result_req(evicted)))
         assert msg == {"type": "error", "reason": "unknown session"}
     for kept in (channels[50], channels[-1]):
         assert wire.decode(service.handle(_result_req(kept)))["type"] == "envelope"
     assert len(service._sessions) == cap
+
+
+def test_sessions_evicted_least_recently_used(service, enclave_config, monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_SESSIONS", 8)
+    honest = _connected(service, enclave_config)
+    session_id = honest._channel.session_id
+    # a flood of twice the cap, with the honest client polling after every 4
+    for k in range(16):
+        manual_handshake(service)
+        if k % 4 == 3:
+            assert honest.poll_result(TOKEN) == "unknown"
+    # no poll found its session gone, so the client never connected again
+    assert honest._channel.session_id == session_id
+    assert len(service._sessions) == 8
+
+
+def test_only_an_opened_envelope_refreshes_its_session(service, monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_SESSIONS", 2)
+    first, _ = manual_handshake(service)
+    second, _ = manual_handshake(service)
+    opened = _result_req(first)
+    assert wire.decode(service.handle(opened))["type"] == "envelope"
+    assert wire.decode(service.handle(_result_req(second)))["type"] == "envelope"
+    # the first session's id on the wire, in envelopes that do not open
+    forged = wire.decode(_result_req(first))
+    forged["ciphertext"] = ("0" if forged["ciphertext"][0] != "0" else "1") + forged["ciphertext"][1:]
+    for raw in (opened, wire.encode(forged)):
+        reply = first.decrypt(service.handle(raw))
+        assert wire.decode(reply)["type"] == "error"
+    manual_handshake(service)
+    msg = wire.decode(service.handle(_result_req(first)))
+    assert msg == {"type": "error", "reason": "unknown session"}
+    assert wire.decode(service.handle(_result_req(second)))["type"] == "envelope"
 
 
 def test_client_reconnects_after_session_eviction(service, enclave_config, monkeypatch):

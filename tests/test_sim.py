@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -207,11 +206,9 @@ def test_oracle_fig1():
 
 def test_oracle_empty_without_uploads():
     config = fig1_scenario()
-    muted = dataclasses.replace(
-        config, infected=(InfectionSpec(device=2, test_interval=1, uploads=False),)
-    )
+    muted = config._replace(infected=(InfectionSpec(device=2, test_interval=1, uploads=False),))
     assert oracle_notified(muted, generate_encounters(muted)) == set()
-    lonely = dataclasses.replace(config, infected=())
+    lonely = config._replace(infected=())
     assert oracle_notified(lonely, generate_encounters(lonely)) == set()
 
 
@@ -625,15 +622,14 @@ def test_run_survives_session_eviction(mode, monkeypatch):
 
 
 def test_no_infection_notifies_nobody():
-    config = dataclasses.replace(fig1_scenario(), infected=())
+    config = fig1_scenario()._replace(infected=())
     report = run_scenario(config)
     assert report.notified == ()
     assert report.passed
 
 
 def test_uploads_disabled_notifies_nobody():
-    config = dataclasses.replace(
-        fig1_scenario(),
+    config = fig1_scenario()._replace(
         infected=(InfectionSpec(device=2, test_interval=1, uploads=False),),
     )
     report = run_scenario(config)
