@@ -99,9 +99,6 @@ class HealthAuthorityCredential:
     def verify_key(self) -> bytes:
         return self._signing_key.public_key().public_bytes_raw()
 
-    def signing_key_bytes(self) -> bytes:
-        return self._signing_key.private_bytes_raw()
-
     def sign_report(self, token_hash_: bytes, result: str, interval: int) -> SignedReport:
         payload = report_signing_bytes(token_hash_, result, interval)
         return SignedReport(

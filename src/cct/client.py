@@ -47,20 +47,6 @@ class LoopbackTransport:
         return self._service.handle(raw)
 
 
-class RecordingTransport:
-    """Wraps any transport and appends its raw traffic to a transcript."""
-
-    def __init__(self, inner, transcript: wire.Transcript) -> None:
-        self._inner = inner
-        self._transcript = transcript
-
-    def request(self, raw: bytes) -> bytes:
-        self._transcript.append("c2e", raw)
-        response = self._inner.request(raw)
-        self._transcript.append("e2c", response)
-        return response
-
-
 class TcpTransport:
     """One persistent length-prefixed TCP connection."""
 

@@ -6,16 +6,61 @@ GPS thresholds, the health-authority verify key, the platform verify key
 derive the expected enclave measurement from this file, which is what makes
 client-side attestation checks meaningful. Only the enclave fields enter the
 measurement; the host, port, store path and platform key do not.
+
+The readers of hand-written JSON objects live here too, shared with scenario
+loading: the enclave reads no file, so they stay outside its trusted code.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from cct.enclave import EnclaveConfig
-from cct.service import DEFAULT_HOST, DEFAULT_PORT
-from cct.wire import canonical_encode, lenient_decode, read_key, read_object
+from cct.ident import TimeParams
+from cct.wire import canonical_encode, fits_float, lenient_decode
+
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 7700
+
+
+def read_object(value: Any, template: dict, required: Iterable[str], what: str) -> dict:
+    """`template` overlaid with a hand-written JSON object, once it is checked.
+
+    `template` is a record's to_value() with its optional fields at their
+    defaults. The object may hold only the template's keys, must hold each
+    `required` one, and each value must have the type of the template's (an
+    int passes for a float if it converts to one). Raises ValueError naming
+    the offending field.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(value) - set(template)
+    if unknown:
+        raise ValueError(f"unknown {what} field: {sorted(unknown)[0]}")
+    missing = set(required) - set(value)
+    if missing:
+        raise ValueError(f"missing {what} field: {sorted(missing)[0]}")
+    for name, v in value.items():
+        want, got = type(template[name]), type(v)
+        if got is not want and not (want is float and got is int):
+            raise ValueError(f"{what} field {name}: expected {want.__name__}, got {got.__name__}")
+        if want is float and not fits_float(v):
+            raise ValueError(f"{what} field {name}: number out of range")
+    return {**template, **value}
+
+
+def read_key(value: dict, name: str, what: str) -> bytes | None:
+    """The 32-byte key in hex field `name` of a hand-written object, None if absent."""
+    if name not in value:
+        return None
+    try:
+        key = bytes.fromhex(value[name])
+    except ValueError:
+        raise ValueError(f"{what} field {name}: not hex") from None
+    if len(key) != 32:
+        raise ValueError(f"{what} field {name}: expected 32 bytes, got {len(key)}")
+    return key
 
 
 class _DeploymentFields(NamedTuple):
@@ -42,12 +87,19 @@ class DeploymentConfig(_DeploymentFields):
 
     @classmethod
     def from_value(cls, value: Any) -> "DeploymentConfig":
+        """Inverse of to_value; absent optional fields take their defaults."""
         # placeholders give the optional fields their kind in the template
         template = cls(EnclaveConfig(b""), platform_verify_key=b"", store_path="").to_value()
-        full = read_object(value, template, (), "config")
-        own = set(cls._fields) - {"enclave"}
+        full = read_object(value, template, ("ha_verify_key",), "config")
         return cls(
-            enclave=EnclaveConfig.from_value({k: v for k, v in value.items() if k not in own}),
+            enclave=EnclaveConfig(
+                ha_verify_key=read_key(full, "ha_verify_key", "config"),
+                time=TimeParams(t0=full["t0"], delta_t=full["delta_t"]),
+                retention=full["retention"],
+                strict_interval_match=full["strict_interval_match"],
+                gps_d_max=full["gps_d_max"],
+                gps_tau=full["gps_tau"],
+            ),
             host=full["host"],
             port=full["port"],
             platform_verify_key=read_key(value, "platform_verify_key", "config"),

@@ -13,9 +13,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from cct import wire
-from cct.ident import IDENTIFIER_LEN
-
-DEFAULT_RETENTION = 1344  # 14 days of 900-second intervals
+from cct.ident import DEFAULT_RETENTION, IDENTIFIER_LEN
 
 
 class _ContactFields(NamedTuple):

@@ -31,7 +31,7 @@ from contextlib import suppress
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from cct import attestation
 from cct.attestation import Measurement, seal, unseal
@@ -42,10 +42,9 @@ from cct.authority import (
     token_hash,
     verify_report,
 )
-from cct.contact_log import DEFAULT_RETENTION
 from cct.errors import AuthorizationError, ProtocolError, SealError
-from cct.ident import TimeParams, derive_identifier_range, interval_index
-from cct.wire import canonical_decode, canonical_encode, read_key, read_object
+from cct.ident import DEFAULT_RETENTION, TimeParams, derive_identifier_range, interval_index
+from cct.wire import canonical_decode, canonical_encode
 
 ENCLAVE_CODE_VERSION = "cct-enclave/1.0"
 
@@ -219,20 +218,6 @@ class EnclaveConfig(_EnclaveFields):
             "strict_interval_match": self.strict_interval_match,
             "t0": self.time.t0,
         }
-
-    @classmethod
-    def from_value(cls, value: Any) -> "EnclaveConfig":
-        """Inverse of to_value; absent fields take the defaults above."""
-        template = cls(ha_verify_key=b"").to_value()
-        full = read_object(value, template, ("ha_verify_key",), "config")
-        return cls(
-            ha_verify_key=read_key(full, "ha_verify_key", "config"),
-            time=TimeParams(t0=full["t0"], delta_t=full["delta_t"]),
-            retention=full["retention"],
-            strict_interval_match=full["strict_interval_match"],
-            gps_d_max=full["gps_d_max"],
-            gps_tau=full["gps_tau"],
-        )
 
     def digest(self) -> bytes:
         return hashlib.sha256(canonical_encode(self.to_value())).digest()

@@ -17,6 +17,7 @@ from typing import NamedTuple
 SECRET_LEN = 32
 IDENTIFIER_LEN = 16
 DEFAULT_DELTA_T = 900
+DEFAULT_RETENTION = 1344  # 14 days of 900-second intervals
 
 # Domain-separation label for the identifier PRF; prevents reusing the device
 # secret for any other derivation without an explicit new label.

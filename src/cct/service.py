@@ -213,10 +213,6 @@ class EnclaveService:
 # TCP serving
 # ---------------------------------------------------------------------------
 
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 7700
-
-
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         service: EnclaveService = self.server.service  # type: ignore[attr-defined]
@@ -236,7 +232,7 @@ class EnclaveServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, service: EnclaveService, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
+    def __init__(self, service: EnclaveService, host: str, port: int):
         super().__init__((host, port), _Handler)
         self.service = service
 

@@ -1,6 +1,8 @@
 """Privacy audits over recorded traffic and backend state.
 
-The transcript audit plays network eavesdropper: given everything that
+A RecordingTransport wrapped around each client's transport appends every
+request and response to one Transcript: the eavesdropper's record. The
+transcript audit plays network eavesdropper: given everything that
 crossed the wire after the handshake, it must find no trace of any device
 identifier or device secret. Wire messages are ASCII JSON, so sensitive
 bytes would surface in their lowercase-hex form; the audit therefore scans
@@ -37,7 +39,7 @@ long-lived state, hashed together, must be unchanged by polls.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from cct import wire
 from cct.enclave import Enclave
@@ -46,6 +48,43 @@ from cct.ident import IDENTIFIER_LEN
 
 # odd multiplier of the multiply-shift prefix hash (2^64 / golden ratio)
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+class Transcript:
+    """Append-only record of every message crossing the network.
+
+    This is exactly what a network eavesdropper (or the backend operator
+    watching traffic) observes; the privacy audits run against it.
+    """
+
+    def __init__(self) -> None:
+        self._entries: list[tuple[str, bytes]] = []
+
+    def append(self, direction: str, raw: bytes) -> None:
+        self._entries.append((direction, bytes(raw)))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[tuple[str, bytes]]:
+        return iter(self._entries)
+
+    def messages(self) -> list[bytes]:
+        return [raw for _, raw in self._entries]
+
+
+class RecordingTransport:
+    """Wraps any transport and appends its raw traffic to a transcript."""
+
+    def __init__(self, inner, transcript: Transcript) -> None:
+        self._inner = inner
+        self._transcript = transcript
+
+    def request(self, raw: bytes) -> bytes:
+        self._transcript.append("c2e", raw)
+        response = self._inner.request(raw)
+        self._transcript.append("e2c", response)
+        return response
 
 
 def state_digest(enclave: Enclave) -> bytes:
@@ -146,7 +185,7 @@ def _window_hits(
 
 
 def audit_transcript(
-    transcript: wire.Transcript,
+    transcript: Transcript,
     identifiers: Iterable[bytes],
     secrets: Iterable[bytes],
 ) -> int:

@@ -28,18 +28,13 @@ from cct.authority import (
     HealthAuthorityCredential,
     token_hash,
 )
-from cct.client import (
-    EnclaveClient,
-    LoopbackTransport,
-    RecordingTransport,
-    TcpTransport,
-)
+from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactLog, ContactTuple
 from cct.enclave import Enclave, EnclaveConfig
 from cct.errors import RemoteError
 # perfbench/tracer.py patches `derive_identifier` here by name
 from cct.ident import derive_identifier, identifier_table  # noqa: F401
-from cct.sim.audit import audit_transcript, state_digest
+from cct.sim.audit import RecordingTransport, Transcript, audit_transcript, state_digest
 from cct.sim.encounters import generate_encounters
 from cct.sim.oracle import oracle_notified
 from cct.sim.scenario import (
@@ -104,7 +99,7 @@ class _PlaintextTranscriptService(EnclaveService):
     that decodes, and of every answer `_dispatch` gives, joins the audited
     transcript."""
 
-    def __init__(self, enclave: Enclave, platform_secret: bytes, transcript: wire.Transcript):
+    def __init__(self, enclave: Enclave, platform_secret: bytes, transcript: Transcript):
         super().__init__(enclave, platform_secret)
         self._transcript = transcript
 
@@ -150,7 +145,7 @@ def run_scenario(
     enclave = Enclave(
         enclave_config, platform_secret, clock=clock, log_polls=log_polls
     )
-    transcript = wire.Transcript()
+    transcript = Transcript()
     if insecure_plaintext:
         service = _PlaintextTranscriptService(enclave, platform_secret, transcript)
     else:

@@ -13,9 +13,9 @@ import hashlib
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from cct.contact_log import DEFAULT_RETENTION
-from cct.ident import DEFAULT_DELTA_T, TimeParams
-from cct.wire import canonical_encode, lenient_decode, read_object
+from cct.config import read_object
+from cct.ident import DEFAULT_DELTA_T, DEFAULT_RETENTION, TimeParams
+from cct.wire import canonical_encode, lenient_decode
 
 UPLOAD_MODES = ("tuple", "secret")
 

@@ -1,4 +1,4 @@
-"""Canonical message encoding, schemas, framing, and transcripts.
+"""Canonical message encoding, schemas, and framing.
 
 Canonical JSON rules (normative for cross-implementation compatibility):
 keys sorted ascending bytewise, no insignificant whitespace, every byte
@@ -43,7 +43,7 @@ import math
 import re
 import struct
 from binascii import hexlify, unhexlify
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from cct.errors import WireError
 
@@ -84,7 +84,7 @@ def _finite_float(literal: str) -> float:
     return value
 
 
-def _fits_float(v: int | float) -> bool:
+def fits_float(v: int | float) -> bool:
     """Whether a number converts to a float, as every number field is used as one."""
     try:
         float(v)
@@ -118,45 +118,6 @@ def lenient_decode(raw: bytes) -> Any:
     except RecursionError:
         # json recurses once per nesting level; a deep enough input exhausts the stack
         raise WireError("invalid JSON: nested too deeply") from None
-
-
-def read_object(value: Any, template: dict, required: Iterable[str], what: str) -> dict:
-    """`template` overlaid with a hand-written JSON object, once it is checked.
-
-    `template` is a record's to_value() with its optional fields at their
-    defaults. The object may hold only the template's keys, must hold each
-    `required` one, and each value must have the type of the template's (an
-    int passes for a float if it converts to one). Raises ValueError naming
-    the offending field.
-    """
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = set(value) - set(template)
-    if unknown:
-        raise ValueError(f"unknown {what} field: {sorted(unknown)[0]}")
-    missing = set(required) - set(value)
-    if missing:
-        raise ValueError(f"missing {what} field: {sorted(missing)[0]}")
-    for name, v in value.items():
-        want, got = type(template[name]), type(v)
-        if got is not want and not (want is float and got is int):
-            raise ValueError(f"{what} field {name}: expected {want.__name__}, got {got.__name__}")
-        if want is float and not _fits_float(v):
-            raise ValueError(f"{what} field {name}: number out of range")
-    return {**template, **value}
-
-
-def read_key(value: dict, name: str, what: str) -> bytes | None:
-    """The 32-byte key in hex field `name` of a hand-written object, None if absent."""
-    if name not in value:
-        return None
-    try:
-        key = bytes.fromhex(value[name])
-    except ValueError:
-        raise ValueError(f"{what} field {name}: not hex") from None
-    if len(key) != 32:
-        raise ValueError(f"{what} field {name}: expected 32 bytes, got {len(key)}")
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +175,7 @@ def _number(v: Any) -> None:
         raise WireError("expected number")
     if isinstance(v, float) and not math.isfinite(v):
         raise WireError("expected finite number")
-    if isinstance(v, int) and not _fits_float(v):
+    if isinstance(v, int) and not fits_float(v):
         raise WireError("number out of range")
 
 
@@ -611,30 +572,3 @@ def recv_frame(sock) -> bytes | None:
     if body is None:
         raise WireError("truncated frame")
     return body
-
-
-# ---------------------------------------------------------------------------
-# Transcript
-# ---------------------------------------------------------------------------
-
-class Transcript:
-    """Append-only record of every message crossing the network.
-
-    This is exactly what a network eavesdropper (or the backend operator
-    watching traffic) observes; the privacy audits run against it.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[str, bytes]] = []
-
-    def append(self, direction: str, raw: bytes) -> None:
-        self._entries.append((direction, bytes(raw)))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[tuple[str, bytes]]:
-        return iter(self._entries)
-
-    def messages(self) -> list[bytes]:
-        return [raw for _, raw in self._entries]

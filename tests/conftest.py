@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
+import cct
 from cct.authority import HealthAuthorityCredential
 from cct.enclave import Enclave, EnclaveConfig
 from cct.ident import TimeParams
@@ -10,6 +16,14 @@ PLATFORM_SECRET = b"\x07" * 32
 
 # a longer search, for one CI step: pytest --hypothesis-profile=deep
 settings.register_profile("deep", max_examples=1000)
+
+
+def run_fresh(code: str) -> None:
+    """Run code in a new interpreter that imports cct from this source tree."""
+    src = str(Path(cct.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class ManualClock:

@@ -14,6 +14,8 @@ from cct.authority import (
 )
 from cct.errors import AuthorizationError
 
+from conftest import HA_SEED
+
 
 def test_issue_token_fresh_and_sized():
     a, b = issue_test_token(), issue_test_token()
@@ -133,7 +135,7 @@ def test_signing_bytes_validation():
 
 
 def test_seed_round_trip(ha):
-    clone = HealthAuthorityCredential.from_seed(ha.signing_key_bytes())
+    clone = HealthAuthorityCredential.from_seed(HA_SEED)
     assert clone.verify_key == ha.verify_key
     report = clone.sign_report(token_hash(b"\x05" * 32), "positive", 1)
     verify_report(ha.verify_key, report)

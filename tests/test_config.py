@@ -76,16 +76,29 @@ def test_round_trip(non_default, ha):
     minimal = DeploymentConfig(enclave=EnclaveConfig(ha_verify_key=ha.verify_key))
     for config in (non_default, minimal):
         assert DeploymentConfig.from_value(config.to_value()) == config
-        assert EnclaveConfig.from_value(config.enclave.to_value()) == config.enclave
+        assert DeploymentConfig.from_value(config.enclave.to_value()).enclave == config.enclave
     # absent fields take the dataclass defaults
     assert DeploymentConfig.from_value({"ha_verify_key": ha.verify_key.hex()}) == minimal
 
 
-def test_missing_ha_verify_key_rejected(non_default):
-    value = non_default.to_value()
-    del value["ha_verify_key"]
-    with pytest.raises(ValueError, match="missing config field: ha_verify_key"):
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"ha_verify_key": None}, "missing config field: ha_verify_key"),
+        ({"ha_verify_key": "00" * 31}, "config field ha_verify_key: expected 32 bytes, got 31"),
+        ({"gps_tau": "900"}, "config field gps_tau: expected float, got str"),
+        ({"gps_tau": 10**400}, "config field gps_tau: number out of range"),
+        ({"gps_tau_s": 900.0}, "unknown config field: gps_tau_s"),
+    ],
+    ids=["missing key", "short key", "string", "overflow", "unknown"],
+)
+def test_deployment_file_error_message(non_default, changes, message):
+    # a None change drops the field; one pass over one template names the first offender
+    value = {**non_default.to_value(), **changes}
+    value = {k: v for k, v in value.items() if v is not None}
+    with pytest.raises(ValueError) as excinfo:
         DeploymentConfig.from_value(value)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -104,7 +117,7 @@ def test_wrong_length_key_rejected(non_default, name, key, reason):
         DeploymentConfig.from_value(value)
     if name == "ha_verify_key":
         with pytest.raises(ValueError, match=f"^config field {name}: {reason}$"):
-            EnclaveConfig.from_value({name: key})
+            DeploymentConfig.from_value({name: key})
 
 
 @pytest.mark.parametrize(
@@ -124,7 +137,7 @@ def test_out_of_range_field_rejected(non_default, name, changed, reason):
         DeploymentConfig.from_value(value)
     if name in ENCLAVE_CHANGES:
         with pytest.raises(ValueError, match=f"^{reason}$"):
-            EnclaveConfig.from_value({k: v for k, v in value.items() if k in ENCLAVE_CHANGES})
+            DeploymentConfig.from_value({k: v for k, v in value.items() if k in ENCLAVE_CHANGES})
 
 
 @pytest.mark.parametrize(

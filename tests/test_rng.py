@@ -6,10 +6,6 @@ independent implementation of the published reference algorithms and frozen.
 
 import hashlib
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from cct import rng
 from cct.sim.encounters import generate_encounters, pair_threshold
 from cct.sim.scenario import ScenarioConfig
+
+from conftest import run_fresh
 
 SPLITMIX_VECTORS = {
     0: [
@@ -238,23 +236,15 @@ def test_scale_size_output_pinned():
     _assert_plain_ints(events)
 
 
-def _run_fresh(code: str) -> None:
-    """Run code in a new interpreter that imports cct from this source tree."""
-    src = str(Path(rng.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-
-
 def test_importing_the_simulator_does_not_import_numpy():
     # the benchmark's set-up time is a cold `import cct, cct.sim`
-    _run_fresh("import sys, cct, cct.sim; assert 'numpy' not in sys.modules, 'numpy imported'")
+    run_fresh("import sys, cct, cct.sim; assert 'numpy' not in sys.modules, 'numpy imported'")
 
 
 def test_importing_cct_loads_no_submodule_and_no_dataclasses():
     # every cct process pays for what its imports load: the package alone
     # loads nothing more, and no value type is built by generating code
-    _run_fresh(
+    run_fresh(
         "import sys, cct\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('cct'))\n"
         "assert loaded == ['cct'], loaded\n"

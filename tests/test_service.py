@@ -12,15 +12,16 @@ from cct.attestation import (
     platform_verify_key,
 )
 from cct.authority import RESULT_POSITIVE, token_hash
-from cct.client import EnclaveClient, LoopbackTransport, RecordingTransport, TcpTransport
+from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactTuple
 from cct.enclave import Enclave, GpsPoint
 from cct.errors import AttestationError, ProtocolError, RemoteError
 from cct.ident import derive_identifier
 from cct.service import EnclaveService, EnclaveServer
+from cct.sim.audit import RecordingTransport, Transcript
 from cct.wire import canonical_encode
 
-from conftest import PLATFORM_SECRET
+from conftest import PLATFORM_SECRET, run_fresh
 
 TOKEN = b"\x21" * 32
 SECRET_A = b"\x0a" * 32
@@ -678,7 +679,7 @@ def test_unexpected_plaintext_type(service):
 
 def test_transcript_shows_only_handshake_and_envelopes(service, enclave_config, ha, clock):
     clock.set_interval(0)
-    transcript = wire.Transcript()
+    transcript = Transcript()
     client = EnclaveClient(
         RecordingTransport(LoopbackTransport(service), transcript),
         enclave_config.measurement(),
@@ -697,7 +698,7 @@ def test_transcript_shows_only_handshake_and_envelopes(service, enclave_config, 
 def test_recording_transport_wraps_tcp(enclave_config, ha, clock, tcp_port):
     clock.set_interval(0)
     transport = TcpTransport("127.0.0.1", tcp_port)
-    transcript = wire.Transcript()
+    transcript = Transcript()
     try:
         client = EnclaveClient(
             RecordingTransport(transport, transcript),
@@ -739,3 +740,25 @@ def test_tcp_round_trip(enclave_config, ha, clock, tcp_port):
             transport2.close()
     finally:
         transport.close()
+
+
+# the modules the enclave runs; every line of them is trusted code, so device-side,
+# file-reading and simulator modules (contact_log, client, config, cli, rng, sim) stay out
+TRUSTED = [
+    "cct",
+    "cct.attestation",
+    "cct.authority",
+    "cct.enclave",
+    "cct.errors",
+    "cct.ident",
+    "cct.service",
+    "cct.wire",
+]
+
+
+def test_service_loads_only_the_trusted_modules():
+    run_fresh(
+        "import sys, cct.service\n"
+        "loaded = sorted(m for m in sys.modules if m == 'cct' or m.startswith('cct.'))\n"
+        f"assert loaded == {TRUSTED!r}, loaded\n"
+    )

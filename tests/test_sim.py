@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cct import wire
 from cct.errors import WireError
 from cct.ident import derive_identifier
-from cct.sim.audit import audit_transcript
+from cct.sim.audit import Transcript, audit_transcript
 from cct.sim.encounters import generate_encounters, pair_threshold
 from cct.sim.oracle import oracle_notified
 from cct.sim.runner import SimReport, run_scenario
@@ -23,6 +20,8 @@ from cct.sim.scenario import (
     poll_intervals,
     scale_scenario,
 )
+
+from conftest import run_fresh
 
 U64 = 2**64
 
@@ -259,7 +258,7 @@ def test_oracle_respects_poll_window():
 
 def test_audit_flags_hex_identifier():
     identifier = derive_identifier(b"\x0a" * 32, 0)
-    transcript = wire.Transcript()
+    transcript = Transcript()
     transcript.append(
         "c2e",
         wire.canonical_encode({"type": "poll_req", "tuples": [], "x": identifier.hex()}),
@@ -286,7 +285,7 @@ def test_audit_skips_handshake_messages():
     identifier = derive_identifier(b"\x0a" * 32, 0)
     msg = _handshake("attest_resp", identifier.hex())
     message = wire.canonical_encode(msg)
-    transcript = wire.Transcript()
+    transcript = Transcript()
     transcript.append("e2c", message)
     assert audit_transcript(transcript, [identifier], []) == 0
     # an extra field or a non-canonical copy is no valid message, so it is audited
@@ -309,21 +308,21 @@ def test_audit_skips_every_handshake_type(msg_type):
 
 def test_audit_flags_raw_bytes_in_binary_message():
     identifier = derive_identifier(b"\x0a" * 32, 0)
-    transcript = wire.Transcript()
+    transcript = Transcript()
     transcript.append("c2e", b"\x00\x01" + identifier + b"\xff")
     assert audit_transcript(transcript, [identifier], []) == 1
 
 
 def test_audit_accepts_one_shot_identifier_iterable():
     identifier = derive_identifier(b"\x0a" * 32, 0)
-    transcript = wire.Transcript()
+    transcript = Transcript()
     transcript.append("c2e", b"\x00\x01" + identifier + b"\xff")
     assert audit_transcript(transcript, (i for i in [identifier]), []) == 1
 
 
 def test_audit_flags_secret_hex():
     secret = b"\x0b" * 32
-    transcript = wire.Transcript()
+    transcript = Transcript()
     transcript.append(
         "c2e",
         wire.canonical_encode({"type": "secret_upload_req", "secret": secret.hex()}),
@@ -332,7 +331,7 @@ def test_audit_flags_secret_hex():
 
 
 def test_audit_clean_transcript():
-    transcript = wire.Transcript()
+    transcript = Transcript()
     transcript.append("c2e", wire.canonical_encode({"type": "poll_req", "tuples": []}))
     transcript.append("e2c", b"\x80" * 64)
     secret = b"\x0c" * 32
@@ -340,7 +339,7 @@ def test_audit_clean_transcript():
 
 
 def _transcript(*messages):
-    transcript = wire.Transcript()
+    transcript = Transcript()
     for raw in messages:
         transcript.append("c2e", raw)
     return transcript
@@ -388,19 +387,15 @@ def test_audit_counts_each_message_and_each_pattern_once():
 
 
 def test_audit_imports_numpy_only_when_it_scans():
-    src = str(Path(wire.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
+    run_fresh(
         "import sys, cct, cct.sim\n"
-        "from cct import wire\n"
+        "from cct.sim.audit import Transcript\n"
         "assert 'numpy' not in sys.modules, 'numpy imported by cct.sim'\n"
-        "transcript = wire.Transcript()\n"
+        "transcript = Transcript()\n"
         "transcript.append('c2e', ('00' * 16).encode())\n"
         "assert cct.sim.audit_transcript(transcript, [bytes(16)], []) == 1\n"
         "assert 'numpy' in sys.modules, 'numpy not imported by the audit'\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
 
 
 def _reference_audit(transcript, identifiers, secrets):

@@ -11,7 +11,9 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from cct import wire
 from cct.attestation import SecureChannel
+from cct.config import read_object
 from cct.errors import EnvelopeError, WireError
+from cct.sim.audit import Transcript
 
 HEX16 = "00" * 16
 HEX32 = "11" * 32
@@ -258,13 +260,13 @@ def test_integer_too_large_for_a_float_rejected(literal):
     with pytest.raises(WireError, match="^number out of range$"):
         wire.validate_gps_point({"lat": 0.0, "lon": 0.0, "t": int(literal)})
     with pytest.raises(ValueError, match="^scenario field rate: number out of range$"):
-        wire.read_object({"rate": int(literal)}, {"rate": 0.0}, (), "scenario")
+        read_object({"rate": int(literal)}, {"rate": 0.0}, (), "scenario")
 
 
 def test_largest_float_integer_accepted():
     largest = int(sys.float_info.max)
     wire.validate_gps_point({"lat": 0.0, "lon": 0.0, "t": -largest})
-    assert wire.read_object({"rate": largest}, {"rate": 0.0}, (), "scenario") == {"rate": largest}
+    assert read_object({"rate": largest}, {"rate": 0.0}, (), "scenario") == {"rate": largest}
 
 
 def test_deep_nesting_rejected():
@@ -1340,7 +1342,7 @@ def test_oversized_frame_rejected():
 
 
 def test_transcript_append_only():
-    transcript = wire.Transcript()
+    transcript = Transcript()
     transcript.append("c2e", b"one")
     transcript.append("e2c", b"two")
     assert len(transcript) == 2
