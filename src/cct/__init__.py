@@ -10,3 +10,17 @@ identifiers); everyone else polls for matches, and polls leave no trace.
 """
 
 __version__ = "0.1.0"
+
+
+class CheckedValue:
+    """Base of the named tuples whose `__new__` checks their fields.
+
+    List it before the fields tuple, so its `_make` is the one found.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace through it) would skip the checks
+        return cls(*iterable)

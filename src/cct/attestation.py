@@ -45,7 +45,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from cct import wire
+from cct import CheckedValue, wire
 from cct.errors import AttestationError, EnvelopeError, KeyExchangeError, SealError
 
 MEASUREMENT_LEN = 32
@@ -72,7 +72,7 @@ class _MeasurementFields(NamedTuple):
     value: bytes
 
 
-class Measurement(_MeasurementFields):
+class Measurement(CheckedValue, _MeasurementFields):
     """32-byte hash identifying the enclave code and configuration."""
 
     __slots__ = ()
@@ -81,11 +81,6 @@ class Measurement(_MeasurementFields):
         if len(value) != MEASUREMENT_LEN:
             raise ValueError(f"measurement must be {MEASUREMENT_LEN} bytes")
         return tuple.__new__(cls, (value,))
-
-    @classmethod
-    def _make(cls, iterable) -> "Measurement":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
     def hex(self) -> str:
         return self.value.hex()
@@ -127,7 +122,7 @@ class _QuoteFields(NamedTuple):
     platform_signature: bytes
 
 
-class AttestationQuote(_QuoteFields):
+class AttestationQuote(CheckedValue, _QuoteFields):
     """Platform-signed statement binding a measurement to a session key."""
 
     __slots__ = ()
@@ -140,11 +135,6 @@ class AttestationQuote(_QuoteFields):
         if len(platform_signature) != 64:
             raise ValueError("platform signature must be 64 bytes")
         return tuple.__new__(cls, (measurement, enclave_session_pub, platform_signature))
-
-    @classmethod
-    def _make(cls, iterable) -> "AttestationQuote":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
     def signed_payload(self) -> bytes:
         return self.measurement.value + self.enclave_session_pub

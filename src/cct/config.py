@@ -16,6 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple
 
+from cct import CheckedValue
 from cct.enclave import EnclaveConfig
 from cct.ident import TimeParams
 from cct.wire import canonical_encode, fits_float, lenient_decode
@@ -71,7 +72,7 @@ class _DeploymentFields(NamedTuple):
     store_path: str | None = None
 
 
-class DeploymentConfig(_DeploymentFields):
+class DeploymentConfig(CheckedValue, _DeploymentFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "DeploymentConfig":
@@ -79,11 +80,6 @@ class DeploymentConfig(_DeploymentFields):
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in 0-65535")
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> "DeploymentConfig":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
     @classmethod
     def from_value(cls, value: Any) -> "DeploymentConfig":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from cct import wire
+from cct import CheckedValue, wire
 from cct.ident import DEFAULT_RETENTION, IDENTIFIER_LEN
 
 
@@ -22,7 +22,7 @@ class _ContactFields(NamedTuple):
     received: bytes
 
 
-class ContactTuple(_ContactFields):
+class ContactTuple(CheckedValue, _ContactFields):
     """One recorded identifier exchange: (interval, sent, received).
 
     A plain tuple that is checked when it is built, so it sorts, hashes and
@@ -42,11 +42,6 @@ class ContactTuple(_ContactFields):
         if interval < 0:
             raise ValueError("interval must be non-negative")
         return tuple.__new__(cls, (interval, sent, received))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "ContactTuple":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
     def to_wire(self) -> dict:
         return {

@@ -33,7 +33,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from cct import attestation
+from cct import CheckedValue, attestation
 from cct.attestation import Measurement, seal, unseal
 from cct.authority import (
     RESULT_POSITIVE,
@@ -63,7 +63,7 @@ class _GpsFields(NamedTuple):
     t: float
 
 
-class GpsPoint(_GpsFields):
+class GpsPoint(CheckedValue, _GpsFields):
     __slots__ = ()
 
     def __new__(cls, lat: float, lon: float, t: float) -> "GpsPoint":
@@ -78,11 +78,6 @@ class GpsPoint(_GpsFields):
         if not finite:
             raise ValueError("time out of range")
         return tuple.__new__(cls, (lat, lon, t))
-
-    @classmethod
-    def _make(cls, iterable) -> "GpsPoint":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
     def to_wire(self) -> dict:
         return {"lat": self.lat, "lon": self.lon, "t": self.t}
@@ -187,7 +182,7 @@ class _EnclaveFields(NamedTuple):
     gps_tau: float = DEFAULT_GPS_TAU
 
 
-class EnclaveConfig(_EnclaveFields):
+class EnclaveConfig(CheckedValue, _EnclaveFields):
     """Everything that defines enclave behaviour, and hence its measurement.
 
     Two deployments with the same code version and the same config digest
@@ -202,11 +197,6 @@ class EnclaveConfig(_EnclaveFields):
             if not getattr(self, name) >= 0:  # also refuses NaN
                 raise ValueError(f"{name} must be non-negative")
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> "EnclaveConfig":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
     def to_value(self) -> dict:
         return {
@@ -366,9 +356,9 @@ class Enclave:
         self._gps: list[tuple[int, tuple[GpsPoint, ...]]] = []
         # expiry -> number of stored tuples, derived ids and GPS traces that carry it
         self._expiries: Counter[int] = Counter()
-        # entries the log holds beyond the state (swept, or replaced by a later
-        # copy); the log is compacted when they reach the live ones
-        self._dead = 0
+        # the entries the log's records hold; those beyond the live ones are
+        # dead (swept, or replaced by a later copy)
+        self._logged = 0
 
         # the sealed log, mirrored in memory even without a store file
         self._log = bytearray()
@@ -461,11 +451,6 @@ class Enclave:
 
     # -- the stores: every expiring entry is counted in _expiries -------------
 
-    def _insert_record(self, record: InfectionRecord) -> None:
-        if record.token_hash in self._records:
-            self._dead += 1
-        self._records[record.token_hash] = record
-
     def _insert_expiring(self, store: dict, keys: list, expiry: int) -> None:
         """Store keys at one expiry; a stored copy is replaced and keeps the later expiry.
 
@@ -473,10 +458,8 @@ class Enclave:
         intersection, and each expiry's count moves once.
         """
         new = dict.fromkeys(keys, expiry)
-        dead = len(keys) - len(new)  # repeated within keys
         overlap = new.keys() & store.keys()
         if overlap:
-            dead += len(overlap)
             replaced: Counter[int] = Counter()
             for key in overlap:
                 old = store[key]
@@ -489,7 +472,6 @@ class Enclave:
                     del self._expiries[old]
                 else:
                     self._expiries[old] -= n
-        self._dead += dead
         if new:
             store.update(new)
             self._expiries[expiry] += len(new)
@@ -602,9 +584,7 @@ class Enclave:
             for key in [k for k, exp in store.items() if exp < current]:
                 del store[key]
         self._gps = [(expiry, stored) for expiry, stored in self._gps if expiry >= current]
-        removed = sum(self._expiries.pop(expiry) for expiry in expired)
-        self._dead += removed
-        return removed
+        return sum(self._expiries.pop(expiry) for expiry in expired)
 
     # -- state serialization ----------------------------------------------------------
 
@@ -630,7 +610,7 @@ class Enclave:
         appending its record, and _load replays the log through here.
         """
         for record in change.records:
-            self._insert_record(record)
+            self._records[record.token_hash] = record
         # every sealed tuple passed the wire's and the service's checks at upload
         if change.tuples:
             self._insert_tuples(change.tuples)
@@ -639,6 +619,7 @@ class Enclave:
         for expiry, points in change.gps:
             self._gps.append((expiry, points))
             self._expiries[expiry] += 1
+        self._logged += len(change.records) + len(change.tuples) + len(change.derived) + len(change.gps)
         return 0 if change.sweep is None else self._sweep(change.sweep)
 
     # -- the sealed log -------------------------------------------------------------
@@ -655,7 +636,9 @@ class Enclave:
         """
         self._persist(change)
         removed = self._apply(change)
-        if self._dead and self._dead >= len(self._records) + self._expiries.total():
+        live = len(self._records) + self._expiries.total()
+        dead = self._logged - live
+        if dead and dead >= live:
             # the change is already durable; a failed compaction leaves the
             # valid log in place and the next change tries again
             with suppress(OSError):
@@ -701,17 +684,22 @@ class Enclave:
         log = bytearray(_LOG_MAGIC + file_id + _frame(sealed))
         if self._store_path is not None:
             _replace_file(self._store_path, log)
-        self._log, self._file_id, self._seq, self._dead = log, file_id, 1, 0
+        self._log, self._file_id, self._seq = log, file_id, 1
+        self._logged = len(self._records) + self._expiries.total()
 
     def _load(self, raw: bytes) -> None:
-        """Replay a log; a torn final frame is cut off, as its write never finished.
+        """Replay a log, cutting off an append that a crash left unfinished.
 
-        So is an all-zero tail after a complete record, which an append that
-        was never fsynced can leave. Anything else that does not replay is
-        refused and left as it is: a file without the log header, a record
-        that fails to unseal, zeros followed by any other byte, and a log with
-        no complete record (the first record is written whole, with the
-        header, so no crash can tear it).
+        One cut rule: the first frame that fails to unseal is cut, with all
+        after it, if a record replayed before it and only zeros follow the
+        frame's declared end (or that end passes the end of the file). An
+        append that was never fsynced leaves such a frame: torn, zero-filled,
+        or a zero length header in a zero tail. A partial length header after
+        the last record is cut too. Anything else is refused and left as it
+        is: a file without the log header, a frame that fails to unseal with
+        a nonzero byte past its end, a record that unseals but does not
+        replay, and a log with no complete record (the first record is
+        written whole, with the header, so no crash can tear it).
         """
         if len(raw) < _HEADER_LEN or not raw.startswith(_LOG_MAGIC):
             raise SealError("unseal failed")
@@ -720,16 +708,16 @@ class Enclave:
         while pos + _FRAME_LEN.size <= len(raw):
             (length,) = _FRAME_LEN.unpack_from(raw, pos)
             body = pos + _FRAME_LEN.size
-            if body + length > len(raw):
-                break
-            # no sealed frame is empty, so a zero length starts zeros or damage
-            if length == 0 and raw.count(0, pos) == len(raw) - pos:
-                break
+            end = body + length
             aad = _record_aad(file_id, seq)
-            sealed = raw[body:body + length]
-            plaintext = unseal(sealed, self.measurement, self._platform_secret, aad)
+            try:
+                plaintext = unseal(raw[body:end], self.measurement, self._platform_secret, aad)
+            except SealError:
+                if seq == 0 or any(raw[end:]):
+                    raise
+                break
             self._apply(_read_change(canonical_decode(plaintext)))
-            pos, seq = body + length, seq + 1
+            pos, seq = end, seq + 1
         if seq == 0:
             raise SealError("unseal failed")
         if pos < len(raw):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import secrets
 from typing import NamedTuple
+
+from cct import CheckedValue
 
 SECRET_LEN = 32
 IDENTIFIER_LEN = 16
@@ -35,11 +36,6 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
-def generate_secret() -> bytes:
-    """Fresh 32-byte device secret from the OS CSPRNG."""
-    return secrets.token_bytes(SECRET_LEN)
-
-
 def _check_secret(secret: bytes) -> None:
     if not isinstance(secret, (bytes, bytearray)) or len(secret) != SECRET_LEN:
         raise ValueError(f"device secret must be {SECRET_LEN} bytes")
@@ -57,7 +53,7 @@ class _TimeFields(NamedTuple):
     delta_t: int = DEFAULT_DELTA_T
 
 
-class TimeParams(_TimeFields):
+class TimeParams(CheckedValue, _TimeFields):
     """Protocol epoch origin and interval length, both in seconds."""
 
     __slots__ = ()
@@ -69,11 +65,6 @@ class TimeParams(_TimeFields):
         if self.t0 < 0:
             raise ValueError("t0 must be non-negative")
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> "TimeParams":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
 
 def interval_index(t: float, params: TimeParams) -> int:

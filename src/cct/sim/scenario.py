@@ -13,6 +13,7 @@ import hashlib
 from pathlib import Path
 from typing import Any, NamedTuple
 
+from cct import CheckedValue
 from cct.config import read_object
 from cct.ident import DEFAULT_DELTA_T, DEFAULT_RETENTION, TimeParams
 from cct.wire import canonical_encode, lenient_decode
@@ -61,7 +62,7 @@ class _EncounterFields(NamedTuple):
     device_j: int
 
 
-class EncounterEvent(_EncounterFields):
+class EncounterEvent(CheckedValue, _EncounterFields):
     """Symmetric proximity event; produces reciprocal log entries on both sides."""
 
     __slots__ = ()
@@ -73,11 +74,6 @@ class EncounterEvent(_EncounterFields):
         if device_i > device_j:
             device_i, device_j = device_j, device_i
         return tuple.__new__(cls, (interval, device_i, device_j))
-
-    @classmethod
-    def _make(cls, iterable) -> "EncounterEvent":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
     def to_value(self) -> dict:
         return {"device_i": self.device_i, "device_j": self.device_j, "interval": self.interval}
@@ -106,18 +102,13 @@ class _ScenarioFields(NamedTuple):
     strict_interval_match: bool = False
 
 
-class ScenarioConfig(_ScenarioFields):
+class ScenarioConfig(CheckedValue, _ScenarioFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "ScenarioConfig":
         self = super().__new__(cls, *args, **kwargs)
         self.validate()
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> "ScenarioConfig":
-        # namedtuple's _make (and _replace through it) would skip the checks
-        return cls(*iterable)
 
     def validate(self) -> None:
         """Reject inconsistent configurations before any protocol work starts."""

@@ -9,7 +9,6 @@ from cct.ident import (
     TimeParams,
     derive_identifier,
     derive_identifier_range,
-    generate_secret,
     identifier_table,
     interval_index,
 )
@@ -70,12 +69,6 @@ def test_bad_index_rejected():
         derive_identifier(bytes(32), -1)
     with pytest.raises(ValueError):
         derive_identifier(bytes(32), 2**64)
-
-
-def test_generate_secret_fresh():
-    a, b = generate_secret(), generate_secret()
-    assert len(a) == SECRET_LEN
-    assert a != b
 
 
 # -- interval mapping ---------------------------------------------------------

@@ -1,8 +1,9 @@
 """The sealed store: an append-only log of sealed delta records.
 
-Covers the file format's integrity (torn tails, dropped, duplicated,
-reordered and spliced records), the refusal of files that hold no
-replayable log, failed writes and compactions, expiry against a
+Covers the file format's integrity (torn tails, crash images of an
+unfinished append, dropped, duplicated, reordered and spliced records), the
+refusal of files that hold no replayable log, failed writes and
+compactions, the compaction trigger at its boundary, expiry against a
 brute-force count, matching and reloads against a brute-force scan of the
 state, the record renderer against canonical_encode, record plaintexts
 pinned by hash, the cost of one change, and the service's atomic requests
@@ -20,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cct.attestation import platform_verify_key, seal, unseal
 from cct.authority import RESULT_NEGATIVE, RESULT_POSITIVE, HealthAuthorityCredential, token_hash
@@ -186,6 +187,71 @@ def test_zeros_after_damage_refused_and_left_unchanged(config, path, clock, ha, 
     assert path.read_bytes() == raw
 
 
+@functools.cache
+def crash_image_log() -> tuple[EnclaveConfig, bytes, bytes, bytes, bytes]:
+    """Two registers, then a 30-tuple upload and a third register.
+
+    Returns the config, the log before the upload and its state, then the
+    upload's frame and the frame after it.
+    """
+    ha = HealthAuthorityCredential.from_seed(HA_SEED)
+    config = EnclaveConfig(ha_verify_key=ha.verify_key, time=TimeParams(t0=0), retention=5)
+    enclave = Enclave(config, PLATFORM_SECRET, clock=ManualClock())
+    register(enclave, ha, token(0))
+    register(enclave, ha, token(1))
+    valid, state = enclave.sealed_bytes(), enclave.serialize_state()
+    enclave.upload_contact_log(token(0), random_tuples(random.Random(2), 30, 0))
+    upload = enclave.sealed_bytes()[len(valid):]
+    register(enclave, ha, token(2))
+    following = enclave.sealed_bytes()[len(valid) + len(upload):]
+    return config, valid, state, upload, following
+
+
+def prefix(frame: bytes, data) -> bytes:
+    """The first k bytes of frame, for some k short of all of it."""
+    return frame[: data.draw(st.integers(0, len(frame) - 1), "k")]
+
+
+@settings(deadline=None)
+@given(data=st.data(), zero_filled=st.booleans(), tail=st.integers(0, 8192))
+def test_crash_image_of_an_unfinished_append_is_cut_away(data, zero_filled, tail):
+    """Any prefix of an appended frame, optionally zero-filled to the frame's
+    length, then optionally a zero tail: the restart cuts it all away."""
+    config, valid, state, frame, _ = crash_image_log()
+    written = prefix(frame, data)
+    if zero_filled:
+        written = written.ljust(len(frame), b"\0")
+    written += bytes(tail)
+    assume(written[:len(frame)] != frame)  # zeros that complete the frame finish the append
+    with tempfile.TemporaryDirectory() as scratch:
+        path, clock = Path(scratch) / "state.sealed", ManualClock()
+        path.write_bytes(valid + written)
+        reopened = open_store(config, path, clock)
+        assert reopened.serialize_state() == state
+        assert path.read_bytes() == valid
+        # the cut record's token is unspent again, and the next append is clean
+        reopened.upload_contact_log(token(0), random_tuples(random.Random(3), 7, 0))
+        assert reload_state(config, path, clock) == reopened.serialize_state()
+
+
+@settings(deadline=None)
+@given(data=st.data(), tail=st.integers(0, 8192), byte=st.integers(1, 255))
+@pytest.mark.parametrize("after", ["frame", "byte"])
+def test_crash_image_with_data_after_the_frame_refused_and_left_unchanged(after, data, tail, byte):
+    """A zero-filled frame followed by a valid frame, or by zeros and then a
+    nonzero byte, is not an unfinished append."""
+    config, valid, _, frame, following = crash_image_log()
+    written = prefix(frame, data).ljust(len(frame), b"\0")
+    assume(written != frame)
+    raw = valid + written + (following if after == "frame" else bytes(tail) + bytes([byte]))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "state.sealed"
+        path.write_bytes(raw)
+        with pytest.raises(SealError, match="unseal failed"):
+            open_store(config, path, ManualClock())
+        assert path.read_bytes() == raw
+
+
 def tampered(raw: bytes, how: str, other: bytes) -> bytes:
     header, frames = split(raw)
     if how == "drop":
@@ -305,6 +371,25 @@ def test_compaction_changes_the_file_id(config, path, clock, ha):
     expire_everything(enclave, ha)
     header, frames = split(path.read_bytes())
     assert header != first_header and len(frames) == 1
+    assert reload_state(config, path, clock) == enclave.serialize_state()
+
+
+@pytest.mark.parametrize("swept, compacts", [(4, True), (3, False)])
+def test_compaction_starts_when_dead_entries_reach_the_live_ones(config, path, clock, ha, swept, compacts):
+    """Two registers, then uploads of `swept` and 4 tuples at expiries 5 and 6,
+    then a sweep at 6: 2 + swept dead entries against 6 live ones."""
+    enclave = open_store(config, path, clock)
+    for k, n in enumerate((swept, 4)):
+        clock.set_interval(k)
+        register(enclave, ha, token(k))
+        enclave.upload_contact_log(token(k), random_tuples(random.Random(k), n, k))
+    header, frames = split(path.read_bytes())
+    assert enclave.expire_store(6) == swept
+    after_header, after_frames = split(path.read_bytes())
+    if compacts:
+        assert after_header != header and len(after_frames) == 1
+    else:
+        assert after_header == header and after_frames == frames + after_frames[-1:]
     assert reload_state(config, path, clock) == enclave.serialize_state()
 
 
@@ -467,9 +552,8 @@ def test_store_differential(strict, steps):
             value = canonical_decode(state)
             entries = value["tuples"] + value["derived_ids"] + value["gps_traces"]
             assert enclave._expiries == Counter(e["expiry"] for e in entries), k
-            # every entry the log holds beyond the state is dead
-            live = len(entries) + len(value["records"])
-            assert enclave._dead == logged_entries(enclave.sealed_bytes(), config) - live, k
+            # the log layer counts every entry its records hold
+            assert enclave._logged == logged_entries(enclave.sealed_bytes(), config), k
             # the pair index holds each stored pair's latest expiry; strict
             # matching never reads it, so there it stays empty
             pairs: dict[tuple[bytes, bytes], int] = {}

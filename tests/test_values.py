@@ -3,14 +3,18 @@
 Every way to build one runs the same checks: positional and keyword
 arguments, `_make`, and `_replace` through it. A value prints as
 `Name(field=value, ...)`, copies as an equal value, and equals the plain
-tuple of its fields.
+tuple of its fields. Every checked type takes its `_make` from one base.
 """
 
 import copy
+import importlib
 import math
+import pkgutil
 
 import pytest
 
+import cct
+from cct import CheckedValue
 from cct.attestation import AttestationQuote, Measurement
 from cct.config import DeploymentConfig
 from cct.enclave import EnclaveConfig, GpsPoint
@@ -101,3 +105,23 @@ def test_defaults_are_the_documented_ones():
     # one shared default epoch: a value type never changes after it is built
     assert config.time is EnclaveConfig(bytes(32)).time == TimeParams(t0=0)
     assert DeploymentConfig(config)[1:] == ("127.0.0.1", 7700, None, None)
+
+
+def test_every_checked_type_takes_make_from_one_base():
+    """A named tuple that overrides `__new__` inherits CheckedValue's `_make`."""
+    checked = set()
+    for info in pkgutil.walk_packages(cct.__path__, "cct."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and issubclass(cls, tuple)
+                and cls.__bases__ != (tuple,)  # not a namedtuple's own class
+                and "__new__" in vars(cls)
+            ):
+                checked.add(cls)
+    assert {cls.__name__ for cls in checked} >= {*VALUES, "ContactTuple"}
+    for cls in checked:
+        # listed before the fields tuple, whose own _make would skip the checks
+        assert cls._make.__func__ is CheckedValue._make.__func__, cls.__name__
