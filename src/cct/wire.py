@@ -6,29 +6,27 @@ field rendered as lowercase hex, integers in base-10 without leading zeros,
 no NaN/Infinity. Only canonical bytes decode, which makes the encoding
 injective over message values.
 
-encode() and decode() run a compiled path first. Every schema whose fields
-all have one fixed canonical form (hex of a fixed length, uints, booleans,
-enums, arrays and objects of those) is compiled on first use, from the
-`grammar` and `emit` that each field validator carries, into a grammar over
-its canonical bytes and a template that writes them. The grammars are
-exact: a uint's takes the numerals of 0..2^64-1 and no others, so each
-takes exactly the canonical bytes of the valid messages of its type. "type"
-sorts after every other field, and message_type(), the one reader of the
-trailing `"type":"…"}`, picks the grammar. A fullmatch proves the bytes
-canonical and the value valid: decode() then only needs json.loads.
-encode() fills the template, with no json; a field of any but its exact
-types (a bool where an int goes, a str subclass) leaves the message to the
-generic path. encode_tuples() writes the poll and upload requests the same
-way, straight from the tuples, and decode_tuples() reads them back with the
-grammar's fullmatch and one findall. The envelope, whose ciphertext has no
-fixed length, has no template: SecureChannel writes it as one %-join of
-ENVELOPE, and decode_envelope(), the one envelope parser, reads it with one
-small regex plus a hex check of the ciphertext, with no json and no dict.
-These two readers have no second path: what they refuse, decode() refuses
-too, and they raise its WireError. Anything else a compiled path does not
-match (the GPS messages, `error`, any malformed input) takes the generic
-path: decode() parses, re-encodes and rejects any input whose bytes differ,
-then validates; encode() validates, then encodes. Both paths accept the
+encode() validates a message, then writes it with canonical_encode(), one
+JSON encoder built at import. decode() runs a compiled path first. Every
+schema whose fields all have one fixed canonical form (hex of a fixed
+length, uints, booleans, enums, arrays and objects of those) is compiled on
+first use, from the `grammar` that each field validator carries, into a
+grammar over its canonical bytes. The grammars are exact: a uint's takes the
+numerals of 0..2^64-1 and no others, so each takes exactly the canonical
+bytes of the valid messages of its type. "type" sorts after every other
+field, and message_type(), the one reader of the trailing `"type":"…"}`,
+picks the grammar. A fullmatch proves the bytes canonical and the value
+valid: decode() then only needs json.loads. encode_tuples() writes the poll
+and upload requests straight from the tuples, with no dicts or json, and
+decode_tuples() reads them back with the grammar's fullmatch and one
+findall. The envelope, whose ciphertext has no fixed length, is written by
+SecureChannel as one %-join of ENVELOPE, and decode_envelope(), the one
+envelope parser, reads it with one small regex plus a hex check of the
+ciphertext, with no json and no dict. These two readers have no second
+path: what they refuse, decode() refuses too, and they raise its WireError.
+Anything else a grammar does not match (the GPS messages, `error`, any
+malformed input) takes the generic path: decode() parses, re-encodes and
+rejects any input whose bytes differ, then validates. Both paths accept the
 same values and give the same errors.
 
 Transport framing is a 4-byte big-endian length prefix followed by the
@@ -60,12 +58,14 @@ _HEX_DIGITS = b"0123456789abcdef"
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
+# built once: json.dumps with any option builds a new encoder on every call
+_json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
 def canonical_encode(value: Any) -> bytes:
     """Serialize a JSON value to its unique canonical byte form."""
     try:
-        text = json.dumps(
-            value, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        text = _json_encode(value)
     except (TypeError, ValueError) as exc:
         raise WireError(f"value not canonically encodable: {exc}") from exc
     except RecursionError:
@@ -136,16 +136,7 @@ def _hex_field(nbytes: int | None) -> Validator:
         if len(v) % 2 != 0 or not _hex_chars(v):
             raise WireError("not lowercase hex")
 
-    if nbytes is None:
-        check.grammar = check.emit = None
-        return check
-    width = 2 * nbytes
-    check.grammar = rb'"[0-9a-f]{%d}"' % width
-
-    def emit(v: Any) -> str | None:
-        return '"%s"' % v if type(v) is str and len(v) == width and _hex_chars(v) else None
-
-    check.emit = emit
+    check.grammar = None if nbytes is None else rb'"[0-9a-f]{%d}"' % (2 * nbytes)
     return check
 
 
@@ -167,7 +158,6 @@ def _numerals(top: int) -> bytes:
 
 
 _uint.grammar = _numerals(_MAX_UINT)
-_uint.emit = lambda v: "%d" % v if type(v) is int and 0 <= v <= _MAX_UINT else None
 
 
 def _number(v: Any) -> None:
@@ -179,7 +169,7 @@ def _number(v: Any) -> None:
         raise WireError("number out of range")
 
 
-_number.grammar = _number.emit = None  # a float has many spellings that decode to one value
+_number.grammar = None  # a float has many spellings that decode to one value
 
 
 def _boolean(v: Any) -> None:
@@ -188,7 +178,6 @@ def _boolean(v: Any) -> None:
 
 
 _boolean.grammar = rb"(?:true|false)"
-_boolean.emit = lambda v: "true" if v is True else "false" if v is False else None
 
 
 def _string(v: Any) -> None:
@@ -196,7 +185,7 @@ def _string(v: Any) -> None:
         raise WireError("expected string")
 
 
-_string.grammar = _string.emit = None
+_string.grammar = None
 
 
 def _enum(*allowed: str) -> Validator:
@@ -204,9 +193,7 @@ def _enum(*allowed: str) -> Validator:
         if v not in allowed:
             raise WireError(f"expected one of {allowed}")
 
-    spelled = {a: canonical_encode(a).decode("ascii") for a in allowed}
-    check.grammar = b"(?:%s)" % b"|".join(re.escape(t).encode("ascii") for t in spelled.values())
-    check.emit = lambda v: spelled.get(v) if type(v) is str else None
+    check.grammar = b"(?:%s)" % b"|".join(re.escape(canonical_encode(a)) for a in allowed)
     return check
 
 
@@ -217,19 +204,8 @@ def _array(item: Validator) -> Validator:
         for elem in v:
             item(elem)
 
-    g, item_emit = item.grammar, item.emit
+    g = item.grammar
     check.grammar = None if g is None else rb"\[(?:%s(?:,%s)*)?\]" % (g, g)
-    if item_emit is None:
-        check.emit = None
-        return check
-
-    def emit(v: Any) -> str | None:
-        if type(v) is not list:
-            return None
-        items = [item_emit(elem) for elem in v]
-        return None if None in items else "[%s]" % ",".join(items)
-
-    check.emit = emit
     return check
 
 
@@ -243,7 +219,6 @@ def _obj(schema: dict[str, Validator]) -> Validator:
             validator(v[name])
 
     check.grammar = _object_grammar(schema)
-    check.emit = _object_emitter(schema)
     return check
 
 
@@ -256,29 +231,6 @@ def _object_grammar(schema: dict[str, Validator]) -> bytes | None:
             return None
         members.append(re.escape(canonical_encode(name)) + b":" + g)
     return rb"\{%s\}" % b",".join(members)
-
-
-def _object_emitter(schema: dict[str, Validator]) -> Callable[[Any], str | None] | None:
-    """The canonical text of a plainly valid object, else None; None if some field has no emitter.
-
-    Each field's emitter takes only its exact types (str, int, bool, list,
-    dict; a subclass may compare or render unlike its value), so anything
-    it returns None for is left to the generic path.
-    """
-    names = sorted(schema)
-    members = [(name, schema[name].emit) for name in names]
-    if any(emit is None for _, emit in members):
-        return None
-    fmt = "{%s}" % ",".join(canonical_encode(name).decode("ascii") + ":%s" for name in names)
-    size = len(members)
-
-    def emit(v: Any) -> str | None:
-        if type(v) is not dict or len(v) != size:
-            return None
-        values = tuple([field(v.get(name)) for name, field in members])
-        return None if None in values else fmt % values
-
-    return emit
 
 
 TUPLE_FIELDS = {"interval": _uint, "received": _hex_field(16), "sent": _hex_field(16)}
@@ -403,12 +355,6 @@ def _grammar(mtype: str) -> Callable[[bytes], Any] | None:
 
 
 @functools.cache
-def _template(mtype: str) -> Callable[[dict], str | None] | None:
-    """The canonical text of a plainly valid `mtype` message, if every field has an emitter."""
-    return _object_emitter({**MESSAGE_SCHEMAS[mtype], "type": _enum(mtype)})
-
-
-@functools.cache
 def _envelope_rest() -> Callable[[bytes, int], Any]:
     """fullmatch of everything after an envelope's ciphertext, from the quote that ends it.
 
@@ -440,11 +386,6 @@ def decode_envelope(raw: bytes) -> tuple[bytes, bytes, int, bytes]:
 
 def encode(msg: dict) -> bytes:
     """Canonical bytes for a message; raises WireError on schema violations."""
-    mtype = msg.get("type") if type(msg) is dict else None
-    template = _template(mtype) if type(mtype) is str and mtype in MESSAGE_SCHEMAS else None
-    text = None if template is None else template(msg)  # None: not plainly valid
-    if text is not None:
-        return text.encode("ascii")
     validate_message(msg)
     return canonical_encode(msg)
 

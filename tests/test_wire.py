@@ -1,3 +1,5 @@
+import json
+import math
 import re
 import socket
 import sys
@@ -278,8 +280,76 @@ def test_deep_nesting_rejected():
     value: list = []
     for _ in range(100_000):
         value = [value]
-    with pytest.raises(WireError, match="nested too deeply"):
+    with pytest.raises(WireError, match="^value not canonically encodable: nested too deeply$"):
         wire.canonical_encode(value)
+
+
+# -- canonical_encode: one JSON encoder, built at import --------------------------
+
+json_value_st = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def dumps_canonical(value) -> bytes:
+    """The canonical form as json.dumps writes it, with a new encoder per call."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+
+
+@given(json_value_st)
+def test_canonical_encode_matches_json_dumps(value):
+    assert wire.canonical_encode(value) == dumps_canonical(value)
+
+
+@pytest.mark.parametrize(
+    "value,reason",
+    [
+        (math.nan, "Out of range float values are not JSON compliant"),
+        ([1, -math.inf], "Out of range float values are not JSON compliant"),
+        ({"a": {"b": math.inf}}, "Out of range float values are not JSON compliant"),
+        (b"ab", "Object of type bytes is not JSON serializable"),
+        ([{1, 2}], "Object of type set is not JSON serializable"),
+        ({(1,): 0}, "keys must be str, int, float, bool or None, not tuple"),
+    ],
+    ids=["nan", "-inf-in-list", "inf-in-object", "bytes", "set", "tuple-key"],
+)
+def test_canonical_encode_refusal_texts(value, reason):
+    with pytest.raises(WireError) as refused:
+        wire.canonical_encode(value)
+    with pytest.raises((TypeError, ValueError)) as direct:
+        dumps_canonical(value)
+    assert str(refused.value) == f"value not canonically encodable: {direct.value}"
+    assert str(refused.value).startswith(f"value not canonically encodable: {reason}")
+    # a refused value leaves nothing behind in the shared encoder
+    assert wire.canonical_encode({"b": [1.5], "a": None}) == b'{"a":null,"b":[1.5]}'
+
+
+def test_canonical_encode_from_four_threads():
+    values = [
+        [{"thread": k, "i": i, "xs": [i] * (i % 5), "f": i / 7, "s": "é" * (i % 3)} for i in range(500)]
+        for k in range(4)
+    ]
+    expected = [[wire.canonical_encode(v) for v in mine] for mine in values]
+    results: list = [None] * 4
+    start = threading.Barrier(4)
+
+    def run(k: int) -> None:
+        start.wait()
+        results[k] = [wire.canonical_encode(v) for v in values[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
 
 
 def test_large_finite_literal_accepted():
@@ -444,6 +514,14 @@ def _poll_resp_bytes(last):
     return b'{"matched":true,"matched_intervals":[0,%s],"type":"poll_resp"}' % last
 
 
+class _Text(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
 # each expected result is the codec's before it was compiled
 DECODE_EDGES = [
     pytest.param(_envelope_bytes(sequence=_MAX), _ok({**_ENVELOPE, "sequence": MAX_UINT}), id="sequence-max"),
@@ -572,6 +650,119 @@ ENCODE_EDGES = [
         id="missing-nonce",
     ),
     pytest.param({"extra": 1, "type": "ack"}, _bad_fields("ack", [], ["extra"]), id="extra-ack"),
+    # exact types, subclasses and near misses of each fixed-shape field
+    pytest.param({**_REPORT, "interval": True}, _not_uint("report_req.interval"), id="interval-bool"),
+    pytest.param({**_REPORT, "interval": _Int(7)}, _ok(_report_bytes(b"7")), id="interval-int-subclass"),
+    pytest.param({**_REPORT, "interval": 7.0}, _not_uint("report_req.interval"), id="interval-float"),
+    pytest.param({**_REPORT, "interval": 10**19}, _ok(_report_bytes(b"1" + b"0" * 19)), id="interval-10^19"),
+    pytest.param(
+        {**_REPORT, "result": _Text("positive")}, _ok(_report_bytes(b"7")), id="result-str-subclass"
+    ),
+    pytest.param(
+        {**_REPORT, "token_hash": "AB" * 32},
+        _refused("report_req.token_hash: not lowercase hex"),
+        id="uppercase-token_hash",
+    ),
+    pytest.param(
+        {**_SECRET_UPLOAD, "from_interval": False},
+        _not_uint("secret_upload_req.from_interval"),
+        id="from_interval-bool",
+    ),
+    pytest.param(
+        {**_SECRET_UPLOAD, "to_interval": -1}, _not_uint("secret_upload_req.to_interval"), id="to_interval-negative"
+    ),
+    pytest.param(
+        {**_POLL_RESP, "matched_intervals": []},
+        _ok(b'{"matched":true,"matched_intervals":[],"type":"poll_resp"}'),
+        id="matched_intervals-empty",
+    ),
+    pytest.param(
+        {**_POLL_RESP, "matched": False, "matched_intervals": []},
+        _ok(b'{"matched":false,"matched_intervals":[],"type":"poll_resp"}'),
+        id="unmatched-empty",
+    ),
+    pytest.param({**_POLL_RESP, "matched": 1}, _refused("poll_resp.matched: expected boolean"), id="matched-int"),
+    pytest.param(
+        {**_POLL_RESP, "matched_intervals": [True]},
+        _not_uint("poll_resp.matched_intervals"),
+        id="matched_intervals-bool",
+    ),
+    pytest.param(
+        {**_POLL_RESP, "matched_intervals": [_Int(3)]},
+        _ok(b'{"matched":true,"matched_intervals":[3],"type":"poll_resp"}'),
+        id="matched_intervals-int-subclass",
+    ),
+    pytest.param(
+        {**_POLL_RESP, "matched_intervals": [MAX_UINT, MAX_UINT + 1]},
+        _not_uint("poll_resp.matched_intervals"),
+        id="matched_intervals-max-then-2^64",
+    ),
+    pytest.param(
+        {**_POLL_RESP, "matched_intervals": (0,)},
+        _refused("poll_resp.matched_intervals: expected array"),
+        id="matched_intervals-one-tuple",
+    ),
+    pytest.param(
+        {**_UPLOAD, "tuples": []},
+        _ok(b'{"token":"%s","tuples":[],"type":"upload_req"}' % HEX32.encode()),
+        id="tuples-empty",
+    ),
+    pytest.param(
+        {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "interval": True}]},
+        _not_uint("upload_req.tuples"),
+        id="tuple-interval-bool",
+    ),
+    pytest.param(
+        {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "sent": "AB" * 16}]},
+        _refused("upload_req.tuples: not lowercase hex"),
+        id="uppercase-tuple-sent",
+    ),
+    pytest.param(
+        {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "extra": 1}]},
+        _refused(
+            "upload_req.tuples: expected fields ['interval', 'received', 'sent'],"
+            " got ['extra', 'interval', 'received', 'sent']"
+        ),
+        id="extra-tuple-field",
+    ),
+    pytest.param(
+        {"type": "session_resp", "session_id": "AB" * 16},
+        _refused("session_resp.session_id: not lowercase hex"),
+        id="uppercase-session_id",
+    ),
+    pytest.param(
+        {"type": "session_resp", "session_id": _Text(HEX16)},
+        _ok(b'{"session_id":"%s","type":"session_resp"}' % HEX16.encode()),
+        id="session_id-str-subclass",
+    ),
+    pytest.param(
+        {"type": "session_resp", "session_id": HEX16.encode()},
+        _refused("session_resp.session_id: expected hex string"),
+        id="session_id-bytes",
+    ),
+    pytest.param(
+        {"type": "session_resp", "session_id": "٠" + HEX16[1:]},
+        _refused("session_resp.session_id: not lowercase hex"),
+        id="session_id-arabic-indic-digit",
+    ),
+    pytest.param({"type": "session_resp"}, _bad_fields("session_resp", ["session_id"], []), id="missing-session_id"),
+    pytest.param(
+        {"type": "session_resp", "session_id": HEX16, "extra": HEX16},
+        _bad_fields("session_resp", [], ["extra"]),
+        id="extra-session_resp",
+    ),
+    pytest.param(
+        {"type": "result_resp", "result": "maybe"},
+        _refused("result_resp.result: expected one of ('positive', 'negative', 'unknown')"),
+        id="result-maybe",
+    ),
+    pytest.param(
+        {"type": "result_resp", "result": ["unknown"]},
+        _refused("result_resp.result: expected one of ('positive', 'negative', 'unknown')"),
+        id="result-list",
+    ),
+    pytest.param({"type": "attest_req", "extra": 1}, _bad_fields("attest_req", [], ["extra"]), id="extra-attest_req"),
+    pytest.param({"type": "ack", "reason": "x"}, _bad_fields("ack", [], ["reason"]), id="reason-on-ack"),
 ]
 
 
@@ -720,14 +911,6 @@ def mutated(draw, raw: bytes) -> bytes:
     return raw
 
 
-class _Text(str):
-    pass
-
-
-class _Int(int):
-    pass
-
-
 # values that an edit puts in place of any field
 _FIELD_VALUES = [None, True, 0, -1, 1.0, MAX_UINT + 1, "", "abc", "positive", [], {}]
 
@@ -807,6 +990,18 @@ def test_encode_differential(mtype, data):
     assert outcome(wire.encode, msg) == outcome(generic_encode, msg)
 
 
+def forbid_json(monkeypatch) -> None:
+    """Fail any JSON reading or writing in wire: json itself, canonical_encode
+    and the encoder it binds at import."""
+
+    def refuse(*_args):
+        raise AssertionError("json used")
+
+    monkeypatch.setattr(wire, "json", None)
+    for name in ("canonical_encode", "_json_encode"):
+        monkeypatch.setattr(wire, name, refuse)
+
+
 # -- differential: the tuple emitter against encode() of the dict form ------------
 
 _identifier_st = st.binary(min_size=16, max_size=16)
@@ -865,7 +1060,7 @@ def test_tuple_emitter_differential_edges(token, monkeypatch):
         cases.append((tuples, expected))
     with monkeypatch.context() as patched:
         # valid tuples need neither json nor encode()
-        patched.setattr(wire, "json", None)
+        forbid_json(patched)
         patched.setattr(wire, "encode", None)
         for tuples, expected in cases:
             assert wire.encode_tuples(tuples, token) == expected
@@ -961,7 +1156,7 @@ def test_tuple_decoder_needs_no_json(monkeypatch):
     tuples += [(10**19, b"\x04" * 16, b"\x05" * 16), (MAX_UINT, b"\x06" * 16, b"\x07" * 16)]
     token = b"\x11" * 32
     poll, upload = wire.encode_tuples(tuples), wire.encode_tuples(tuples, token)
-    monkeypatch.setattr(wire, "json", None)
+    forbid_json(monkeypatch)
     monkeypatch.setattr(wire, "decode", None)
     assert wire.decode_tuples(poll) == (None, tuples)
     assert wire.decode_tuples(upload) == (token, tuples)
@@ -1127,7 +1322,7 @@ def test_envelope_codec_needs_no_json(monkeypatch):
     sender, (receiver, _) = _sender(1), _receivers()
     raws = [sender.encrypt(b"x" * n) for n in (0, 1, 1000)]
     raws += [_sender(sequence).encrypt(b"late") for sequence in (10**19, MAX_UINT)]
-    monkeypatch.setattr(wire, "json", None)
+    forbid_json(monkeypatch)
     monkeypatch.setattr(wire, "decode", None)
     assert [receiver.decrypt(raw) for raw in raws] == [b"", b"x", b"x" * 1000, b"late", b"late"]
     assert wire.message_type(sender.encrypt(b"y")) == "envelope"
@@ -1193,73 +1388,6 @@ def test_message_type_differential(raw):
     assert mtype == msg["type"]
 
 
-# -- differential: the fixed-shape templates against canonical_encode ---------------
-
-TEMPLATE_TYPES = [t for t in wire.MESSAGE_SCHEMAS if wire._template(t) is not None]
-
-
-def test_template_types():
-    # every schema with a grammar but the envelope, whose ciphertext has no fixed length
-    assert set(TEMPLATE_TYPES) == set(FUZZ_TYPES) - {"envelope", "gps_upload_req", "error"}
-    for mtype in ("poll_resp", "ack", "result_resp", *wire.HANDSHAKE_TYPES):
-        assert mtype in TEMPLATE_TYPES
-
-
-def assert_template_agrees(mtype: str, msg) -> None:
-    """The template writes canonical_encode's bytes of a valid message, or
-    leaves msg to the generic path, and encode() gives the generic result."""
-    text = wire._template(mtype)(msg)
-    if text is not None:
-        assert outcome(generic_encode, msg) == _ok(text.encode())
-    assert outcome(wire.encode, msg) == outcome(generic_encode, msg)
-
-
-@pytest.mark.parametrize("mtype", TEMPLATE_TYPES)
-@given(data=st.data())
-def test_template_differential(mtype, data):
-    assert_template_agrees(mtype, data.draw(mutated_message_st(mtype)))
-
-
-_TEMPLATE_EDGES = [
-    {**_REPORT, "interval": True},
-    {**_REPORT, "interval": _Int(7)},
-    {**_REPORT, "interval": 7.0},
-    {**_REPORT, "interval": MAX_UINT},
-    {**_REPORT, "interval": MAX_UINT + 1},
-    {**_REPORT, "interval": 10**19},
-    {**_REPORT, "result": _Text("positive")},
-    {**_REPORT, "token_hash": HEX32.upper()},
-    {**_SECRET_UPLOAD, "from_interval": False},
-    {**_SECRET_UPLOAD, "to_interval": -1},
-    {**_POLL_RESP, "matched_intervals": []},
-    {**_POLL_RESP, "matched": False, "matched_intervals": []},
-    {**_POLL_RESP, "matched": 1},
-    {**_POLL_RESP, "matched_intervals": [True]},
-    {**_POLL_RESP, "matched_intervals": [_Int(3)]},
-    {**_POLL_RESP, "matched_intervals": [MAX_UINT, MAX_UINT + 1]},
-    {**_POLL_RESP, "matched_intervals": (0,)},
-    {**_UPLOAD, "tuples": []},
-    {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "interval": True}]},
-    {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "sent": HEX16.upper()}]},
-    {**_UPLOAD, "tuples": [{**_UPLOAD["tuples"][0], "extra": 1}]},
-    {"type": "session_resp", "session_id": HEX16.upper()},
-    {"type": "session_resp", "session_id": _Text(HEX16)},
-    {"type": "session_resp", "session_id": HEX16.encode()},
-    {"type": "session_resp", "session_id": "٠" + HEX16[1:]},
-    {"type": "session_resp"},
-    {"type": "session_resp", "session_id": HEX16, "extra": HEX16},
-    {"type": "result_resp", "result": "maybe"},
-    {"type": "result_resp", "result": ["unknown"]},
-    {"type": "attest_req", "extra": 1},
-    {"type": "ack", "reason": "x"},
-]
-
-
-@pytest.mark.parametrize("msg", _TEMPLATE_EDGES, ids=lambda m: m["type"])
-def test_template_differential_edges(msg):
-    assert_template_agrees(msg["type"], msg)
-
-
 @pytest.mark.parametrize(
     "msg",
     [m for m in SAMPLE_MESSAGES if m["type"] not in GENERIC_TYPES],
@@ -1267,6 +1395,7 @@ def test_template_differential_edges(msg):
 )
 def test_fixed_schemas_take_the_compiled_path(msg, monkeypatch):
     raw = WIRE_BYTES[msg["type"]]
+    assert wire.encode(msg) == raw
 
     def refuse(*_args):
         raise AssertionError("generic path taken")
@@ -1276,16 +1405,12 @@ def test_fixed_schemas_take_the_compiled_path(msg, monkeypatch):
     if msg["type"] == "envelope":
         # SecureChannel writes envelopes with wire.ENVELOPE and reads them with
         # decode_envelope; neither calls json
-        monkeypatch.setattr(wire, "json", None)
+        forbid_json(monkeypatch)
         ciphertext, nonce, session_id = (msg[k].encode() for k in ("ciphertext", "nonce", "session_id"))
         assert wire.ENVELOPE % (ciphertext, nonce, msg["sequence"], session_id) == raw
         fields = (bytes.fromhex(msg["ciphertext"]), bytes.fromhex(msg["nonce"]), msg["sequence"])
         assert wire.decode_envelope(raw) == (*fields, bytes.fromhex(msg["session_id"]))
         return
-    assert wire.encode(msg) == raw  # builds the template on first use
-    with monkeypatch.context() as patched:
-        patched.setattr(wire, "json", None)  # a template writes without json
-        assert wire.encode(msg) == raw
     assert wire.decode(raw) == msg
 
 
