@@ -298,7 +298,7 @@ def validate_message(msg: dict) -> None:
     if not isinstance(msg, dict):
         raise WireError("message must be an object")
     mtype = msg.get("type")
-    if mtype not in MESSAGE_SCHEMAS:
+    if not isinstance(mtype, str) or mtype not in MESSAGE_SCHEMAS:
         raise WireError(f"unknown message type: {mtype!r}")
     schema = MESSAGE_SCHEMAS[mtype]
     fields = {k: v for k, v in msg.items() if k != "type"}

@@ -552,6 +552,14 @@ def test_garbage_bytes_get_error_reply(service):
     assert msg["type"] == "error"
 
 
+@pytest.mark.parametrize("raw", [b'{"type":[]}', b'{"type":{}}'], ids=["list", "object"])
+def test_type_that_is_no_string_gets_its_refusal(service, raw):
+    reason = "unknown message type: %s" % raw[8:-1].decode()
+    assert wire.decode(service.handle(raw)) == {"type": "error", "reason": reason}
+    channel, _ = manual_handshake(service)
+    assert wire.decode(channel.decrypt(service.handle(channel.encrypt(raw)))) == {"type": "error", "reason": reason}
+
+
 # far past any stack: the outcome does not depend on the caller's depth
 DEEP = b"[" * 100_000 + b"]" * 100_000
 NESTED_TOO_DEEPLY = {"type": "error", "reason": "invalid JSON: nested too deeply"}

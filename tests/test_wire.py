@@ -613,6 +613,9 @@ DECODE_EDGES = [
     ),
     pytest.param(bytearray(_envelope_bytes()), _ok(_ENVELOPE), id="bytearray-envelope"),
     pytest.param(bytearray(b'{"type":"ack"}'), _ok({"type": "ack"}), id="bytearray-ack"),
+    # a type that is no string is refused as unknown, not with the TypeError of a dict lookup
+    pytest.param(b'{"type":[]}', _refused("unknown message type: []"), id="list-type"),
+    pytest.param(b'{"type":{}}', _refused("unknown message type: {}"), id="object-type"),
 ]
 
 ENCODE_EDGES = [
@@ -763,6 +766,8 @@ ENCODE_EDGES = [
     ),
     pytest.param({"type": "attest_req", "extra": 1}, _bad_fields("attest_req", [], ["extra"]), id="extra-attest_req"),
     pytest.param({"type": "ack", "reason": "x"}, _bad_fields("ack", [], ["reason"]), id="reason-on-ack"),
+    pytest.param({"type": ["ack"]}, _refused("unknown message type: ['ack']"), id="list-type"),
+    pytest.param({"type": {"ack": 1}}, _refused("unknown message type: {'ack': 1}"), id="object-type"),
 ]
 
 
@@ -1386,6 +1391,47 @@ def test_message_type_differential(raw):
     except WireError:
         return
     assert mtype == msg["type"]
+
+
+# -- every encoding of a fixed-shape message takes the compiled decode grammar ------
+
+GRAMMAR_TYPES = [t for t in wire.MESSAGE_SCHEMAS if wire._grammar(t) is not None]
+
+
+def test_grammar_types():
+    # every schema with a grammar but the envelope, whose ciphertext has no fixed length
+    assert set(GRAMMAR_TYPES) == set(FUZZ_TYPES) - {"envelope", "gps_upload_req", "error"}
+    for mtype in ("poll_resp", "ack", "result_resp", *wire.HANDSHAKE_TYPES):
+        assert mtype in GRAMMAR_TYPES
+
+
+def assert_grammar_takes_encoding(msg) -> None:
+    """encode() of a valid message writes bytes that its type's decode grammar
+    takes whole and that decode() gives back as msg; an invalid one is refused."""
+    try:
+        raw = wire.encode(msg)
+    except WireError:
+        return
+    assert wire._grammar(msg["type"])(raw), raw
+    assert wire.decode(raw) == msg
+
+
+@pytest.mark.parametrize("mtype", GRAMMAR_TYPES)
+@given(data=st.data())
+def test_encode_grammar_differential(mtype, data):
+    assert_grammar_takes_encoding(data.draw(mutated_message_st(mtype)))
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        pytest.param(p.values[0], id=p.id)
+        for p in ENCODE_EDGES
+        if p.values[1][0] == "ok" and p.values[0]["type"] in GRAMMAR_TYPES
+    ],
+)
+def test_encode_grammar_differential_edges(msg):
+    assert_grammar_takes_encoding(msg)
 
 
 @pytest.mark.parametrize(
