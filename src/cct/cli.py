@@ -68,6 +68,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         platform_secret = bytes.fromhex(secret_hex)
     except ValueError:
         return _fail("CCT_PLATFORM_SECRET is not valid hex", 2)
+    if len(platform_secret) != 32:
+        return _fail("CCT_PLATFORM_SECRET must be 64 hex chars (32 bytes)", 2)
     deployment = _deployment(args)
     store = args.store or deployment.store_path
     enclave = Enclave(deployment.enclave, platform_secret, store_path=store)

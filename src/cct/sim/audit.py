@@ -2,12 +2,13 @@
 
 A RecordingTransport wrapped around each client's transport appends every
 request and response to one Transcript: the eavesdropper's record. The
-transcript audit plays network eavesdropper: given everything that
-crossed the wire after the handshake, it must find no trace of any device
-identifier or device secret. Wire messages are ASCII JSON, so sensitive
-bytes would surface in their lowercase-hex form; the audit therefore scans
-for the hex rendering of every pattern (and for raw bytes in any non-ASCII
-message, where they could appear verbatim).
+transcript audit plays network eavesdropper: it scans every message that
+crossed the wire, the handshake included, as bytes that it does not parse,
+and must find no trace of any device identifier or device secret. Wire
+messages are ASCII JSON, so sensitive bytes would surface in their
+lowercase-hex form; the audit therefore scans for the hex rendering of
+every pattern (and for raw bytes in any non-ASCII message, where they could
+appear verbatim).
 
 The patterns of one scan are packed end to end into one buffer of
 fixed-width patterns: the run's 16-byte identifiers joined and hexed once,
@@ -41,9 +42,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Iterator
 
-from cct import wire
 from cct.enclave import Enclave
-from cct.errors import WireError
 from cct.ident import IDENTIFIER_LEN
 
 # odd multiplier of the multiply-shift prefix hash (2^64 / golden ratio)
@@ -90,20 +89,6 @@ class RecordingTransport:
 def state_digest(enclave: Enclave) -> bytes:
     """One digest covering both the sealed-at-rest and in-memory state."""
     return hashlib.sha256(enclave.sealed_bytes() + enclave.serialize_state()).digest()
-
-
-def _is_handshake(raw: bytes) -> bool:
-    """Whether raw is a valid handshake message: no field beyond its schema's.
-
-    Only the few messages that end like one pay for the full decode.
-    """
-    if wire.message_type(raw) not in wire.HANDSHAKE_TYPES:
-        return False
-    try:
-        wire.decode(raw)
-    except WireError:
-        return False
-    return True
 
 
 def _marked(keys, members):
@@ -189,13 +174,12 @@ def audit_transcript(
     identifiers: Iterable[bytes],
     secrets: Iterable[bytes],
 ) -> int:
-    """Count sensitive-pattern sightings in post-handshake traffic.
+    """Count sensitive-pattern sightings in every message of the transcript.
 
     Counts distinct leaked patterns per message, separately for the hex
     scan, the raw-identifier scan and the raw-secret scan; any nonzero value
-    is a privacy failure. Handshake messages (attestation and session setup)
-    carry no application data and are skipped, but only when valid: one with
-    a field its schema lacks is audited like any other message.
+    is a privacy failure. Handshake messages are scanned like any other: an
+    honest one holds only keys, a measurement, a signature and a session id.
     """
     # an identifier of any other length fits no 16-byte raw or 32-char hex window
     id_raw = b"".join([i for i in identifiers if len(i) == IDENTIFIER_LEN])
@@ -208,7 +192,7 @@ def audit_transcript(
     hex_patterns = id_hex + b"".join(full[:32] for full in sec_hex)
     n_ids = len(id_raw) // IDENTIFIER_LEN
 
-    messages = [raw for raw in transcript.messages() if not _is_handshake(raw)]
+    messages = transcript.messages()
     binary = [raw for raw in messages if not raw.isascii()]
 
     hex_leaks = set()

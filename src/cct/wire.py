@@ -241,9 +241,6 @@ _EVENT_FIELDS = {"t_infected": _number, "t_poller": _number}
 validate_tuple_entry = _obj(TUPLE_FIELDS)
 validate_gps_point = _obj(GPS_POINT_FIELDS)
 
-# the plaintext handshake; every other exchange after it is enveloped
-HANDSHAKE_TYPES = frozenset({"attest_req", "attest_resp", "session_req", "session_resp"})
-
 MESSAGE_SCHEMAS: dict[str, dict[str, Validator]] = {
     "attest_req": {},
     "attest_resp": {

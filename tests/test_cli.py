@@ -113,9 +113,15 @@ def test_serve_requires_platform_secret(monkeypatch, capsys):
 
 
 def test_serve_rejects_bad_secret_hex(monkeypatch, capsys):
-    monkeypatch.setenv("CCT_PLATFORM_SECRET", "not-hex")
-    assert main(["serve", "--config", "/nonexistent.json"]) == 2
-    assert "hex" in capsys.readouterr().err
+    # each is refused before the config is read
+    for secret, reason in (
+        ("not-hex", "is not valid hex"),
+        ("07" * 31, "must be 64 hex chars"),
+        ("07" * 33, "must be 64 hex chars"),
+    ):
+        monkeypatch.setenv("CCT_PLATFORM_SECRET", secret)
+        assert main(["serve", "--config", "/nonexistent.json"]) == 2
+        assert f"CCT_PLATFORM_SECRET {reason}" in capsys.readouterr().err
 
 
 def test_serve_flags_for_negative_controls_are_gone():

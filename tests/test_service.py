@@ -1,5 +1,8 @@
+import re
+import socket
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -204,6 +207,32 @@ def test_client_rejects_wrong_platform_key(service, enclave_config):
     )
     with pytest.raises(AttestationError, match="bad_signature"):
         client.connect()
+
+
+def test_client_refuses_a_rewritten_session_id(service, enclave_config):
+    class RewritingSessionId:
+        """Passes traffic through, but answers session_req with another valid session id."""
+
+        def __init__(self):
+            self.sent = []
+
+        def request(self, raw):
+            self.sent.append(wire.message_type(raw))
+            reply = service.handle(raw)
+            if wire.message_type(reply) != "session_resp":
+                return reply
+            session_id = bytes.fromhex(wire.decode(reply)["session_id"])
+            other = bytes(b ^ 0xFF for b in session_id)
+            return wire.encode({"type": "session_resp", "session_id": other.hex()})
+
+    transport = RewritingSessionId()
+    client = EnclaveClient(
+        transport, enclave_config.measurement(), platform_verify_key(PLATFORM_SECRET)
+    )
+    with pytest.raises(ProtocolError, match="^session id mismatch$"):
+        client.poll_result(TOKEN)
+    # refused before the first envelope
+    assert transport.sent == ["attest_req", "session_req"]
 
 
 # -- session discipline --------------------------------------------------------------
@@ -672,8 +701,9 @@ def test_internal_failure_in_the_handshake_answered_in_plaintext(service, monkey
 def test_every_request_type_has_one_handler():
     from cct import service as service_module
 
+    handshake = {"attest_req", "attest_resp", "session_req", "session_resp"}
     requests = {t for t in wire.MESSAGE_SCHEMAS if t.endswith("_req")}
-    application = requests - wire.HANDSHAKE_TYPES
+    application = requests - handshake
     assert set(service_module._APP_HANDLERS) == application
     assert len(application) == 7
 
@@ -723,6 +753,25 @@ def test_recording_transport_wraps_tcp(enclave_config, ha, clock, tcp_port):
     assert set(types[4:]) == {"envelope"}
 
 
+def test_tcp_request_refused_when_peer_closes_without_reply():
+    listener = socket.create_server(("127.0.0.1", 0))
+    try:
+        transport = TcpTransport("127.0.0.1", listener.getsockname()[1])
+        peer, _ = listener.accept()
+        try:
+            # the peer will read the request but never write a reply
+            peer.shutdown(socket.SHUT_WR)
+            request = wire.encode({"type": "attest_req"})
+            with pytest.raises(ProtocolError, match="^connection closed$"):
+                transport.request(request)
+            assert wire.recv_frame(peer) == request
+        finally:
+            peer.close()
+            transport.close()
+    finally:
+        listener.close()
+
+
 def test_tcp_round_trip(enclave_config, ha, clock, tcp_port):
     clock.set_interval(0)
     transport = TcpTransport("127.0.0.1", tcp_port)
@@ -769,4 +818,19 @@ def test_service_loads_only_the_trusted_modules():
         "import sys, cct.service\n"
         "loaded = sorted(m for m in sys.modules if m == 'cct' or m.startswith('cct.'))\n"
         f"assert loaded == {TRUSTED!r}, loaded\n"
+    )
+
+
+def test_readme_states_the_trusted_line_count():
+    # the total of CI's "Trusted set" step, counted the same way
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.search(r"`import cct\.service` loads,\s+([\d,]+) lines", readme)
+    assert stated, "README states no trusted line count"
+    run_fresh(
+        "import sys, cct.service\n"
+        "total = 0\n"
+        "for name in sorted(m for m in sys.modules if m == 'cct' or m.startswith('cct.')):\n"
+        "    with open(sys.modules[name].__file__, 'rb') as f:\n"
+        "        total += f.read().count(b'\\n')\n"
+        f"assert total == {stated[1].replace(',', '')}, total\n"
     )

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cct import wire
-from cct.errors import WireError
 from cct.ident import derive_identifier
 from cct.sim.audit import Transcript, audit_transcript
 from cct.sim.encounters import generate_encounters, pair_threshold
@@ -281,26 +280,29 @@ def _handshake(msg_type: str, value: str) -> dict:
     return {**{name: (value + "0" * width)[:width] for name, width in fields}, "type": msg_type}
 
 
-def test_audit_skips_handshake_messages():
+def test_audit_flags_identifier_in_handshake_message():
     identifier = derive_identifier(b"\x0a" * 32, 0)
     msg = _handshake("attest_resp", identifier.hex())
     message = wire.canonical_encode(msg)
-    transcript = Transcript()
-    transcript.append("e2c", message)
-    assert audit_transcript(transcript, [identifier], []) == 0
-    # an extra field or a non-canonical copy is no valid message, so it is audited
+    assert wire.decode(message) == msg
+    # each of its three fields starts with the identifier's hex: one pattern, one leak
+    assert audit_transcript(_transcript(message), [identifier], []) == 1
+    # with an extra field or spaced out, the same pattern still counts once
     extra = wire.canonical_encode({**msg, "x": "00"})
     spaced = message.replace(b":", b": ", 1)
     for other in (extra, spaced):
         assert audit_transcript(_transcript(other), [identifier], []) == 1
 
 
-@pytest.mark.parametrize("msg_type", sorted(wire.HANDSHAKE_TYPES))
-def test_audit_skips_every_handshake_type(msg_type):
+@pytest.mark.parametrize("msg_type", sorted(_HANDSHAKE_FIELDS))
+def test_audit_scans_every_handshake_type(msg_type):
     identifier = derive_identifier(b"\x0a" * 32, 0)
     msg = _handshake(msg_type, identifier.hex())
-    assert audit_transcript(_transcript(wire.canonical_encode(msg)), [identifier], []) == 0
-    # with a field its schema lacks it is audited, as under any other type
+    message = wire.canonical_encode(msg)
+    assert wire.decode(message) == msg
+    # attest_req has no field, so nothing is planted in it
+    planted = 1 if _HANDSHAKE_FIELDS[msg_type] else 0
+    assert audit_transcript(_transcript(message), [identifier], []) == planted
     leaky = {**msg, "leak": identifier.hex()}
     for other in (leaky, {**leaky, "type": "poll_req"}):
         assert audit_transcript(_transcript(wire.canonical_encode(other)), [identifier], []) == 1
@@ -423,12 +425,6 @@ def _reference_audit(transcript, identifiers, secrets):
 
     leaks = 0
     for raw in transcript.messages():
-        try:
-            msg = wire.decode(raw)
-        except WireError:
-            msg = None
-        if msg is not None and msg["type"] in wire.HANDSHAKE_TYPES:
-            continue
         if len(raw) >= 32:
             windows = {raw[i : i + 32] for i in range(len(raw) - 31)}
             for hit in windows & scan32:
@@ -498,7 +494,7 @@ def _audit_inputs(draw, heads=_HEADS, odd_identifiers=False):
             value = _plant(draw, draw(_HEX_FILLER), draw(hex_plant))
             messages.append(wire.canonical_encode({"type": "poll_req", "x": value, "y": [value]}))
         elif kind == "handshake":
-            # skipped when valid; a field its schema lacks makes it audited
+            # audited like any other message, valid or with a field its schema lacks
             value = _plant(draw, draw(_HEX_FILLER), draw(hex_plant))
             msg = _handshake(draw(st.sampled_from(sorted(_HANDSHAKE_FIELDS))), value)
             if draw(st.booleans()):
