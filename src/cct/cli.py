@@ -156,6 +156,9 @@ def _load_trace(path: str) -> list[GpsPoint]:
 
 def _cmd_device(args: argparse.Namespace) -> int:
     deployment = _deployment(args)
+    # the input file is read and checked before connecting
+    log = ContactLog.load(args.log) if "log" in args else None
+    trace = _load_trace(args.trace) if "trace" in args else None
     client = _client_from_config(deployment)
     command = args.device_command
     if command == "result":
@@ -163,7 +166,6 @@ def _cmd_device(args: argparse.Namespace) -> int:
         _print_json({"result": result})
         return 0
     if command == "upload":
-        log = ContactLog.load(args.log)
         client.upload_tuples(bytes.fromhex(args.token), log.export())
         _print_json({"uploaded": len(log)})
         return 0
@@ -177,17 +179,16 @@ def _cmd_device(args: argparse.Namespace) -> int:
         _print_json({"uploaded": args.to_interval - args.from_interval + 1})
         return 0
     if command == "poll":
-        log = ContactLog.load(args.log)
         _print_response(client.poll(log.export()).to_wire())
         return 0
     if command == "gps-upload":
-        client.upload_gps(bytes.fromhex(args.token), _load_trace(args.trace))
+        client.upload_gps(bytes.fromhex(args.token), trace)
         _print_json({"uploaded": True})
         return 0
     if command == "gps-poll":
         bounds = deployment.enclave
         events = client.poll_gps(
-            _load_trace(args.trace),
+            trace,
             d_max=bounds.gps_d_max if args.d_max is None else args.d_max,
             tau=bounds.gps_tau if args.tau is None else args.tau,
         )

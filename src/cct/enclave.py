@@ -261,8 +261,8 @@ class _Change(NamedTuple):
     is one change without a sweep; _render writes either as a record."""
 
     records: Sequence[InfectionRecord] = ()
-    # (sent, received, interval, expiry)
-    tuples: Sequence[tuple[bytes, bytes, int, int]] = ()
+    # (interval, sent, received, expiry)
+    tuples: Sequence[tuple[int, bytes, bytes, int]] = ()
     # (identifier, expiry)
     derived: Sequence[tuple[bytes, int]] = ()
     # (expiry, points)
@@ -298,7 +298,7 @@ def _render(change: _Change) -> bytes:
             b"]",
             sweep,
             b',"tuples":[',
-            b",".join([_TUPLE_ENTRY % (e, i, hexlify(r), hexlify(s)) for s, r, i, e in change.tuples]),
+            b",".join([_TUPLE_ENTRY % (e, i, hexlify(r), hexlify(s)) for i, s, r, e in change.tuples]),
             b"]}",
         )
     )
@@ -309,7 +309,7 @@ def _read_change(value: dict) -> _Change:
     return _Change(
         records=[InfectionRecord.from_value(e) for e in value["records"]],
         tuples=[
-            (bytes.fromhex(e["sent"]), bytes.fromhex(e["received"]), e["interval"], e["expiry"])
+            (e["interval"], bytes.fromhex(e["sent"]), bytes.fromhex(e["received"]), e["expiry"])
             for e in value["tuples"]
         ],
         derived=[(bytes.fromhex(e["id"]), e["expiry"]) for e in value["derived_ids"]],
@@ -347,8 +347,8 @@ class Enclave:
 
         self._records: dict[bytes, InfectionRecord] = {}
         # the keyed stores, one key -> expiry item per stored entry:
-        # (sent, received, interval) per tuple, the identifier per derived id
-        self._tuples: dict[tuple[bytes, bytes, int], int] = {}
+        # (interval, sent, received) per tuple, the identifier per derived id
+        self._tuples: dict[tuple[int, bytes, bytes], int] = {}
         self._derived: dict[bytes, int] = {}
         # (sent, received) -> the latest expiry of its tuples, the match key outside
         # strict mode (empty in it); an index of _tuples, neither sealed nor counted
@@ -400,28 +400,28 @@ class Enclave:
 
     # -- infected uploads -----------------------------------------------------
 
-    def _upload(self, token: bytes, entries: Callable[[int], dict[str, list]]) -> None:
-        """Authorize, then commit one record: the entries at one expiry, a sweep, the spent token."""
+    def _spend(self, token: bytes) -> tuple[InfectionRecord, int]:
+        """Authorize an upload: the token's record marked spent, and the current interval.
+
+        Each upload checks its entries after this, then commits one record:
+        the spent token, its entries at one expiry, and a sweep.
+        """
         record = self._records.get(token_hash(token))
         if record is None or record.result != RESULT_POSITIVE:
             raise AuthorizationError("not authorized to upload")
         if record.upload_used:
             raise AuthorizationError("upload already used")
-        current = self.current_interval()
-        spent = record._replace(upload_used=True)
-        inserted = entries(current + self.config.retention)
-        self._commit(_Change(records=(spent,), sweep=current, **inserted))
+        return record._replace(upload_used=True), self.current_interval()
 
     def upload_contact_log(self, token: bytes, tuples: Sequence[tuple[int, bytes, bytes]]) -> None:
         """Single-use upload of a positive user's (interval, sent, received) tuples."""
-
-        def entries(expiry: int) -> dict[str, list]:
-            # the record spells an interval with %d, which would cut a float
-            if not all(type(i) is int for i, _, _ in tuples):
-                raise ValueError("interval must be an integer")
-            return {"tuples": [(sent, received, i, expiry) for i, sent, received in tuples]}
-
-        self._upload(token, entries)
+        spent, current = self._spend(token)
+        # the record spells an interval with %d, which would cut a float
+        if not all(type(i) is int for i, _, _ in tuples):
+            raise ValueError("interval must be an integer")
+        expiry = current + self.config.retention
+        entries = [(i, sent, received, expiry) for i, sent, received in tuples]
+        self._commit(_Change(records=(spent,), tuples=entries, sweep=current))
 
     def upload_secret(self, token: bytes, secret: bytes, first: int, last: int) -> None:
         """Secret-upload mode: derive the identifiers, discard the secret.
@@ -429,25 +429,20 @@ class Enclave:
         Only the derived identifiers reach the store; the secret itself is
         never sealed or persisted.
         """
-
-        def entries(expiry: int) -> dict[str, list]:
-            identifiers = derive_identifier_range(
-                secret, first, last, max_range=self.config.retention
-            )
-            return {"derived": [(i, expiry) for i in identifiers]}
-
-        self._upload(token, entries)
+        spent, current = self._spend(token)
+        identifiers = derive_identifier_range(secret, first, last, max_range=self.config.retention)
+        expiry = current + self.config.retention
+        derived = [(i, expiry) for i in identifiers]
+        self._commit(_Change(records=(spent,), derived=derived, sweep=current))
 
     def upload_gps_trace(self, token: bytes, trace: Sequence[GpsPoint]) -> None:
         """GPS variant: the hospital uploads an infected patient's trace."""
-
-        def entries(expiry: int) -> dict[str, list]:
-            if not trace:
-                raise ValueError("empty trace")
-            validate_trace(trace)
-            return {"gps": [(expiry, tuple(trace))]}
-
-        self._upload(token, entries)
+        spent, current = self._spend(token)
+        if not trace:
+            raise ValueError("empty trace")
+        validate_trace(trace)
+        gps = [(current + self.config.retention, tuple(trace))]
+        self._commit(_Change(records=(spent,), gps=gps, sweep=current))
 
     # -- the stores: every expiring entry is counted in _expiries -------------
 
@@ -476,16 +471,16 @@ class Enclave:
             store.update(new)
             self._expiries[expiry] += len(new)
 
-    def _insert_tuples(self, entries: Iterable[tuple[bytes, bytes, int, int]]) -> None:
-        """Store (sent, received, interval, expiry) tuples, keeping the pair index."""
+    def _insert_tuples(self, entries: Iterable[tuple[int, bytes, bytes, int]]) -> None:
+        """Store (interval, sent, received, expiry) tuples, keeping the pair index."""
         strict = self.config.strict_interval_match
         pairs = self._pairs
         for expiry, group in groupby(sorted(entries, key=_EXPIRY), _EXPIRY):
-            keys = [(sent, received, interval) for sent, received, interval, _ in group]
+            keys = [entry[:3] for entry in group]
             self._insert_expiring(self._tuples, keys, expiry)
             if not strict:
                 # a pair keeps the latest expiry of its tuples
-                new = dict.fromkeys([(sent, received) for sent, received, _ in keys], expiry)
+                new = dict.fromkeys([(sent, received) for _, sent, received in keys], expiry)
                 for pair in new.keys() & pairs.keys():
                     if pairs[pair] >= expiry:
                         del new[pair]
@@ -511,7 +506,7 @@ class Enclave:
         hits: list[int] = []
         for interval, sent, received in tuples:
             if strict:
-                expiry = stored.get((received, sent, interval))
+                expiry = stored.get((interval, received, sent))
             else:
                 expiry = pairs.get((received, sent))
             if expiry is None or expiry < current:
@@ -522,7 +517,7 @@ class Enclave:
         if self.log_polls:
             # negative-control misbehaviour: persist what should be transient
             expiry = current + self.config.retention
-            self._commit(_Change(tuples=[(s, r, i, expiry) for i, s, r in tuples]))
+            self._commit(_Change(tuples=[(i, s, r, expiry) for i, s, r in tuples]))
         return result
 
     def match_gps(
@@ -590,11 +585,10 @@ class Enclave:
 
     def _state(self) -> _Change:
         """The whole state as one change, each store in its canonical order."""
-        # tuples by interval, then sent, then received
-        tuples = sorted([(i, s, r, e) for (s, r, i), e in self._tuples.items()])
         return _Change(
             records=sorted(self._records.values(), key=lambda r: r.token_hash),
-            tuples=[(s, r, i, e) for i, s, r, e in tuples],
+            # by interval, then sent, then received
+            tuples=sorted([(*key, e) for key, e in self._tuples.items()]),
             derived=sorted(self._derived.items()),
             gps=sorted(self._gps, key=lambda g: (g[0], _gps_entry(*g))),
         )

@@ -124,6 +124,7 @@ class ScenarioConfig(CheckedValue, _ScenarioFields):
             raise ValueError("retention must be non-negative")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        self.time_params()  # refuses a bad delta_t or t0
         seen_devices = set()
         for spec in self.infected:
             if not 0 <= spec.device < self.n_devices:

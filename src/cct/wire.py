@@ -18,11 +18,12 @@ field, and message_type(), the one reader of the trailing `"type":"…"}`,
 picks the grammar. A fullmatch proves the bytes canonical and the value
 valid: decode() then only needs json.loads. encode_tuples() writes the poll
 and upload requests straight from the tuples, with no dicts or json, and
-decode_tuples() reads them back with the grammar's fullmatch and one
-findall. The envelope, whose ciphertext has no fixed length, is written by
-SecureChannel as one %-join of ENVELOPE, and decode_envelope(), the one
-envelope parser, reads it with one small regex plus a hex check of the
-ciphertext, with no json and no dict. These two readers have no second
+takes exact types only (int intervals, bytes identifiers and token), with no
+second encoder; decode_tuples() reads them back with the grammar's fullmatch
+and one findall. The envelope, whose ciphertext has no fixed length, is
+written by SecureChannel as one %-join of ENVELOPE, and decode_envelope(),
+the one envelope parser, reads it with one small regex plus a hex check of
+the ciphertext, with no json and no dict. These two readers have no second
 path: what they refuse, decode() refuses too, and they raise its WireError.
 Anything else a grammar does not match (the GPS messages, `error`, any
 malformed input) takes the generic path: decode() parses, re-encodes and
@@ -395,42 +396,24 @@ def encode_tuples(tuples: Sequence[tuple[int, bytes, bytes]], token: bytes | Non
 
     The same bytes as encode() of the message whose tuples are {"interval",
     "received", "sent"} objects with hex identifiers, built without dicts or
-    json. Anything that is not plainly valid is handed to encode() in that
-    form, which gives its result or raises its WireError; an identifier or
-    token that is not bytes raises WireError.
+    json. Exact types only: an int interval in 0..2^64-1, 16-byte bytes
+    identifiers and a 32-byte bytes token; anything else raises WireError
+    naming the message type and field.
     """
+    mtype = "poll_req" if token is None else "upload_req"
+    if token is not None and (type(token) is not bytes or len(token) != 32):
+        raise WireError("upload_req.token: expected 32 bytes")
     entries = []
     for interval, sent, received in tuples:
-        if not (
-            type(interval) is int
-            and 0 <= interval <= _MAX_UINT
-            and type(sent) is bytes
-            and len(sent) == 16
-            and type(received) is bytes
-            and len(received) == 16
-        ):
-            return encode(_tuple_message(tuples, token))
+        if type(interval) is not int or not 0 <= interval <= _MAX_UINT:
+            raise WireError(f"{mtype}.tuples: expected unsigned 64-bit integer")
+        if type(sent) is not bytes or len(sent) != 16 or type(received) is not bytes or len(received) != 16:
+            raise WireError(f"{mtype}.tuples: expected 16 bytes")
         entries.append(_TUPLE_ENTRY % (interval, hexlify(received), hexlify(sent)))
     body = b",".join(entries)
     if token is None:
         return b'{"tuples":[%s],"type":"poll_req"}' % body
-    if type(token) is not bytes or len(token) != 32:
-        return encode(_tuple_message(tuples, token))
     return b'{"token":"%s","tuples":[%s],"type":"upload_req"}' % (hexlify(token), body)
-
-
-def _tuple_message(tuples: Sequence[tuple[int, bytes, bytes]], token: Any) -> dict:
-    """encode_tuples' message as a dict, for encode() to check."""
-
-    def field(v: Any) -> str:
-        if not isinstance(v, (bytes, bytearray)):
-            raise WireError(f"expected bytes, got {type(v).__name__}")
-        return v.hex()
-
-    entries = [{"interval": i, "received": field(r), "sent": field(s)} for i, s, r in tuples]
-    if token is None:
-        return {"type": "poll_req", "tuples": entries}
-    return {"type": "upload_req", "token": field(token), "tuples": entries}
 
 
 def decode(raw: bytes) -> dict:

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -418,6 +419,38 @@ def test_hand_written_config_accepted(deployment, capsys):
     assert '"result":' in capsys.readouterr().out
 
 
+@pytest.fixture
+def unreachable(tmp_path):
+    """A deployment config whose port has a socket bound but not listening."""
+    with socket.socket() as bound:
+        bound.bind(("127.0.0.1", 0))
+        path = tmp_path / "unreachable.json"
+        DeploymentConfig(
+            enclave=EnclaveConfig(ha_verify_key=bytes(32)),
+            host="127.0.0.1",
+            port=bound.getsockname()[1],
+            platform_verify_key=platform_verify_key(b"\x07" * 32),
+        ).save(path)
+        yield str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["upload", "--token", "22" * 32, "--log"], "contact log file must contain a JSON array"),
+        (["poll", "--log"], "contact log file must contain a JSON array"),
+        (["gps-upload", "--token", "22" * 32, "--trace"], "trace file must contain a JSON array"),
+        (["gps-poll", "--trace"], "trace file must contain a JSON array"),
+    ],
+    ids=["upload", "poll", "gps-upload", "gps-poll"],
+)
+def test_device_input_file_checked_before_connecting(unreachable, tmp_path, capsys, argv, reason):
+    path = tmp_path / "not-an-array.json"
+    path.write_text('{"interval": 0}')
+    assert main(["device", *argv, str(path), "--config", unreachable]) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 def _fig1_with(**fields) -> dict:
     value = json.loads(Path(FIG1).read_text())
     value.update(fields)
@@ -464,6 +497,8 @@ def _fig1_with(**fields) -> dict:
             "retention must be non-negative",
         ),
         ("device", {"ha_verify_key": "11" * 32, "port": 70000}, "port must be in 0-65535"),
+        ("simulate", _fig1_with(delta_t=0), "delta_t must be positive"),
+        ("simulate", _fig1_with(t0=-1), "t0 must be non-negative"),
     ],
     ids=[
         "encounter-without-interval",
@@ -475,6 +510,8 @@ def _fig1_with(**fields) -> dict:
         "ha-key-not-string",
         "retention-negative",
         "port-out-of-range",
+        "delta-t-zero",
+        "t0-negative",
     ],
 )
 def test_malformed_hand_written_file_reported(tmp_path, capsys, command, value, reason):

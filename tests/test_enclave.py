@@ -144,6 +144,54 @@ def test_upload_refuses_an_interval_that_is_not_an_int(enclave, ha, clock, inter
     enclave.upload_contact_log(TOKEN, [(1, ident(SECRET_A, 0), ident(SECRET_B, 0))])
 
 
+# each upload kind with entries it refuses, with its refusal, and with valid entries
+_UPLOADS = {
+    "tuples": (
+        lambda e, token: e.upload_contact_log(token, [(1.5, ident(SECRET_A, 0), ident(SECRET_B, 0))]),
+        "interval must be an integer",
+        lambda e, token: e.upload_contact_log(token, [(0, ident(SECRET_A, 0), ident(SECRET_B, 0))]),
+    ),
+    "secret": (
+        lambda e, token: e.upload_secret(token, SECRET_C, 5, 3),
+        "inverted identifier range",
+        lambda e, token: e.upload_secret(token, SECRET_C, 0, 0),
+    ),
+    "gps": (
+        lambda e, token: e.upload_gps_trace(token, []),
+        "empty trace",
+        lambda e, token: e.upload_gps_trace(token, [GpsPoint(lat=0.0, lon=0.0, t=10.0)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", _UPLOADS)
+def test_upload_authorized_before_its_entries_are_checked(enclave, ha, clock, kind):
+    bad, entries_refusal, good = _UPLOADS[kind]
+    clock.set_interval(0)
+    enclave.register_test_result(ha.sign_report(token_hash(TOKEN2), RESULT_NEGATIVE, 0))
+    register_positive(enclave, ha, TOKEN, 0)
+    good(enclave, TOKEN)
+    sealed = enclave.sealed_bytes()
+    refusals = [
+        (b"\x99" * 32, "not authorized to upload"),  # unknown
+        (TOKEN2, "not authorized to upload"),  # negative
+        (TOKEN, "upload already used"),  # spent
+    ]
+    for token, refusal in refusals:
+        with pytest.raises(AuthorizationError, match=f"^{refusal}$"):
+            bad(enclave, token)
+        assert enclave.sealed_bytes() == sealed
+    # a positive token refused on its entries stays unspent
+    fresh = b"\x13" * 32
+    register_positive(enclave, ha, fresh, 0)
+    sealed = enclave.sealed_bytes()
+    with pytest.raises(ValueError, match=f"^{entries_refusal}$"):
+        bad(enclave, fresh)
+    assert enclave.sealed_bytes() == sealed
+    good(enclave, fresh)
+    assert enclave.sealed_bytes() != sealed
+
+
 def test_secret_upload_stores_derived_ids(enclave, ha, clock):
     clock.set_interval(1)
     register_positive(enclave, ha, TOKEN, 1)

@@ -21,7 +21,7 @@ from cct.enclave import Enclave, GpsPoint
 from cct.errors import AttestationError, ProtocolError, RemoteError
 from cct.ident import derive_identifier
 from cct.service import EnclaveService, EnclaveServer
-from cct.sim.audit import RecordingTransport, Transcript
+from cct.sim.audit import RecordingTransport, Transcript, state_digest
 from cct.wire import canonical_encode
 
 from conftest import PLATFORM_SECRET, run_fresh
@@ -179,6 +179,23 @@ def test_integer_too_large_for_a_float_refused(service, enclave, ha, clock):
     assert enveloped(service, channel, {**upload, "trace": point}) == {"type": "ack"}
     events = enveloped(service, channel, {**poll, "trace": point})["events"]
     assert events == [{"t_infected": 100, "t_poller": 100}]
+
+
+def test_gps_poll_back_in_time_refused_and_session_survives(service, enclave, ha, clock):
+    clock.set_interval(0)
+    enclave.register_test_result(ha.sign_report(token_hash(TOKEN), RESULT_POSITIVE, 0))
+    channel, _ = manual_handshake(service)
+    point = {"lat": 10.0, "lon": 20.0, "t": 100.0}
+    upload = {"type": "gps_upload_req", "token": TOKEN.hex(), "trace": [point]}
+    assert enveloped(service, channel, upload) == {"type": "ack"}
+    digest = state_digest(enclave)
+    poll = {"type": "gps_poll_req", "d_max": 10.0, "tau": 900.0, "trace": [{**point, "t": 200.0}, point]}
+    refusal = {"type": "error", "reason": "trace not strictly time-ordered"}
+    assert enveloped(service, channel, poll) == refusal
+    assert state_digest(enclave) == digest
+    # the session is still up
+    events = enveloped(service, channel, {**poll, "trace": [point]})["events"]
+    assert events == [{"t_infected": 100.0, "t_poller": 100.0}]
 
 
 # -- attestation gating ------------------------------------------------------------

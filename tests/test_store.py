@@ -557,7 +557,7 @@ def test_store_differential(strict, steps):
             # the pair index holds each stored pair's latest expiry; strict
             # matching never reads it, so there it stays empty
             pairs: dict[tuple[bytes, bytes], int] = {}
-            for (sent, received, _), expiry in enclave._tuples.items():
+            for (_, sent, received), expiry in enclave._tuples.items():
                 pairs[sent, received] = max(expiry, pairs.get((sent, received), expiry))
             assert enclave._pairs == ({} if strict else pairs), k
             path.write_bytes(enclave.sealed_bytes())
@@ -584,7 +584,7 @@ def record_value(change: _Change) -> dict:
         ],
         "tuples": [
             {"expiry": e, "interval": i, "received": r.hex(), "sent": s.hex()}
-            for s, r, i, e in change.tuples
+            for i, s, r, e in change.tuples
         ],
     }
     if change.sweep is not None:
@@ -613,7 +613,7 @@ _record_st = st.builds(
 _change_st = st.builds(
     _Change,
     records=st.lists(_record_st, max_size=3),
-    tuples=st.lists(st.tuples(_id_st, _id_st, _uint_st, _uint_st), max_size=5).map(
+    tuples=st.lists(st.tuples(_uint_st, _id_st, _id_st, _uint_st), max_size=5).map(
         lambda ts: ts + ts[:1]  # a repeated tuple
     ),
     derived=st.lists(st.tuples(_id_st, _uint_st), max_size=4),

@@ -234,9 +234,9 @@ def test_non_ascii_digits_rejected_at_fixed_length():
 
 
 def test_non_finite_rejected():
-    with pytest.raises(WireError):
+    with pytest.raises(WireError, match="^gps_poll_req.d_max: expected finite number$"):
         wire.encode({"type": "gps_poll_req", "d_max": float("nan"), "tau": 1.0, "trace": []})
-    with pytest.raises(WireError):
+    with pytest.raises(WireError, match="^non-finite numbers are not canonical$"):
         wire.decode(b'{"d_max":NaN,"tau":1.0,"trace":[],"type":"gps_poll_req"}')
 
 
@@ -1008,15 +1008,25 @@ def forbid_json(monkeypatch) -> None:
 
 
 # -- differential: the tuple emitter against encode() of the dict form ------------
+#
+# encode_tuples takes exact types only: what encode() of the dict form takes
+# beyond them (an int subclass, bytearray) is refused too.
 
 _identifier_st = st.binary(min_size=16, max_size=16)
-# values the dict form refuses, and ones it takes as it takes a valid field
+# values the dict form refuses, and with them ones it takes
 _REFUSED_INTERVALS = [True, False, -1, MAX_UINT + 1]
 _NEAR_INTERVALS = _REFUSED_INTERVALS + [1.0, _Int(3)]
 _REFUSED_IDENTIFIERS = [bytes(15), bytes(17), "00" * 16, None, 16]
 _NEAR_IDENTIFIERS = _REFUSED_IDENTIFIERS + [bytearray(range(16))]
 _REFUSED_TOKENS = [bytes(31), bytes(33), "11" * 32, 32]
 _NEAR_TOKENS = _REFUSED_TOKENS + [bytearray(32)]
+_TOKEN_REFUSAL = ("WireError", "upload_req.token: expected 32 bytes")
+
+
+def tuple_refusal(mtype: str, field: int) -> tuple[str, str]:
+    """encode_tuples' refusal of a moved interval (field 0) or identifier."""
+    expected = "expected unsigned 64-bit integer" if field == 0 else "expected 16 bytes"
+    return ("WireError", f"{mtype}.tuples: {expected}")
 
 
 def tuple_dict_form(tuples, token) -> dict:
@@ -1027,32 +1037,40 @@ def tuple_dict_form(tuples, token) -> dict:
     return {"type": "upload_req", "token": token.hex(), "tuples": entries}
 
 
+def emitted(tuples, token) -> tuple[str, str]:
+    return outcome(lambda args: wire.encode_tuples(*args), (tuples, token))
+
+
 @st.composite
 def emitter_input_st(draw):
-    """Valid tuples and token, with at most one field moved to a nearby value."""
+    """Valid tuples and token, with a tuple field and the token each perhaps
+    moved to a nearby value, and the refusal that gives (None: valid)."""
     tuples = draw(st.lists(st.tuples(uint_st, _identifier_st, _identifier_st), max_size=4))
+    token = draw(st.one_of(st.none(), st.binary(min_size=32, max_size=32)))
+    mtype = "poll_req" if token is None else "upload_req"
+    refusal = None
     if tuples and draw(st.booleans()):
         k, field = draw(st.integers(0, len(tuples) - 1)), draw(st.integers(0, 2))
         near = _NEAR_INTERVALS if field == 0 else _NEAR_IDENTIFIERS
         edited = list(tuples[k])
         edited[field] = draw(st.sampled_from(near))
         tuples[k] = tuple(edited)
-    token = draw(
-        st.one_of(st.none(), st.binary(min_size=32, max_size=32), st.sampled_from(_NEAR_TOKENS))
-    )
-    return tuples, token
+        refusal = tuple_refusal(mtype, field)
+    if token is not None and draw(st.booleans()):
+        # the token is checked first, as encode() checks the message's fields
+        token, refusal = draw(st.sampled_from(_NEAR_TOKENS)), _TOKEN_REFUSAL
+    return tuples, token, refusal
 
 
 @given(emitter_input_st())
 def test_tuple_emitter_differential(case):
-    tuples, token = case
-    fields = [v for t in tuples for v in t[1:]] + ([] if token is None else [token])
-    if not all(isinstance(v, (bytes, bytearray)) for v in fields):
-        with pytest.raises(WireError):
-            wire.encode_tuples(tuples, token)
-        return
-    emitted = outcome(lambda args: wire.encode_tuples(*args), (tuples, token))
-    assert emitted == outcome(wire.encode, tuple_dict_form(tuples, token))
+    tuples, token, refusal = case
+    if refusal is None:
+        expected = wire.encode(tuple_dict_form(tuples, token))
+        assert emitted(tuples, token) == ("ok", repr(expected))
+    else:
+        # every moved field is refused, bytearray and int subclasses included
+        assert emitted(tuples, token) == refusal
 
 
 @pytest.mark.parametrize("token", [None, b"\x11" * 32], ids=["poll", "upload"])
@@ -1069,16 +1087,25 @@ def test_tuple_emitter_differential_edges(token, monkeypatch):
         patched.setattr(wire, "encode", None)
         for tuples, expected in cases:
             assert wire.encode_tuples(tuples, token) == expected
+    mtype = "poll_req" if token is None else "upload_req"
     good = (0, bytes(16), b"\x01" * 16)
-    refused = [[(i, *good[1:])] for i in _REFUSED_INTERVALS]
-    refused += [[(0, v, good[2])] for v in _REFUSED_IDENTIFIERS]
-    refused += [[(0, good[1], v)] for v in _REFUSED_IDENTIFIERS]
-    for tuples in refused:
-        with pytest.raises(WireError):
-            wire.encode_tuples(tuples, token)
-    for bad_token in _REFUSED_TOKENS if token else []:
-        with pytest.raises(WireError):
-            wire.encode_tuples([good], bad_token)
+    # the dict form takes an int subclass and bytearray; the emitter refuses them
+    taken = [([(_Int(3), *good[1:])], 0), ([(0, bytearray(16), good[2])], 1)]
+    taken += [([(0, good[1], bytearray(16))], 2)]
+    for tuples, field in taken:
+        assert outcome(wire.encode, tuple_dict_form(tuples, token))[0] == "ok"
+        assert emitted(tuples, token) == tuple_refusal(mtype, field), tuples
+    refused = [([(i, *good[1:])], 0) for i in _NEAR_INTERVALS]
+    refused += [([(0, v, good[2])], 1) for v in _NEAR_IDENTIFIERS]
+    refused += [([(0, good[1], v)], 2) for v in _NEAR_IDENTIFIERS]
+    for tuples, field in refused:
+        assert emitted(tuples, token) == tuple_refusal(mtype, field), tuples
+    if token is not None:
+        assert outcome(wire.encode, tuple_dict_form([good], bytearray(32)))[0] == "ok"
+        assert emitted([good], bytearray(32)) == _TOKEN_REFUSAL
+        for bad_token in _NEAR_TOKENS:
+            assert emitted([good], bad_token) == _TOKEN_REFUSAL, bad_token
+            assert emitted([(-1, *good[1:])], bad_token) == _TOKEN_REFUSAL, bad_token
 
 
 # -- differential: the tuple decoder against decode() plus the dict-to-tuple step -----
