@@ -20,10 +20,10 @@ from cct.authority import HealthAuthorityCredential, issue_test_token, token_has
 from cct.client import EnclaveClient, TcpTransport
 from cct.config import DeploymentConfig
 from cct.contact_log import ContactLog
-from cct.enclave import Enclave, GpsPoint, gps_events_to_wire
+from cct.enclave import Enclave, EnclaveService, GpsPoint, gps_events_to_wire
 from cct.errors import ProtocolError
 from cct.attestation import platform_verify_key
-from cct.service import EnclaveServer, EnclaveService
+from cct.service import EnclaveServer
 from cct.sim import ScenarioConfig, run_scenario
 
 
@@ -156,33 +156,30 @@ def _load_trace(path: str) -> list[GpsPoint]:
 
 def _cmd_device(args: argparse.Namespace) -> int:
     deployment = _deployment(args)
-    # the input file is read and checked before connecting
+    # the input file and the hex arguments are read and checked before connecting
     log = ContactLog.load(args.log) if "log" in args else None
     trace = _load_trace(args.trace) if "trace" in args else None
+    token = bytes.fromhex(args.token) if "token" in args else None
+    secret = bytes.fromhex(args.secret) if "secret" in args else None
     client = _client_from_config(deployment)
     command = args.device_command
     if command == "result":
-        result = client.poll_result(bytes.fromhex(args.token))
+        result = client.poll_result(token)
         _print_json({"result": result})
         return 0
     if command == "upload":
-        client.upload_tuples(bytes.fromhex(args.token), log.export())
+        client.upload_tuples(token, log.export())
         _print_json({"uploaded": len(log)})
         return 0
     if command == "upload-secret":
-        client.upload_secret(
-            bytes.fromhex(args.token),
-            bytes.fromhex(args.secret),
-            args.from_interval,
-            args.to_interval,
-        )
+        client.upload_secret(token, secret, args.from_interval, args.to_interval)
         _print_json({"uploaded": args.to_interval - args.from_interval + 1})
         return 0
     if command == "poll":
         _print_response(client.poll(log.export()).to_wire())
         return 0
     if command == "gps-upload":
-        client.upload_gps(bytes.fromhex(args.token), trace)
+        client.upload_gps(token, trace)
         _print_json({"uploaded": True})
         return 0
     if command == "gps-poll":

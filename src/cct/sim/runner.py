@@ -30,7 +30,7 @@ from cct.authority import (
 )
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactLog, ContactTuple
-from cct.enclave import Enclave, EnclaveConfig
+from cct.enclave import Enclave, EnclaveConfig, EnclaveService
 from cct.errors import RemoteError
 # perfbench/tracer.py patches `derive_identifier` here by name
 from cct.ident import derive_identifier, identifier_table  # noqa: F401
@@ -43,7 +43,7 @@ from cct.sim.scenario import (
     material,
     poll_intervals,
 )
-from cct.service import EnclaveServer, EnclaveService
+from cct.service import EnclaveServer
 
 
 class SimReport(NamedTuple):

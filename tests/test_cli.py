@@ -17,9 +17,9 @@ from cct.cli import main
 from cct.client import EnclaveClient, LoopbackTransport
 from cct.config import DeploymentConfig
 from cct.contact_log import ContactLog
-from cct.enclave import Enclave, EnclaveConfig
+from cct.enclave import Enclave, EnclaveConfig, EnclaveService
 from cct.ident import TimeParams, derive_identifier
-from cct.service import EnclaveServer, EnclaveService
+from cct.service import EnclaveServer
 from cct.wire import canonical_decode, canonical_encode
 
 REPO = Path(__file__).resolve().parent.parent
@@ -448,6 +448,24 @@ def test_device_input_file_checked_before_connecting(unreachable, tmp_path, caps
     path = tmp_path / "not-an-array.json"
     path.write_text('{"interval": 0}')
     assert main(["device", *argv, str(path), "--config", unreachable]) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["result", "--token", "zz"],
+        ["upload", "--token", "zz", "--log", "empty.json"],
+        ["upload-secret", "--token", "22" * 32, "--secret", "zz", "--from", "0", "--to", "1"],
+        ["gps-upload", "--token", "zz", "--trace", "empty.json"],
+    ],
+    ids=["result", "upload", "upload-secret", "gps-upload"],
+)
+def test_device_hex_argument_checked_before_connecting(unreachable, tmp_path, capsys, argv):
+    (tmp_path / "empty.json").write_text("[]")
+    argv = [str(tmp_path / a) if a == "empty.json" else a for a in argv]
+    assert main(["device", *argv, "--config", unreachable]) == 1
+    reason = "non-hexadecimal number found in fromhex() arg at position 0"
     assert capsys.readouterr().err == f"error: {reason}\n"
 
 

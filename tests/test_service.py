@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from cct import service as service_module
+from cct import enclave as enclave_module
 from cct import wire
 from cct.attestation import (
     AttestationQuote,
@@ -17,14 +17,14 @@ from cct.attestation import (
 from cct.authority import RESULT_POSITIVE, token_hash
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactTuple
-from cct.enclave import Enclave, GpsPoint
+from cct.enclave import Enclave, EnclaveService, GpsPoint
 from cct.errors import AttestationError, ProtocolError, RemoteError
 from cct.ident import derive_identifier
-from cct.service import EnclaveService, EnclaveServer
+from cct.service import EnclaveServer
 from cct.sim.audit import RecordingTransport, Transcript, state_digest
 from cct.wire import canonical_encode
 
-from conftest import PLATFORM_SECRET, run_fresh
+from conftest import PLATFORM_SECRET, TRUSTED, run_fresh
 
 TOKEN = b"\x21" * 32
 SECRET_A = b"\x0a" * 32
@@ -297,7 +297,7 @@ def _session_req(quote):
 
 
 def test_pending_handshakes_bounded_oldest_evicted(service):
-    cap = service_module.MAX_PENDING_HANDSHAKES
+    cap = enclave_module.MAX_PENDING_HANDSHAKES
     quotes = [
         AttestationQuote.from_wire(wire.decode(service.handle(wire.encode({"type": "attest_req"}))))
         for _ in range(cap + 50)
@@ -322,7 +322,7 @@ def test_pending_handshakes_bounded_oldest_evicted(service):
 
 
 def test_pending_handshakes_bounded_across_threads(service, monkeypatch):
-    monkeypatch.setattr(service_module, "MAX_PENDING_HANDSHAKES", 16)
+    monkeypatch.setattr(enclave_module, "MAX_PENDING_HANDSHAKES", 16)
     attest = wire.encode({"type": "attest_req"})
     quotes = []
 
@@ -366,7 +366,7 @@ def _result_req(channel) -> bytes:
 
 
 def test_sessions_bounded_oldest_evicted(service):
-    cap = service_module.MAX_SESSIONS
+    cap = enclave_module.MAX_SESSIONS
     channels = [manual_handshake(service)[0] for _ in range(cap + 50)]
     assert len(service._sessions) == cap
     # the 50 oldest were evicted, least recently used
@@ -379,7 +379,7 @@ def test_sessions_bounded_oldest_evicted(service):
 
 
 def test_sessions_evicted_least_recently_used(service, enclave_config, monkeypatch):
-    monkeypatch.setattr(service_module, "MAX_SESSIONS", 8)
+    monkeypatch.setattr(enclave_module, "MAX_SESSIONS", 8)
     honest = _connected(service, enclave_config)
     session_id = honest._channel.session_id
     # a flood of twice the cap, with the honest client polling after every 4
@@ -393,7 +393,7 @@ def test_sessions_evicted_least_recently_used(service, enclave_config, monkeypat
 
 
 def test_only_an_opened_envelope_refreshes_its_session(service, monkeypatch):
-    monkeypatch.setattr(service_module, "MAX_SESSIONS", 2)
+    monkeypatch.setattr(enclave_module, "MAX_SESSIONS", 2)
     first, _ = manual_handshake(service)
     second, _ = manual_handshake(service)
     opened = _result_req(first)
@@ -412,7 +412,7 @@ def test_only_an_opened_envelope_refreshes_its_session(service, monkeypatch):
 
 
 def test_client_reconnects_after_session_eviction(service, enclave_config, monkeypatch):
-    monkeypatch.setattr(service_module, "MAX_SESSIONS", 2)
+    monkeypatch.setattr(enclave_module, "MAX_SESSIONS", 2)
     first = _connected(service, enclave_config)
     old_id = first._channel.session_id
     others = [_connected(service, enclave_config) for _ in range(2)]
@@ -448,7 +448,7 @@ def test_client_resends_only_once(service, enclave_config):
 
 
 def test_sessions_bounded_across_threads(service, enclave_config, monkeypatch):
-    monkeypatch.setattr(service_module, "MAX_SESSIONS", 16)
+    monkeypatch.setattr(enclave_module, "MAX_SESSIONS", 16)
     clients = []
 
     def connect_many():
@@ -716,12 +716,10 @@ def test_internal_failure_in_the_handshake_answered_in_plaintext(service, monkey
 
 
 def test_every_request_type_has_one_handler():
-    from cct import service as service_module
-
     handshake = {"attest_req", "attest_resp", "session_req", "session_resp"}
     requests = {t for t in wire.MESSAGE_SCHEMAS if t.endswith("_req")}
     application = requests - handshake
-    assert set(service_module._APP_HANDLERS) == application
+    assert set(enclave_module._APP_HANDLERS) == application
     assert len(application) == 7
 
 
@@ -816,35 +814,25 @@ def test_tcp_round_trip(enclave_config, ha, clock, tcp_port):
         transport.close()
 
 
-# the modules the enclave runs; every line of them is trusted code, so device-side,
-# file-reading and simulator modules (contact_log, client, config, cli, rng, sim) stay out
-TRUSTED = [
-    "cct",
-    "cct.attestation",
-    "cct.authority",
-    "cct.enclave",
-    "cct.errors",
-    "cct.ident",
-    "cct.service",
-    "cct.wire",
-]
-
-
-def test_service_loads_only_the_trusted_modules():
+def test_enclave_loads_only_the_trusted_modules():
     run_fresh(
-        "import sys, cct.service\n"
+        "import sys, cct.enclave\n"
         "loaded = sorted(m for m in sys.modules if m == 'cct' or m.startswith('cct.'))\n"
         f"assert loaded == {TRUSTED!r}, loaded\n"
+        "host = [m for m in ('socketserver', 'socket', 'selectors') if m in sys.modules]\n"
+        "assert not host, host\n"
+        "assert cct.enclave.EnclaveService.__module__ == 'cct.enclave'\n"
+        "assert 'handle' in vars(cct.enclave.EnclaveService)\n"
     )
 
 
 def test_readme_states_the_trusted_line_count():
     # the total of CI's "Trusted set" step, counted the same way
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    stated = re.search(r"`import cct\.service` loads,\s+([\d,]+) lines", readme)
+    stated = re.search(r"`import cct\.enclave` loads,\s+([\d,]+) lines", readme)
     assert stated, "README states no trusted line count"
     run_fresh(
-        "import sys, cct.service\n"
+        "import sys, cct.enclave\n"
         "total = 0\n"
         "for name in sorted(m for m in sys.modules if m == 'cct' or m.startswith('cct.')):\n"
         "    with open(sys.modules[name].__file__, 'rb') as f:\n"

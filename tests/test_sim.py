@@ -604,11 +604,11 @@ def test_fig1_deterministic():
 
 @pytest.mark.parametrize("mode", ["tuple", "secret"])
 def test_run_survives_session_eviction(mode, monkeypatch):
-    from cct import service
+    from cct import enclave
 
     expected = run_scenario(fig1_scenario(mode=mode)).to_json_bytes()
     # fewer open sessions than clients: evicted clients connect again
-    monkeypatch.setattr(service, "MAX_SESSIONS", 2)
+    monkeypatch.setattr(enclave, "MAX_SESSIONS", 2)
     assert run_scenario(fig1_scenario(mode=mode)).to_json_bytes() == expected
 
 
