@@ -16,11 +16,11 @@ import sys
 from pathlib import Path
 
 from cct import wire
-from cct.authority import HealthAuthorityCredential, issue_test_token, token_hash
+from cct.authority import HealthAuthorityCredential, issue_test_token
 from cct.client import EnclaveClient, TcpTransport
 from cct.config import DeploymentConfig
 from cct.contact_log import ContactLog
-from cct.enclave import Enclave, EnclaveService, GpsPoint, gps_events_to_wire
+from cct.enclave import Enclave, EnclaveService, GpsPoint, gps_events_to_wire, token_hash
 from cct.errors import ProtocolError
 from cct.attestation import platform_verify_key
 from cct.service import EnclaveServer
@@ -149,8 +149,7 @@ def _load_trace(path: str) -> list[GpsPoint]:
     entries = wire.lenient_decode(Path(path).read_bytes())
     if not isinstance(entries, list):
         raise ProtocolError("trace file must contain a JSON array")
-    for entry in entries:
-        wire.validate_gps_point(entry)
+    wire.MESSAGE_SCHEMAS["gps_upload_req"]["trace"](entries)
     return [GpsPoint.from_wire(e) for e in entries]
 
 

@@ -22,12 +22,12 @@ from cct.attestation import (
     establish_session,
     verify_quote,
 )
-from cct.authority import SignedReport
 from cct.enclave import (
     DEFAULT_GPS_D_MAX,
     DEFAULT_GPS_TAU,
     GpsPoint,
     MatchResult,
+    SignedReport,
     gps_events_from_wire,
 )
 from cct.errors import ProtocolError, RemoteError

@@ -113,8 +113,7 @@ class ContactLog:
         entries = wire.lenient_decode(raw)
         if not isinstance(entries, list):
             raise ValueError("contact log file must contain a JSON array")
-        for entry in entries:
-            wire.validate_tuple_entry(entry)
+        wire.MESSAGE_SCHEMAS["poll_req"]["tuples"](entries)
         return cls(
             retention_intervals=retention_intervals,
             tuples=(ContactTuple.from_wire(e) for e in entries),

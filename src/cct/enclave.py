@@ -8,7 +8,9 @@ an append-only log of records sealed to the enclave measurement: each change
 appends one record holding only what it changed, and the log is compacted to
 one record of the whole state once it holds as many dead entries as live ones.
 Every stored entry carries an expiry; an upload also drops the entries whose
-expiry has passed.
+expiry has passed. A test result enters only as a report signed by the health
+authority, which `verify_report` checks here; the signing side
+(`cct.authority`) is outside the trusted code.
 
 Match polls are strictly read-only: poll inputs and results are never
 persisted, so the sealed state and the long-lived in-enclave state are
@@ -39,6 +41,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from cct import CheckedValue, attestation, wire
@@ -50,13 +54,6 @@ from cct.attestation import (
     platform_signing_key,
     seal,
     unseal,
-)
-from cct.authority import (
-    RESULT_POSITIVE,
-    RESULT_UNKNOWN,
-    SignedReport,
-    token_hash,
-    verify_report,
 )
 from cct.errors import AuthorizationError, EnvelopeError, ProtocolError, SealError
 from cct.ident import DEFAULT_RETENTION, TimeParams, derive_identifier_range, interval_index
@@ -116,6 +113,75 @@ def haversine_distance(p: GpsPoint, q: GpsPoint) -> float:
     dlon = math.radians(q.lon - p.lon)
     a = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
     return EARTH_RADIUS_M * 2 * math.asin(math.sqrt(a))
+
+
+# ---------------------------------------------------------------------------
+# Health-authority reports
+# ---------------------------------------------------------------------------
+
+TOKEN_LEN = 32
+
+RESULT_POSITIVE = "positive"
+RESULT_NEGATIVE = "negative"
+RESULT_UNKNOWN = "unknown"
+_REPORTABLE = (RESULT_POSITIVE, RESULT_NEGATIVE)
+
+
+def token_hash(token: bytes) -> bytes:
+    """The only form in which a token may exist server-side."""
+    if len(token) != TOKEN_LEN:
+        raise ValueError(f"token must be {TOKEN_LEN} bytes")
+    return hashlib.sha256(token).digest()
+
+
+class SignedReport(NamedTuple):
+    """HA-signed test outcome bound to a token hash."""
+
+    token_hash: bytes
+    result: str
+    interval: int
+    signature: bytes
+
+    def to_wire(self) -> dict:
+        return {
+            "interval": self.interval,
+            "result": self.result,
+            "signature": self.signature.hex(),
+            "token_hash": self.token_hash.hex(),
+            "type": "report_req",
+        }
+
+    @classmethod
+    def from_wire(cls, msg: dict) -> "SignedReport":
+        return cls(
+            token_hash=bytes.fromhex(msg["token_hash"]),
+            result=msg["result"],
+            interval=msg["interval"],
+            signature=bytes.fromhex(msg["signature"]),
+        )
+
+
+def report_signing_bytes(token_hash_: bytes, result: str, interval: int) -> bytes:
+    """Canonical encoding covered by the report signature."""
+    if len(token_hash_) != 32:
+        raise ValueError("token hash must be 32 bytes")
+    if result not in _REPORTABLE:
+        raise ValueError(f"result must be one of {_REPORTABLE}")
+    if interval < 0:
+        raise ValueError("interval must be non-negative")
+    return canonical_encode(
+        {"interval": interval, "result": result, "token_hash": token_hash_.hex()}
+    )
+
+
+def verify_report(verify_key: bytes, report: SignedReport) -> None:
+    """Raises AuthorizationError('unauthorized reporter') unless genuine."""
+    try:
+        payload = report_signing_bytes(report.token_hash, report.result, report.interval)
+        public = Ed25519PublicKey.from_public_bytes(verify_key)
+        public.verify(report.signature, payload)
+    except (InvalidSignature, ValueError):
+        raise AuthorizationError("unauthorized reporter") from None
 
 
 # ---------------------------------------------------------------------------

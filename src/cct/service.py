@@ -19,11 +19,15 @@ class _Handler(socketserver.BaseRequestHandler):
         while True:
             try:
                 raw = wire.recv_frame(self.request)
-            except WireError:
+            except (WireError, OSError):  # a bad frame, or the client reset
                 return
             if raw is None:
                 return
-            wire.send_frame(self.request, service.handle(raw))
+            reply = service.handle(raw)
+            try:
+                wire.send_frame(self.request, reply)
+            except OSError:  # the client reset before its reply
+                return
 
 
 class EnclaveServer(socketserver.ThreadingTCPServer):

@@ -22,15 +22,10 @@ from typing import Any, NamedTuple
 
 from cct import wire
 from cct.attestation import platform_verify_key
-from cct.authority import (
-    RESULT_NEGATIVE,
-    RESULT_POSITIVE,
-    HealthAuthorityCredential,
-    token_hash,
-)
+from cct.authority import HealthAuthorityCredential
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactLog, ContactTuple
-from cct.enclave import Enclave, EnclaveConfig, EnclaveService
+from cct.enclave import RESULT_NEGATIVE, RESULT_POSITIVE, Enclave, EnclaveConfig, EnclaveService, token_hash
 from cct.errors import RemoteError
 # perfbench/tracer.py patches `derive_identifier` here by name
 from cct.ident import derive_identifier, identifier_table  # noqa: F401
@@ -43,7 +38,6 @@ from cct.sim.scenario import (
     material,
     poll_intervals,
 )
-from cct.service import EnclaveServer
 
 
 class SimReport(NamedTuple):
@@ -151,11 +145,14 @@ def run_scenario(
     else:
         service = EnclaveService(enclave, platform_secret)
 
-    server: EnclaveServer | None = None
+    server = None
     server_thread: threading.Thread | None = None
     tcp_transports: list[TcpTransport] = []
     try:
         if live:
+            # only a live run loads the TCP server and socketserver
+            from cct.service import EnclaveServer
+
             server = EnclaveServer(service, host="127.0.0.1", port=0)
             server_thread = threading.Thread(target=server.serve_forever, daemon=True)
             server_thread.start()

@@ -238,10 +238,6 @@ TUPLE_FIELDS = {"interval": _uint, "received": _hex_field(16), "sent": _hex_fiel
 GPS_POINT_FIELDS = {"lat": _number, "lon": _number, "t": _number}
 _EVENT_FIELDS = {"t_infected": _number, "t_poller": _number}
 
-# reusable validators for nested entries stored in files
-validate_tuple_entry = _obj(TUPLE_FIELDS)
-validate_gps_point = _obj(GPS_POINT_FIELDS)
-
 MESSAGE_SCHEMAS: dict[str, dict[str, Validator]] = {
     "attest_req": {},
     "attest_resp": {

@@ -15,12 +15,12 @@ HA_SEED = bytes(range(32))
 PLATFORM_SECRET = b"\x07" * 32
 
 # the modules the enclave runs; every line of them is trusted code, so device-side,
-# file-reading and simulator modules (contact_log, client, config, cli, rng, sim)
-# and the host's TCP server (service) stay out
+# file-reading and simulator modules (contact_log, client, config, cli, rng, sim),
+# the host's TCP server (service) and the health authority's signing code
+# (authority) stay out
 TRUSTED = [
     "cct",
     "cct.attestation",
-    "cct.authority",
     "cct.enclave",
     "cct.errors",
     "cct.ident",

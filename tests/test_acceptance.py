@@ -21,9 +21,15 @@ from cct.attestation import (
     platform_verify_key,
     verify_quote,
 )
-from cct.authority import RESULT_POSITIVE, token_hash
 from cct.contact_log import ContactTuple
-from cct.enclave import Enclave, EnclaveConfig, GpsPoint, haversine_distance
+from cct.enclave import (
+    RESULT_POSITIVE,
+    Enclave,
+    EnclaveConfig,
+    GpsPoint,
+    haversine_distance,
+    token_hash,
+)
 from cct.errors import AttestationError, AuthorizationError, EnvelopeError
 from cct.ident import TimeParams, derive_identifier
 from cct.sim.audit import state_digest

@@ -4,14 +4,8 @@ import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
-from cct.authority import (
-    HealthAuthorityCredential,
-    SignedReport,
-    issue_test_token,
-    report_signing_bytes,
-    token_hash,
-    verify_report,
-)
+from cct.authority import HealthAuthorityCredential, issue_test_token
+from cct.enclave import SignedReport, report_signing_bytes, token_hash, verify_report
 from cct.errors import AuthorizationError
 
 from conftest import HA_SEED

@@ -1,9 +1,11 @@
 """The names of `cct` that the benchmark in `perfbench/` imports or patches.
 
 `perfbench/server.py` imports the TCP server and the service from
-`cct.service`, and `perfbench/tracer.py` replaces attributes at the places
-its patch table names; a refactor that moves one of them breaks the benchmark,
-which these tests notice before its own slower tests run.
+`cct.service`, `perfbench/inputs.py` and `perfbench/workloads.py` import the
+health authority's names from `cct.authority`, and `perfbench/tracer.py`
+replaces attributes at the places its patch table names; a refactor that
+moves one of them breaks the benchmark, which these tests notice before its
+own slower tests run.
 """
 
 import importlib
@@ -20,6 +22,14 @@ def test_server_names_import_from_the_service_module():
     from cct.service import EnclaveServer, EnclaveService  # noqa: F401
 
     assert EnclaveService is cct.enclave.EnclaveService
+
+
+def test_authority_names_import_from_the_authority_module():
+    # perfbench/inputs.py and perfbench/workloads.py import these from cct.authority
+    from cct.authority import RESULT_POSITIVE, HealthAuthorityCredential, token_hash  # noqa: F401
+
+    assert token_hash is cct.enclave.token_hash
+    assert RESULT_POSITIVE is cct.enclave.RESULT_POSITIVE
 
 
 def test_service_loads_the_trusted_modules_and_itself():

@@ -12,12 +12,12 @@ from types import SimpleNamespace
 import pytest
 
 from cct.attestation import platform_verify_key
-from cct.authority import HealthAuthorityCredential, token_hash
+from cct.authority import HealthAuthorityCredential
 from cct.cli import main
 from cct.client import EnclaveClient, LoopbackTransport
 from cct.config import DeploymentConfig
 from cct.contact_log import ContactLog
-from cct.enclave import Enclave, EnclaveConfig, EnclaveService
+from cct.enclave import Enclave, EnclaveConfig, EnclaveService, token_hash
 from cct.ident import TimeParams, derive_identifier
 from cct.service import EnclaveServer
 from cct.wire import canonical_decode, canonical_encode

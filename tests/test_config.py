@@ -2,9 +2,8 @@ import pytest
 
 from cct import wire
 from cct.attestation import generate_quote, platform_signing_key
-from cct.authority import token_hash
 from cct.config import DeploymentConfig
-from cct.enclave import EnclaveConfig, MatchResult
+from cct.enclave import EnclaveConfig, MatchResult, token_hash
 from cct.ident import TimeParams
 
 from conftest import PLATFORM_SECRET

@@ -4,15 +4,17 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from cct.authority import RESULT_NEGATIVE, RESULT_POSITIVE, token_hash
 from cct.contact_log import ContactTuple
 from cct.enclave import (
     ENCLAVE_CODE_VERSION,
+    RESULT_NEGATIVE,
+    RESULT_POSITIVE,
     Enclave,
     EnclaveConfig,
     GpsPoint,
     InfectionRecord,
     haversine_distance,
+    token_hash,
 )
 from cct.errors import AuthorizationError, ProtocolError, SealError
 from cct.ident import TimeParams, derive_identifier

@@ -1,5 +1,6 @@
 import re
 import socket
+import struct
 import sys
 import threading
 from pathlib import Path
@@ -14,10 +15,9 @@ from cct.attestation import (
     establish_session,
     platform_verify_key,
 )
-from cct.authority import RESULT_POSITIVE, token_hash
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactTuple
-from cct.enclave import Enclave, EnclaveService, GpsPoint
+from cct.enclave import RESULT_POSITIVE, Enclave, EnclaveService, GpsPoint, token_hash
 from cct.errors import AttestationError, ProtocolError, RemoteError
 from cct.ident import derive_identifier
 from cct.service import EnclaveServer
@@ -785,6 +785,40 @@ def test_tcp_request_refused_when_peer_closes_without_reply():
             transport.close()
     finally:
         listener.close()
+
+
+ATTEST_REQ = wire.encode({"type": "attest_req"})
+
+
+# a reset instead of a close: after a header announcing 100 bytes and 10 of them,
+# or after a whole request, before its reply
+@pytest.mark.parametrize(
+    "sent",
+    [struct.pack(">I", 100) + bytes(10), struct.pack(">I", len(ATTEST_REQ)) + ATTEST_REQ],
+    ids=["mid-frame", "before-reply"],
+)
+def test_client_reset_ends_its_connection_quietly(tcp_port, monkeypatch, sent):
+    errors, closed = [], threading.Semaphore(0)
+    monkeypatch.setattr(EnclaveServer, "handle_error", lambda self, request, address: errors.append(address))
+    shutdown_request = EnclaveServer.shutdown_request
+
+    def shutdown_and_count(self, request):
+        shutdown_request(self, request)
+        closed.release()
+
+    monkeypatch.setattr(EnclaveServer, "shutdown_request", shutdown_and_count)
+    peer = socket.create_connection(("127.0.0.1", tcp_port))
+    peer.sendall(sent)
+    peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    peer.close()
+    assert closed.acquire(timeout=5)
+    assert errors == []
+    transport = TcpTransport("127.0.0.1", tcp_port)
+    try:
+        reply = wire.decode(transport.request(ATTEST_REQ))
+        assert reply["type"] == "attest_resp"
+    finally:
+        transport.close()
 
 
 def test_tcp_round_trip(enclave_config, ha, clock, tcp_port):

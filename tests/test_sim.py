@@ -388,6 +388,16 @@ def test_audit_counts_each_message_and_each_pattern_once():
     assert audit_transcript(transcript, [identifier, identifier], [secret]) == 6
 
 
+def test_in_process_runs_load_no_tcp_server():
+    # only a live run imports cct.service; socket and selectors still load, through
+    # cct.client.TcpTransport
+    run_fresh(
+        "import sys, cct.sim\n"
+        "host = [m for m in ('socketserver', 'cct.service') if m in sys.modules]\n"
+        "assert not host, host\n"
+    )
+
+
 def test_audit_imports_numpy_only_when_it_scans():
     run_fresh(
         "import sys, cct, cct.sim\n"

@@ -24,12 +24,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cct.attestation import platform_verify_key, seal, unseal
-from cct.authority import RESULT_NEGATIVE, RESULT_POSITIVE, HealthAuthorityCredential, token_hash
+from cct.authority import HealthAuthorityCredential
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
 from cct.contact_log import ContactTuple
 from cct.enclave import (
     _HEADER_LEN,
     _LOG_MAGIC,
+    RESULT_NEGATIVE,
+    RESULT_POSITIVE,
     Enclave,
     EnclaveConfig,
     GpsPoint,
@@ -38,6 +40,7 @@ from cct.enclave import (
     _Change,
     _read_change,
     _render,
+    token_hash,
 )
 from cct.errors import RemoteError, SealError
 from cct.ident import TimeParams, derive_identifier

@@ -260,14 +260,14 @@ def test_integer_too_large_for_a_float_rejected(literal):
     with pytest.raises(WireError, match="^gps_poll_req.trace: number out of range$"):
         wire.decode(raw)
     with pytest.raises(WireError, match="^number out of range$"):
-        wire.validate_gps_point({"lat": 0.0, "lon": 0.0, "t": int(literal)})
+        wire.MESSAGE_SCHEMAS["gps_upload_req"]["trace"]([{"lat": 0.0, "lon": 0.0, "t": int(literal)}])
     with pytest.raises(ValueError, match="^scenario field rate: number out of range$"):
         read_object({"rate": int(literal)}, {"rate": 0.0}, (), "scenario")
 
 
 def test_largest_float_integer_accepted():
     largest = int(sys.float_info.max)
-    wire.validate_gps_point({"lat": 0.0, "lon": 0.0, "t": -largest})
+    wire.MESSAGE_SCHEMAS["gps_upload_req"]["trace"]([{"lat": 0.0, "lon": 0.0, "t": -largest}])
     assert read_object({"rate": largest}, {"rate": 0.0}, (), "scenario") == {"rate": largest}
 
 
