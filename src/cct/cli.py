@@ -23,8 +23,6 @@ from cct.contact_log import ContactLog
 from cct.enclave import Enclave, EnclaveService, GpsPoint, gps_events_to_wire, token_hash
 from cct.errors import ProtocolError
 from cct.attestation import platform_verify_key
-from cct.service import EnclaveServer
-from cct.sim import ScenarioConfig, run_scenario
 
 
 def _print_json(value: dict) -> None:
@@ -61,6 +59,9 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # only serve loads the TCP server, and only simulate the simulator
+    from cct.service import EnclaveServer
+
     secret_hex = os.environ.get("CCT_PLATFORM_SECRET")
     if not secret_hex:
         return _fail("CCT_PLATFORM_SECRET must be set (64 hex chars)", 2)
@@ -92,6 +93,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from cct.sim import ScenarioConfig, run_scenario
+
     config = ScenarioConfig.from_file(args.scenario)
     if args.seed is not None:
         config = config._replace(seed=args.seed)

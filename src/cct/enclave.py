@@ -34,9 +34,9 @@ import struct
 import threading
 import time
 from binascii import hexlify
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from contextlib import suppress
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -433,11 +433,11 @@ class Enclave:
         self._tuples: dict[tuple[int, bytes, bytes], int] = {}
         self._derived: dict[bytes, int] = {}
         # (sent, received) -> the latest expiry of its tuples, the match key outside
-        # strict mode (empty in it); an index of _tuples, neither sealed nor counted
+        # strict mode (empty in it); an index of _tuples, neither sealed nor live
         self._pairs: dict[tuple[bytes, bytes], int] = {}
         self._gps: list[tuple[int, tuple[GpsPoint, ...]]] = []
-        # expiry -> number of stored tuples, derived ids and GPS traces that carry it
-        self._expiries: Counter[int] = Counter()
+        # at most every stored expiry, so a sweep before it has nothing to remove
+        self._oldest: float = math.inf
         # the entries the log's records hold; those beyond the live ones are
         # dead (swept, or replaced by a later copy)
         self._logged = 0
@@ -526,47 +526,26 @@ class Enclave:
         gps = [(current + self.config.retention, tuple(trace))]
         self._commit(_Change(records=(spent,), gps=gps, sweep=current))
 
-    # -- the stores: every expiring entry is counted in _expiries -------------
+    # -- the stores: every insert lowers the expiry bound _oldest -------------
 
     def _insert_expiring(self, store: dict, keys: list, expiry: int) -> None:
-        """Store keys at one expiry; a stored copy is replaced and keeps the later expiry.
-
-        In bulk: each overlap with the store is found by one keys
-        intersection, and each expiry's count moves once.
-        """
+        """Store keys at one expiry in bulk; a stored copy keeps the later expiry."""
         new = dict.fromkeys(keys, expiry)
-        overlap = new.keys() & store.keys()
-        if overlap:
-            replaced: Counter[int] = Counter()
-            for key in overlap:
-                old = store[key]
-                if old >= expiry:
-                    del new[key]
-                else:
-                    replaced[old] += 1
-            for old, n in replaced.items():
-                if self._expiries[old] == n:
-                    del self._expiries[old]
-                else:
-                    self._expiries[old] -= n
-        if new:
-            store.update(new)
-            self._expiries[expiry] += len(new)
+        for key in new.keys() & store.keys():
+            if store[key] >= expiry:
+                del new[key]
+        store.update(new)
+        self._oldest = min(self._oldest, expiry)
 
     def _insert_tuples(self, entries: Iterable[tuple[int, bytes, bytes, int]]) -> None:
         """Store (interval, sent, received, expiry) tuples, keeping the pair index."""
         strict = self.config.strict_interval_match
-        pairs = self._pairs
         for expiry, group in groupby(sorted(entries, key=_EXPIRY), _EXPIRY):
             keys = [entry[:3] for entry in group]
             self._insert_expiring(self._tuples, keys, expiry)
             if not strict:
                 # a pair keeps the latest expiry of its tuples
-                new = dict.fromkeys([(sent, received) for _, sent, received in keys], expiry)
-                for pair in new.keys() & pairs.keys():
-                    if pairs[pair] >= expiry:
-                        del new[pair]
-                pairs.update(new)
+                self._insert_expiring(self._pairs, [key[1:] for key in keys], expiry)
 
     def _insert_derived(self, entries: Iterable[tuple[bytes, int]]) -> None:
         for expiry, group in groupby(sorted(entries, key=_EXPIRY), _EXPIRY):
@@ -643,25 +622,30 @@ class Enclave:
 
         Appends a sweep record only when an entry has expired.
         """
-        if not self._expired(current):
+        self._oldest = self._least()
+        if self._oldest >= current:
             return 0
         return self._commit(_Change(sweep=current))
 
-    def _expired(self, current: int) -> list[int]:
-        """The counted expiries before current."""
-        return [expiry for expiry in self._expiries if expiry < current]
+    def _least(self) -> float:
+        """The least stored expiry, by one min over the stores' values."""
+        gps = [expiry for expiry, _ in self._gps]
+        return min(chain(self._tuples.values(), self._derived.values(), gps), default=math.inf)
 
     def _sweep(self, current: int) -> int:
         """Remove the entries whose expiry is before current; returns count removed."""
-        expired = self._expired(current)
-        if not expired:
+        if self._oldest >= current:
             return 0
+        live = self._live()
         # a pair's latest expiry passes only once every tuple of the pair has
         for store in (self._tuples, self._pairs, self._derived):
             for key in [k for k, exp in store.items() if exp < current]:
                 del store[key]
         self._gps = [(expiry, stored) for expiry, stored in self._gps if expiry >= current]
-        return sum(self._expiries.pop(expiry) for expiry in expired)
+        removed = live - self._live()
+        # removing nothing shows the bound loose: one scan per gap, not per upload
+        self._oldest = current if removed else self._least()
+        return removed
 
     # -- state serialization ----------------------------------------------------------
 
@@ -694,7 +678,7 @@ class Enclave:
             self._insert_derived(change.derived)
         for expiry, points in change.gps:
             self._gps.append((expiry, points))
-            self._expiries[expiry] += 1
+            self._oldest = min(self._oldest, expiry)
         self._logged += len(change.records) + len(change.tuples) + len(change.derived) + len(change.gps)
         return 0 if change.sweep is None else self._sweep(change.sweep)
 
@@ -712,7 +696,7 @@ class Enclave:
         """
         self._persist(change)
         removed = self._apply(change)
-        live = len(self._records) + self._expiries.total()
+        live = self._live()
         dead = self._logged - live
         if dead and dead >= live:
             # the change is already durable; a failed compaction leaves the
@@ -720,6 +704,10 @@ class Enclave:
             with suppress(OSError):
                 self._rewrite()
         return removed
+
+    def _live(self) -> int:
+        """The stored entries: records, tuples, derived ids and GPS traces."""
+        return len(self._records) + len(self._tuples) + len(self._derived) + len(self._gps)
 
     def _persist(self, change: _Change) -> None:
         """Seal one change's record and append it to the log, file first."""
@@ -761,7 +749,7 @@ class Enclave:
         if self._store_path is not None:
             _replace_file(self._store_path, log)
         self._log, self._file_id, self._seq = log, file_id, 1
-        self._logged = len(self._records) + self._expiries.total()
+        self._logged = self._live()
 
     def _load(self, raw: bytes) -> None:
         """Replay a log, cutting off an append that a crash left unfinished.

@@ -10,6 +10,7 @@ simulation runs byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -116,8 +117,10 @@ class ScenarioConfig(CheckedValue, _ScenarioFields):
             raise ValueError("n_devices must be positive")
         if self.n_intervals < 1:
             raise ValueError("n_intervals must be positive")
-        if self.encounter_rate < 0:
+        if not self.encounter_rate >= 0:  # NaN included
             raise ValueError("encounter rate must be non-negative")
+        if self.encounter_rate == math.inf:
+            raise ValueError("encounter rate must be finite")
         if self.poll_every < 0:
             raise ValueError("poll_every must be non-negative")
         if self.retention < 0:

@@ -22,6 +22,8 @@ from cct.ident import TimeParams, derive_identifier
 from cct.service import EnclaveServer
 from cct.wire import canonical_decode, canonical_encode
 
+from conftest import run_fresh
+
 REPO = Path(__file__).resolve().parent.parent
 FIG1 = str(REPO / "scenarios" / "fig1.json")
 
@@ -103,6 +105,15 @@ def test_bad_mode_choice_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--scenario", FIG1, "--mode", "carrier"])
     assert excinfo.value.code == 2
+
+
+def test_commands_load_only_what_they_run():
+    # serve imports the TCP server and simulate the simulator when they run
+    run_fresh(
+        "import sys, cct.cli\n"
+        "loaded = [m for m in sys.modules if m in ('socketserver', 'cct.service') or m.startswith('cct.sim')]\n"
+        "assert not loaded, loaded\n"
+    )
 
 
 # -- serve ----------------------------------------------------------------------------

@@ -12,12 +12,12 @@ and commit order under concurrent clients.
 
 import functools
 import hashlib
+import math
 import os
 import random
 import sys
 import tempfile
 import threading
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -406,10 +406,13 @@ TUPLE_POOL = [
 SECRET_POOL = [bytes([0x40 + k]) * 32 for k in range(2)]
 
 
-def expired_in_state(state: bytes, current: int) -> int:
+def stored_expiries(state: bytes) -> list[int]:
     value = canonical_decode(state)
-    entries = value["tuples"] + value["derived_ids"] + value["gps_traces"]
-    return sum(entry["expiry"] < current for entry in entries)
+    return [e["expiry"] for e in value["tuples"] + value["derived_ids"] + value["gps_traces"]]
+
+
+def expired_in_state(state: bytes, current: int) -> int:
+    return sum(expiry < current for expiry in stored_expiries(state))
 
 
 def upload_mixed(enclave, ha, r: random.Random, tok: bytes, interval: int) -> None:
@@ -442,6 +445,18 @@ def test_expire_store_counts_exactly_what_expired(config, path, clock, ha, seed)
         assert enclave.expire_store(current) == expected, k
         assert (path.read_bytes() != before) == (expected > 0), k
         assert reload_state(config, path, clock) == enclave.serialize_state(), k
+
+
+def test_sweep_that_removes_nothing_tightens_the_bound(config, path, clock, ha):
+    enclave = open_store(config._replace(retention=10), path, clock)
+    t1, t2 = random_tuples(random.Random(3), 2, 0)
+    for k, t in ((0, t1), (5, t1), (11, t2)):  # t1 expires at 10, then at 15
+        clock.set_interval(k)
+        register(enclave, ha, token(k), k)
+        enclave.upload_contact_log(token(k), [t])
+    # the sweep at 11 removed nothing, so the bound is now the least expiry
+    assert sorted(stored_expiries(enclave.serialize_state())) == [15, 21]
+    assert enclave._oldest == 15
 
 
 # -- matching and reloads against a brute-force scan of the state ----------------------
@@ -552,9 +567,8 @@ def test_store_differential(strict, steps):
             assert enclave.match_poll(POLL_POOL) == brute_force_match(
                 state, POLL_POOL, strict, interval
             ), k
-            value = canonical_decode(state)
-            entries = value["tuples"] + value["derived_ids"] + value["gps_traces"]
-            assert enclave._expiries == Counter(e["expiry"] for e in entries), k
+            # a lower bound on every stored expiry, so no sweep misses an entry
+            assert enclave._oldest <= min(stored_expiries(state), default=math.inf), k
             # the log layer counts every entry its records hold
             assert enclave._logged == logged_entries(enclave.sealed_bytes(), config), k
             # the pair index holds each stored pair's latest expiry; strict

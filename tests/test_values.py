@@ -50,6 +50,14 @@ CASES = [
     (EncounterEvent(0, 1, 2), "device_j", 1, "encounter requires two distinct devices"),
     (ScenarioConfig(n_devices=4, n_intervals=2), "n_devices", 0, "n_devices must be positive"),
     (ScenarioConfig(n_devices=4, n_intervals=2), "seed", 2**64, "seed must fit in 64 bits"),
+    # a NaN rate would make every pair meet in every interval
+    (
+        ScenarioConfig(n_devices=4, n_intervals=2),
+        "encounter_rate",
+        math.nan,
+        "encounter rate must be non-negative",
+    ),
+    (ScenarioConfig(n_devices=4, n_intervals=2), "encounter_rate", math.inf, "encounter rate must be finite"),
     # timing is refused when the scenario is built, before any simulation work
     (ScenarioConfig(n_devices=2, n_intervals=1), "delta_t", 0, "delta_t must be positive"),
     (ScenarioConfig(n_devices=2, n_intervals=1), "t0", -1, "t0 must be non-negative"),
