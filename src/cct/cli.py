@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import secrets
+import signal
 import sys
 from pathlib import Path
 
@@ -78,12 +79,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         EnclaveService(enclave, platform_secret), host=deployment.host, port=deployment.port
     )
     actual_host, actual_port = server.server_address[:2]
-    print(
-        f"serving measurement {enclave.measurement.hex()} "
-        f"on {actual_host}:{actual_port}",
-        file=sys.stderr,
-    )
+    # SIGTERM, which service managers send, stops the server as Ctrl-C does;
+    # set before the line that tells a caller the server is up
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print(
+            f"serving measurement {enclave.measurement.hex()} "
+            f"on {actual_host}:{actual_port}",
+            file=sys.stderr,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass

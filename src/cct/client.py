@@ -5,11 +5,15 @@ attestation quote against the measurement it expects, runs the key
 exchange, and from then on sends application messages only inside
 encrypted envelopes. A backend that cannot present a valid quote for the
 expected measurement never receives a single application byte.
+
+The client's halves of the wire forms live here, outside the trusted code:
+the tuple writer for polls and uploads, the report writer, and the readers
+of the enclave's match replies.
 """
 
 from __future__ import annotations
 
-import socket
+from binascii import hexlify
 from typing import Sequence
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -28,9 +32,67 @@ from cct.enclave import (
     GpsPoint,
     MatchResult,
     SignedReport,
-    gps_events_from_wire,
 )
-from cct.errors import ProtocolError, RemoteError
+from cct.errors import ProtocolError, RemoteError, WireError
+
+
+# ---------------------------------------------------------------------------
+# The client's side of the wire forms
+# ---------------------------------------------------------------------------
+
+_TUPLE_ENTRY = b'{"interval":%d,"received":"%s","sent":"%s"}'
+
+
+def encode_tuples(tuples: Sequence[tuple[int, bytes, bytes]], token: bytes | None = None) -> bytes:
+    """The canonical poll_req, or upload_req with `token`, of (interval, sent, received) tuples.
+
+    The same bytes as wire.encode() of the message whose tuples are
+    {"interval", "received", "sent"} objects with hex identifiers, built
+    without dicts or json; the enclave reads them with wire.decode_tuples.
+    Exact types only: an int interval in 0..2^64-1, 16-byte bytes
+    identifiers and a 32-byte bytes token; anything else raises WireError
+    naming the message type and field.
+    """
+    mtype = "poll_req" if token is None else "upload_req"
+    if token is not None and (type(token) is not bytes or len(token) != 32):
+        raise WireError("upload_req.token: expected 32 bytes")
+    entries = []
+    for interval, sent, received in tuples:
+        if type(interval) is not int or not 0 <= interval < 2**64:
+            raise WireError(f"{mtype}.tuples: expected unsigned 64-bit integer")
+        if type(sent) is not bytes or len(sent) != 16 or type(received) is not bytes or len(received) != 16:
+            raise WireError(f"{mtype}.tuples: expected 16 bytes")
+        entries.append(_TUPLE_ENTRY % (interval, hexlify(received), hexlify(sent)))
+    body = b",".join(entries)
+    if token is None:
+        return b'{"tuples":[%s],"type":"poll_req"}' % body
+    return b'{"token":"%s","tuples":[%s],"type":"upload_req"}' % (hexlify(token), body)
+
+
+def report_to_wire(report: SignedReport) -> dict:
+    """The report_req message carrying an HA-signed report; SignedReport.from_wire reads it."""
+    return {
+        "interval": report.interval,
+        "result": report.result,
+        "signature": report.signature.hex(),
+        "token_hash": report.token_hash.hex(),
+        "type": "report_req",
+    }
+
+
+def match_result_from_wire(msg: dict) -> MatchResult:
+    """The MatchResult of a poll_resp."""
+    return MatchResult(matched=msg["matched"], matched_intervals=tuple(msg["matched_intervals"]))
+
+
+def gps_events_from_wire(msg: dict) -> list[tuple[float, float]]:
+    """The (t_infected, t_poller) pairs of a gps_poll_resp."""
+    return [(e["t_infected"], e["t_poller"]) for e in msg["events"]]
+
+
+# ---------------------------------------------------------------------------
+# Transports and the client
+# ---------------------------------------------------------------------------
 
 
 class LoopbackTransport:
@@ -51,6 +113,9 @@ class TcpTransport:
     """One persistent length-prefixed TCP connection."""
 
     def __init__(self, host: str, port: int, timeout: float = 10.0) -> None:
+        # imported here: an in-process run, the simulator's default, opens no socket
+        import socket
+
         self._sock = socket.create_connection((host, port), timeout=timeout)
 
     def request(self, raw: bytes) -> bytes:
@@ -136,14 +201,14 @@ class EnclaveClient:
     # -- application calls -----------------------------------------------------
 
     def register_report(self, report: SignedReport) -> None:
-        self._request(report.to_wire(), "ack")
+        self._request(report_to_wire(report), "ack")
 
     def poll_result(self, token: bytes) -> str:
         resp = self._request({"type": "result_req", "token": token.hex()}, "result_resp")
         return resp["result"]
 
     def upload_tuples(self, token: bytes, tuples: Sequence[tuple[int, bytes, bytes]]) -> None:
-        self._request(wire.encode_tuples(tuples, token), "ack")
+        self._request(encode_tuples(tuples, token), "ack")
 
     def upload_secret(self, token: bytes, secret: bytes, first: int, last: int) -> None:
         self._request(
@@ -158,7 +223,7 @@ class EnclaveClient:
         )
 
     def poll(self, tuples: Sequence[tuple[int, bytes, bytes]]) -> MatchResult:
-        return MatchResult.from_wire(self._request(wire.encode_tuples(tuples), "poll_resp"))
+        return match_result_from_wire(self._request(encode_tuples(tuples), "poll_resp"))
 
     def upload_gps(self, token: bytes, trace: list[GpsPoint]) -> None:
         self._request(

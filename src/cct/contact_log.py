@@ -1,5 +1,6 @@
-"""Device-side contact tuple log.
+"""Device-side identifier table and contact tuple log.
 
+A device broadcasts the identifiers of `identifier_table`, one per interval.
 Every proximity encounter leaves one tuple per device: the identifier the
 device sent and the one it received, stamped with the interval. The log has
 set semantics, a retention window for pruning, and a deterministic export
@@ -9,11 +10,51 @@ the infected upload and the regular match polls.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from cct import CheckedValue, wire
+from cct import CheckedValue, ident, wire
 from cct.ident import DEFAULT_RETENTION, IDENTIFIER_LEN
+
+# PBKDF2 numbers its blocks with a 32-bit counter from 1 (identifier_table)
+_MAX_TABLE = 2**32
+_DIGEST = hashlib.sha256().digest_size
+
+
+def identifier_table(secret: bytes, count: int) -> list[bytes]:
+    """Identifiers for intervals 0..count-1, in order, from one PBKDF2 call.
+
+    PBKDF2 with one iteration (RFC 8018 §5.2) makes block i equal to
+    HMAC(P, S ‖ INT32_BE(i)). With P = secret and S = label ‖ 4 zero bytes,
+    that is the identifier PRF at index i, because INT64_BE(i) is 4 zero
+    bytes ‖ INT32_BE(i) for 1 ≤ i < 2^32. One `hashlib.pbkdf2_hmac` call
+    therefore hashes indices 1..count-1 in C, and each identifier is the
+    first 16 bytes of its 32-byte block. Block numbers start at 1, so index
+    0 comes from derive_identifier; the block counter caps count at 2^32.
+    Ranges that start far from 0 belong to derive_identifier_range, since
+    this would hash every block before them. The PRF, its label and its
+    secret check are `cct.ident`'s.
+
+    An OpenSSL FIPS provider may refuse one iteration with a 13-byte salt;
+    hashlib then raises here.
+    """
+    ident._check_secret(secret)
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError("identifier count must be an integer")
+    if count < 1 or count > _MAX_TABLE:
+        raise ValueError("identifier count out of range")
+    # read from cct.ident when called, where perfbench/tracer.py patches it
+    first = ident.derive_identifier(secret, 0)
+    if count == 1:
+        # pbkdf2_hmac refuses dklen=0
+        return [first]
+    blocks = hashlib.pbkdf2_hmac(
+        "sha256", bytes(secret), ident._ID_LABEL + bytes(4), 1, _DIGEST * (count - 1)
+    )
+    table = [first]
+    table += [blocks[i : i + IDENTIFIER_LEN] for i in range(0, len(blocks), _DIGEST)]
+    return table
 
 
 class _ContactFields(NamedTuple):

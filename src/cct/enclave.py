@@ -142,15 +142,6 @@ class SignedReport(NamedTuple):
     interval: int
     signature: bytes
 
-    def to_wire(self) -> dict:
-        return {
-            "interval": self.interval,
-            "result": self.result,
-            "signature": self.signature.hex(),
-            "token_hash": self.token_hash.hex(),
-            "type": "report_req",
-        }
-
     @classmethod
     def from_wire(cls, msg: dict) -> "SignedReport":
         return cls(
@@ -232,12 +223,6 @@ class MatchResult(NamedTuple):
             "type": "poll_resp",
         }
 
-    @classmethod
-    def from_wire(cls, msg: dict) -> "MatchResult":
-        return cls(
-            matched=msg["matched"], matched_intervals=tuple(msg["matched_intervals"])
-        )
-
 
 def gps_events_to_wire(events: Iterable[tuple[float, float]]) -> dict:
     """The gps_poll_resp message for match_gps's (t_infected, t_poller) pairs."""
@@ -245,10 +230,6 @@ def gps_events_to_wire(events: Iterable[tuple[float, float]]) -> dict:
         "events": [{"t_infected": a, "t_poller": b} for a, b in events],
         "type": "gps_poll_resp",
     }
-
-
-def gps_events_from_wire(msg: dict) -> list[tuple[float, float]]:
-    return [(e["t_infected"], e["t_poller"]) for e in msg["events"]]
 
 
 # ---------------------------------------------------------------------------

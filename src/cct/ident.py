@@ -4,7 +4,8 @@ Each device holds a 32-byte secret and emits a fresh 16-byte identifier per
 time interval. Identifiers are the truncated HMAC-SHA256 of the interval
 counter under the device secret, so a device (or the backend, in secret-upload
 mode) can re-derive any past identifier, while outsiders cannot link two
-intervals of the same device.
+intervals of the same device. A device's table of identifiers from interval
+0 (`cct.contact_log.identifier_table`) is built outside the trusted code.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ DEFAULT_RETENTION = 1344  # 14 days of 900-second intervals
 _ID_LABEL = b"CCT-ID-v1"
 
 _MAX_INDEX = 2**64 - 1
-# PBKDF2 numbers its blocks with a 32-bit counter from 1 (identifier_table)
-_MAX_TABLE = 2**32
-_DIGEST = hashlib.sha256().digest_size
 
 # HMAC's key pads (RFC 2104): a key shorter than SHA-256's 64-byte block is
 # zero-filled, then XORed with 0x36 for the inner hash and 0x5c for the outer
@@ -119,36 +117,3 @@ def derive_identifier_range(
         mac.update(h.digest())
         identifiers.append(mac.digest()[:IDENTIFIER_LEN])
     return identifiers
-
-
-def identifier_table(secret: bytes, count: int) -> list[bytes]:
-    """Identifiers for intervals 0..count-1, in order, from one PBKDF2 call.
-
-    PBKDF2 with one iteration (RFC 8018 §5.2) makes block i equal to
-    HMAC(P, S ‖ INT32_BE(i)). With P = secret and S = label ‖ 4 zero bytes,
-    that is the identifier PRF at index i, because INT64_BE(i) is 4 zero
-    bytes ‖ INT32_BE(i) for 1 ≤ i < 2^32. One `hashlib.pbkdf2_hmac` call
-    therefore hashes indices 1..count-1 in C, and each identifier is the
-    first 16 bytes of its 32-byte block. Block numbers start at 1, so index
-    0 comes from derive_identifier; the block counter caps count at 2^32.
-    Ranges that start far from 0 belong to derive_identifier_range, since
-    this would hash every block before them.
-
-    An OpenSSL FIPS provider may refuse one iteration with a 13-byte salt;
-    hashlib then raises here.
-    """
-    _check_secret(secret)
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ValueError("identifier count must be an integer")
-    if count < 1 or count > _MAX_TABLE:
-        raise ValueError("identifier count out of range")
-    first = derive_identifier(secret, 0)
-    if count == 1:
-        # pbkdf2_hmac refuses dklen=0
-        return [first]
-    blocks = hashlib.pbkdf2_hmac(
-        "sha256", bytes(secret), _ID_LABEL + bytes(4), 1, _DIGEST * (count - 1)
-    )
-    table = [first]
-    table += [blocks[i : i + IDENTIFIER_LEN] for i in range(0, len(blocks), _DIGEST)]
-    return table

@@ -184,8 +184,10 @@ def poisson_pair_events(
     for k in range(stride):
         _step_lanes(s, draw, t)
         np.less(draw, threshold, out=hit[k])
-    # flattening lane-major lists the hits by stream position lane*stride+k
-    positions = np.flatnonzero(hit.T)
+    # the hits by stream position lane*stride+k; nonzero reads `hit` in its
+    # own order, so the few hits are sorted, not the whole array transposed
+    ks, lanes = np.nonzero(hit)
+    positions = np.sort(lanes * stride + ks)
     positions = positions[positions < total]
     intervals, pair_indices = np.divmod(positions, n_pairs)
     return list(zip(intervals.tolist(), pair_indices.tolist()))

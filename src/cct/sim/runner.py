@@ -24,11 +24,11 @@ from cct import wire
 from cct.attestation import platform_verify_key
 from cct.authority import HealthAuthorityCredential
 from cct.client import EnclaveClient, LoopbackTransport, TcpTransport
-from cct.contact_log import ContactLog, ContactTuple
+from cct.contact_log import ContactLog, ContactTuple, identifier_table
 from cct.enclave import RESULT_NEGATIVE, RESULT_POSITIVE, Enclave, EnclaveConfig, EnclaveService, token_hash
 from cct.errors import RemoteError
 # perfbench/tracer.py patches `derive_identifier` here by name
-from cct.ident import derive_identifier, identifier_table  # noqa: F401
+from cct.ident import derive_identifier  # noqa: F401
 from cct.sim.audit import RecordingTransport, Transcript, audit_transcript, state_digest
 from cct.sim.encounters import generate_encounters
 from cct.sim.oracle import oracle_notified

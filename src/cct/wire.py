@@ -16,14 +16,13 @@ numerals of 0..2^64-1 and no others, so each takes exactly the canonical
 bytes of the valid messages of its type. "type" sorts after every other
 field, and message_type(), the one reader of the trailing `"type":"…"}`,
 picks the grammar. A fullmatch proves the bytes canonical and the value
-valid: decode() then only needs json.loads. encode_tuples() writes the poll
-and upload requests straight from the tuples, with no dicts or json, and
-takes exact types only (int intervals, bytes identifiers and token), with no
-second encoder; decode_tuples() reads them back with the grammar's fullmatch
-and one findall. The envelope, whose ciphertext has no fixed length, is
-written by SecureChannel as one %-join of ENVELOPE, and decode_envelope(),
-the one envelope parser, reads it with one small regex plus a hex check of
-the ciphertext, with no json and no dict. These two readers have no second
+valid: decode() then only needs json.loads. decode_tuples() reads the poll
+and upload requests, which the client writes straight from its tuples
+(`cct.client.encode_tuples`), with the grammar's fullmatch and one findall.
+The envelope, whose ciphertext has no fixed length, is written by
+SecureChannel as one %-join of ENVELOPE, and decode_envelope(), the one
+envelope parser, reads it with one small regex plus a hex check of the
+ciphertext, with no json and no dict. These two readers have no second
 path: what they refuse, decode() refuses too, and they raise its WireError.
 Anything else a grammar does not match (the GPS messages, `error`, any
 malformed input) takes the generic path: decode() parses, re-encodes and
@@ -41,8 +40,8 @@ import json
 import math
 import re
 import struct
-from binascii import hexlify, unhexlify
-from typing import Any, Callable, Sequence
+from binascii import unhexlify
+from typing import Any, Callable
 
 from cct.errors import WireError
 
@@ -384,34 +383,6 @@ def encode(msg: dict) -> bytes:
     return canonical_encode(msg)
 
 
-_TUPLE_ENTRY = b'{"interval":%d,"received":"%s","sent":"%s"}'
-
-
-def encode_tuples(tuples: Sequence[tuple[int, bytes, bytes]], token: bytes | None = None) -> bytes:
-    """The canonical poll_req, or upload_req with `token`, of (interval, sent, received) tuples.
-
-    The same bytes as encode() of the message whose tuples are {"interval",
-    "received", "sent"} objects with hex identifiers, built without dicts or
-    json. Exact types only: an int interval in 0..2^64-1, 16-byte bytes
-    identifiers and a 32-byte bytes token; anything else raises WireError
-    naming the message type and field.
-    """
-    mtype = "poll_req" if token is None else "upload_req"
-    if token is not None and (type(token) is not bytes or len(token) != 32):
-        raise WireError("upload_req.token: expected 32 bytes")
-    entries = []
-    for interval, sent, received in tuples:
-        if type(interval) is not int or not 0 <= interval <= _MAX_UINT:
-            raise WireError(f"{mtype}.tuples: expected unsigned 64-bit integer")
-        if type(sent) is not bytes or len(sent) != 16 or type(received) is not bytes or len(received) != 16:
-            raise WireError(f"{mtype}.tuples: expected 16 bytes")
-        entries.append(_TUPLE_ENTRY % (interval, hexlify(received), hexlify(sent)))
-    body = b",".join(entries)
-    if token is None:
-        return b'{"tuples":[%s],"type":"poll_req"}' % body
-    return b'{"token":"%s","tuples":[%s],"type":"upload_req"}' % (hexlify(token), body)
-
-
 def decode(raw: bytes) -> dict:
     """Parse and validate a message from canonical bytes."""
     mtype = message_type(raw)
@@ -434,8 +405,8 @@ def _tuple_entries() -> Callable[[bytes], list[tuple[bytes, bytes, bytes]]]:
 
 
 def decode_tuples(raw: bytes) -> tuple[bytes | None, list[tuple[int, bytes, bytes]]]:
-    """Inverse of encode_tuples: the token (None for a poll_req) and the
-    (interval, sent, received) tuples of a poll_req or upload_req.
+    """The token (None for a poll_req) and the (interval, sent, received)
+    tuples of a poll_req or upload_req; inverse of `cct.client.encode_tuples`.
 
     The compiled grammar's fullmatch, which takes exactly the canonical
     requests, proves the bytes valid; one findall then reads the tuples,

@@ -166,7 +166,9 @@ def test_serve_port_override_out_of_range_reported(monkeypatch, tmp_path, capsys
     assert capsys.readouterr().err == "error: port must be in 0-65535\n"
 
 
-def test_serve_loop_end_to_end(tmp_path, capsys):
+@pytest.fixture
+def serving(tmp_path):
+    """A `python -m cct.cli serve` process on a free port, its store in tmp_path."""
     ha_seed = bytes(range(32))
     credential = HealthAuthorityCredential.from_seed(ha_seed)
     platform_secret = b"\x07" * 32
@@ -190,31 +192,49 @@ def test_serve_loop_end_to_end(tmp_path, capsys):
         stderr=subprocess.PIPE,
         text=True,
     )
-    token = "24" * 32
     try:
         line = server.stderr.readline()
         match = re.fullmatch(r"serving measurement ([0-9a-f]{64}) on 127\.0\.0\.1:(\d+)\n", line)
         assert match, line
         assert match[1] == deployment.enclave.measurement().hex()
-        endpoint = ["--config", str(cfg), "--port", match[2]]
-        report = [
-            "--key", ha_seed.hex(),
-            "--token-hash", token_hash(bytes.fromhex(token)).hex(),
-            "--result", "positive",
-            "--interval", "0",
-        ]
-        assert main(["ha", "report", *endpoint, *report]) == 0
-        assert main(["device", "result", *endpoint, "--token", token]) == 0
-        assert '"result":"positive"' in capsys.readouterr().out
-        server.send_signal(signal.SIGINT)
-        assert server.wait(timeout=30) == 0
+        yield SimpleNamespace(
+            process=server,
+            ha_seed=ha_seed,
+            platform_secret=platform_secret,
+            deployment=deployment,
+            store=store,
+            endpoint=["--config", str(cfg), "--port", match[2]],
+        )
     finally:
         if server.poll() is None:
             server.kill()
             server.wait()
         server.stderr.close()
-    reloaded = Enclave(deployment.enclave, platform_secret, store_path=store)
+
+
+def test_serve_loop_end_to_end(serving, capsys):
+    token = "24" * 32
+    report = [
+        "--key", serving.ha_seed.hex(),
+        "--token-hash", token_hash(bytes.fromhex(token)).hex(),
+        "--result", "positive",
+        "--interval", "0",
+    ]
+    assert main(["ha", "report", *serving.endpoint, *report]) == 0
+    assert main(["device", "result", *serving.endpoint, "--token", token]) == 0
+    assert '"result":"positive"' in capsys.readouterr().out
+    serving.process.send_signal(signal.SIGINT)
+    assert serving.process.wait(timeout=30) == 0
+    reloaded = Enclave(serving.deployment.enclave, serving.platform_secret, store_path=serving.store)
     assert reloaded.poll_test_result(bytes.fromhex(token)) == "positive"
+
+
+def test_serve_stops_cleanly_on_sigterm(serving):
+    # as service managers stop it: the server closes and exits 0, not -15
+    serving.process.send_signal(signal.SIGTERM)
+    assert serving.process.wait(timeout=30) == 0
+    reloaded = Enclave(serving.deployment.enclave, serving.platform_secret, store_path=serving.store)
+    assert reloaded.poll_test_result(bytes(32)) == "unknown"
 
 
 # -- ha ------------------------------------------------------------------------------

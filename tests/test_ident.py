@@ -9,9 +9,9 @@ from cct.ident import (
     TimeParams,
     derive_identifier,
     derive_identifier_range,
-    identifier_table,
     interval_index,
 )
+from cct.contact_log import identifier_table
 
 # Frozen outputs of an independent HMAC-SHA256 reference (computed once with
 # a standalone hmac/hashlib script, truncated to 16 bytes).
@@ -180,7 +180,7 @@ def test_collision_sanity():
 
 
 
-# -- one-call identifier table -------------------------------------------------------
+# -- one-call identifier table (cct.contact_log) ------------------------------------
 
 @given(st.one_of(secrets_st, secrets_st.map(bytearray)), st.integers(min_value=1, max_value=700))
 def test_identifier_table_agrees_with_single(secret, count):

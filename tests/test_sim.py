@@ -389,11 +389,11 @@ def test_audit_counts_each_message_and_each_pattern_once():
 
 
 def test_in_process_runs_load_no_tcp_server():
-    # only a live run imports cct.service; socket and selectors still load, through
-    # cct.client.TcpTransport
+    # only a live run imports cct.service, and only a TcpTransport, which a live
+    # run or a cct command builds, imports socket
     run_fresh(
-        "import sys, cct.sim\n"
-        "host = [m for m in ('socketserver', 'cct.service') if m in sys.modules]\n"
+        "import sys, cct.client, cct.sim\n"
+        "host = [m for m in ('socketserver', 'cct.service', 'socket', 'selectors') if m in sys.modules]\n"
         "assert not host, host\n"
     )
 

@@ -13,6 +13,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from cct import wire
 from cct.attestation import SecureChannel
+from cct.client import encode_tuples
 from cct.config import read_object
 from cct.errors import EnvelopeError, WireError
 from cct.sim.audit import Transcript
@@ -1009,8 +1010,8 @@ def forbid_json(monkeypatch) -> None:
 
 # -- differential: the tuple emitter against encode() of the dict form ------------
 #
-# encode_tuples takes exact types only: what encode() of the dict form takes
-# beyond them (an int subclass, bytearray) is refused too.
+# encode_tuples, the client's writer, takes exact types only: what encode() of
+# the dict form takes beyond them (an int subclass, bytearray) is refused too.
 
 _identifier_st = st.binary(min_size=16, max_size=16)
 # values the dict form refuses, and with them ones it takes
@@ -1038,7 +1039,7 @@ def tuple_dict_form(tuples, token) -> dict:
 
 
 def emitted(tuples, token) -> tuple[str, str]:
-    return outcome(lambda args: wire.encode_tuples(*args), (tuples, token))
+    return outcome(lambda args: encode_tuples(*args), (tuples, token))
 
 
 @st.composite
@@ -1086,7 +1087,7 @@ def test_tuple_emitter_differential_edges(token, monkeypatch):
         forbid_json(patched)
         patched.setattr(wire, "encode", None)
         for tuples, expected in cases:
-            assert wire.encode_tuples(tuples, token) == expected
+            assert encode_tuples(tuples, token) == expected
     mtype = "poll_req" if token is None else "upload_req"
     good = (0, bytes(16), b"\x01" * 16)
     # the dict form takes an int subclass and bytearray; the emitter refuses them
@@ -1134,7 +1135,7 @@ def tuple_request_st(draw):
         st.lists(st.tuples(uint_st, _pooled_identifier_st, _pooled_identifier_st), max_size=4)
     )
     token = draw(st.one_of(st.none(), st.binary(min_size=32, max_size=32)))
-    return mutated(draw, wire.encode_tuples(tuples, token))
+    return mutated(draw, encode_tuples(tuples, token))
 
 
 @given(tuple_request_st())
@@ -1187,7 +1188,7 @@ def test_tuple_decoder_needs_no_json(monkeypatch):
     tuples = [(0, bytes(16), b"\x01" * 16), (10**19 - 1, b"\x02" * 16, b"\x03" * 16)]
     tuples += [(10**19, b"\x04" * 16, b"\x05" * 16), (MAX_UINT, b"\x06" * 16, b"\x07" * 16)]
     token = b"\x11" * 32
-    poll, upload = wire.encode_tuples(tuples), wire.encode_tuples(tuples, token)
+    poll, upload = encode_tuples(tuples), encode_tuples(tuples, token)
     forbid_json(monkeypatch)
     monkeypatch.setattr(wire, "decode", None)
     assert wire.decode_tuples(poll) == (None, tuples)
