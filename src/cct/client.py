@@ -183,7 +183,7 @@ class EnclaveClient:
         try:
             plaintext = self._open(self._transport.request(self._channel.encrypt(raw)))
         except RemoteError as exc:
-            if exc.reason != "unknown session":
+            if str(exc) != "unknown session":
                 raise
             # the backend dropped the session (it keeps a bounded table) and
             # refused the envelope before decrypting it, so nothing was

@@ -256,6 +256,8 @@ class EnclaveConfig(CheckedValue, _EnclaveFields):
 
     def __new__(cls, *args, **kwargs) -> "EnclaveConfig":
         self = super().__new__(cls, *args, **kwargs)
+        if type(self.retention) is not int:  # a bool or a float is refused, as in the file form
+            raise ValueError("retention must be an integer")
         for name in ("retention", "gps_d_max", "gps_tau"):
             if not getattr(self, name) >= 0:  # also refuses NaN
                 raise ValueError(f"{name} must be non-negative")
@@ -779,12 +781,15 @@ def _error(reason: str) -> dict:
     return {"type": "error", "reason": reason}
 
 
-def _internal_error(exc: Exception) -> dict:
-    """The reply to a failure no rejection foresees.
+def _refusal(exc: Exception) -> dict:
+    """The error reply to a failed request.
 
-    Neither the reply nor the log carries the exception's text, which may
-    hold request data: the log gets its type and the frames it came through.
+    A rejection gives its reason. Any other failure gives `internal error`:
+    neither the reply nor the log carries its text, which may hold request
+    data, and the log gets its type and the frames it came through.
     """
+    if isinstance(exc, (ProtocolError, ValueError)):
+        return _error(str(exc))
     # imported here, as they would add about 10 ms to importing cct
     import logging
     import traceback
@@ -865,10 +870,8 @@ class EnclaveService:
             if mtype in _APP_HANDLERS:
                 raise ProtocolError("plaintext application message refused")
             raise ProtocolError("unexpected message type")
-        except (ProtocolError, ValueError) as exc:
-            return wire.encode(_error(str(exc)))
         except Exception as exc:
-            return wire.encode(_internal_error(exc))
+            return wire.encode(_refusal(exc))
 
     # -- handshake -------------------------------------------------------------
 
@@ -922,10 +925,8 @@ class EnclaveService:
                 self._sessions.move_to_end(channel.session_id)
         try:
             response = self._dispatch(plaintext)
-        except (ProtocolError, ValueError) as exc:
-            response = _error(str(exc))
         except Exception as exc:
-            response = _internal_error(exc)
+            response = _refusal(exc)
         reply = self._enveloped(channel, response)
         if len(reply) > wire.MAX_FRAME:
             # no frame could carry it; the session must outlive the refusal
@@ -937,16 +938,14 @@ class EnclaveService:
 
     # -- application dispatch -----------------------------------------------------
 
-    def _request(self, plaintext: bytes) -> tuple[str, Any]:
-        """The request's type, and what its handler takes."""
+    def _dispatch(self, plaintext: bytes) -> dict:
+        """Read one application request and answer it."""
         mtype = wire.message_type(plaintext)
         if mtype in ("poll_req", "upload_req"):
-            return mtype, wire.decode_tuples(plaintext)
-        msg = wire.decode(plaintext)
-        return msg["type"], msg
-
-    def _dispatch(self, plaintext: bytes) -> dict:
-        mtype, request = self._request(plaintext)
+            request = wire.decode_tuples(plaintext)
+        else:
+            request = wire.decode(plaintext)
+            mtype = request["type"]
         handler = _APP_HANDLERS.get(mtype)
         if handler is None:
             raise ProtocolError("unexpected message type")

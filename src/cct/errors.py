@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the protocol stack.
 
 Everything that a well-formed but unacceptable request can trigger derives
-from ProtocolError; the service layer maps those onto wire error responses.
-Programming errors (wrong types, internal bugs) stay plain exceptions and
-are never masked as a rejection: the service answers them with the fixed
-reason `internal error`, which says nothing about the request.
+from ProtocolError, whose message is its reason; the enclave's service maps
+those onto wire error responses. Programming errors (wrong types, internal
+bugs) stay plain exceptions and are never masked as a rejection: the service
+answers them with the fixed reason `internal error`, which says nothing
+about the request.
 """
 
 
@@ -17,11 +18,7 @@ class WireError(ProtocolError):
 
 
 class AttestationError(ProtocolError):
-    """Quote verification failure; .reason is 'bad_signature' or 'wrong_measurement'."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Quote verification failure: 'bad_signature' or 'wrong_measurement'."""
 
 
 class KeyExchangeError(ProtocolError):
@@ -41,8 +38,4 @@ class AuthorizationError(ProtocolError):
 
 
 class RemoteError(ProtocolError):
-    """An error response returned by the backend over the wire."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """An error response returned by the backend over the wire, with its reason."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from cct import wire
 from cct.attestation import platform_verify_key
@@ -89,20 +89,17 @@ class _Clock:
 
 
 class _PlaintextTranscriptService(EnclaveService):
-    """Negative control: the canonical plaintext of every application request
-    that decodes, and of every answer `_dispatch` gives, joins the audited
-    transcript."""
+    """Negative control: the plaintext of every application request that
+    `_dispatch` reads, refused ones included, and of every answer it gives,
+    joins the audited transcript."""
 
     def __init__(self, enclave: Enclave, platform_secret: bytes, transcript: Transcript):
         super().__init__(enclave, platform_secret)
         self._transcript = transcript
 
-    def _request(self, plaintext: bytes) -> tuple[str, Any]:
-        request = super()._request(plaintext)
-        self._transcript.append("c2e", plaintext)
-        return request
-
     def _dispatch(self, plaintext: bytes) -> dict:
+        # before the call, so that a refused request is recorded too
+        self._transcript.append("c2e", plaintext)
         response = super()._dispatch(plaintext)
         self._transcript.append("e2c", wire.encode(response))
         return response

@@ -123,6 +123,8 @@ class ScenarioConfig(CheckedValue, _ScenarioFields):
             raise ValueError("encounter rate must be finite")
         if self.poll_every < 0:
             raise ValueError("poll_every must be non-negative")
+        if type(self.retention) is not int:  # a bool or a float is refused, as in the file form
+            raise ValueError("retention must be an integer")
         if self.retention < 0:
             raise ValueError("retention must be non-negative")
         if not 0 <= self.seed < 2**64:

@@ -167,7 +167,7 @@ def test_criterion_06_attestation_gate():
         verify_quote(other_quote, measurement, verify)
         ok = False
     except AttestationError as exc:
-        ok = ok and exc.reason == "wrong_measurement"
+        ok = ok and str(exc) == "wrong_measurement"
 
     check(6, f"honest handshake ok, all {mutations} quote mutations rejected", ok)
 

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cct import wire
+from cct.attestation import platform_verify_key
+from cct.client import EnclaveClient, LoopbackTransport
+from cct.errors import RemoteError
 from cct.ident import derive_identifier
 from cct.sim.audit import Transcript, audit_transcript
 from cct.sim.encounters import generate_encounters, pair_threshold
 from cct.sim.oracle import oracle_notified
-from cct.sim.runner import SimReport, run_scenario
+from cct.sim.runner import SimReport, _PlaintextTranscriptService, run_scenario
 from cct.sim.scenario import (
     EncounterEvent,
     InfectionSpec,
@@ -675,6 +678,20 @@ def test_insecure_plaintext_leak_counts_pinned(config, leaks):
     # the counts of the set-of-windows scan: a faster audit that undercounts
     # (or overcounts) these controls fails here
     assert run_scenario(config, insecure_plaintext=True).transcript_leaks == leaks
+
+
+def test_plaintext_control_records_refused_requests(enclave, platform_secret):
+    # the control records a request before the enclave answers it, so the device
+    # secret of a refused upload reaches the audited transcript too
+    transcript = Transcript()
+    service = _PlaintextTranscriptService(enclave, platform_secret, transcript)
+    client = EnclaveClient(LoopbackTransport(service), enclave.measurement, platform_verify_key(platform_secret))
+    secret = b"\x0c" * 32
+    with pytest.raises(RemoteError, match="^not authorized to upload$"):
+        client.upload_secret(b"\x01" * 32, secret, 0, 1)  # no test result for this token
+    assert [direction for direction, _ in transcript] == ["c2e"]  # a refusal is no answer
+    assert secret.hex().encode() in transcript.messages()[0]
+    assert audit_transcript(transcript, [], [secret]) == 1
 
 
 def test_log_polls_breaks_flush_audit():

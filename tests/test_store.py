@@ -900,7 +900,7 @@ def concurrent_run(enclave, config) -> tuple[list[str], list]:
                         client.upload_tuples(tok, entries)
                     reply = "ack"
                 except RemoteError as exc:
-                    reply = exc.reason
+                    reply = str(exc)
                 except Exception as exc:  # a dropped connection
                     reply = f"dropped: {exc!r}"
                 with lock:

@@ -61,11 +61,18 @@ CASES = [
     # timing is refused when the scenario is built, before any simulation work
     (ScenarioConfig(n_devices=2, n_intervals=1), "delta_t", 0, "delta_t must be positive"),
     (ScenarioConfig(n_devices=2, n_intervals=1), "t0", -1, "t0 must be non-negative"),
+    # an integer field refuses what its file form refuses: a float, or a bool
+    (TimeParams(t0=0), "t0", 1.5, "t0 must be an integer"),
+    (TimeParams(t0=0), "delta_t", True, "delta_t must be an integer"),
+    (EnclaveConfig(bytes(32)), "retention", 2.5, "retention must be an integer"),
+    (ScenarioConfig(n_devices=2, n_intervals=2), "retention", True, "retention must be an integer"),
 ]
 
 
 def _case_id(case) -> str:
-    return f"{type(case[0]).__name__}.{case[1]}"
+    # a kind refusal gets its own id beside the field's range refusal
+    kind = "-kind" if case[3].endswith("must be an integer") else ""
+    return f"{type(case[0]).__name__}.{case[1]}{kind}"
 
 
 @pytest.mark.parametrize("good, field, bad, message", CASES, ids=[_case_id(c) for c in CASES])
