@@ -78,9 +78,10 @@ class Measurement(CheckedValue, _MeasurementFields):
     __slots__ = ()
 
     def __new__(cls, value: bytes) -> "Measurement":
+        self = tuple.__new__(cls, (value,))._checked()
         if len(value) != MEASUREMENT_LEN:
             raise ValueError(f"measurement must be {MEASUREMENT_LEN} bytes")
-        return tuple.__new__(cls, (value,))
+        return self
 
     def hex(self) -> str:
         return self.value.hex()
@@ -130,11 +131,12 @@ class AttestationQuote(CheckedValue, _QuoteFields):
     def __new__(
         cls, measurement: Measurement, enclave_session_pub: bytes, platform_signature: bytes
     ) -> "AttestationQuote":
+        self = tuple.__new__(cls, (measurement, enclave_session_pub, platform_signature))._checked()
         if len(enclave_session_pub) != 32:
             raise ValueError("enclave session public key must be 32 bytes")
         if len(platform_signature) != 64:
             raise ValueError("platform signature must be 64 bytes")
-        return tuple.__new__(cls, (measurement, enclave_session_pub, platform_signature))
+        return self
 
     def signed_payload(self) -> bytes:
         return self.measurement.value + self.enclave_session_pub

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple
 
-from cct import CheckedValue
+from cct import CheckedValue, is_kind
 from cct.enclave import EnclaveConfig
 from cct.ident import TimeParams
 from cct.wire import canonical_encode, fits_float, lenient_decode
@@ -30,9 +30,9 @@ def read_object(value: Any, template: dict, required: Iterable[str], what: str) 
 
     `template` is a record's to_value() with its optional fields at their
     defaults. The object may hold only the template's keys, must hold each
-    `required` one, and each value must have the type of the template's (an
-    int passes for a float if it converts to one). Raises ValueError naming
-    the offending field.
+    `required` one, and each value must be of the kind of the template's
+    (`cct.is_kind`, the rule of every checked value) and, for a float, convert
+    to one. Raises ValueError naming the offending field.
     """
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -43,9 +43,9 @@ def read_object(value: Any, template: dict, required: Iterable[str], what: str) 
     if missing:
         raise ValueError(f"missing {what} field: {sorted(missing)[0]}")
     for name, v in value.items():
-        want, got = type(template[name]), type(v)
-        if got is not want and not (want is float and got is int):
-            raise ValueError(f"{what} field {name}: expected {want.__name__}, got {got.__name__}")
+        want = type(template[name])
+        if not is_kind(v, want):
+            raise ValueError(f"{what} field {name}: expected {want.__name__}, got {type(v).__name__}")
         if want is float and not fits_float(v):
             raise ValueError(f"{what} field {name}: number out of range")
     return {**template, **value}
@@ -79,13 +79,15 @@ class DeploymentConfig(CheckedValue, _DeploymentFields):
         self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in 0-65535")
+        if self.platform_verify_key is not None and len(self.platform_verify_key) != 32:
+            raise ValueError("platform_verify_key must be 32 bytes")
         return self
 
     @classmethod
     def from_value(cls, value: Any) -> "DeploymentConfig":
         """Inverse of to_value; absent optional fields take their defaults."""
         # placeholders give the optional fields their kind in the template
-        template = cls(EnclaveConfig(b""), platform_verify_key=b"", store_path="").to_value()
+        template = cls(EnclaveConfig(bytes(32)), platform_verify_key=bytes(32), store_path="").to_value()
         full = read_object(value, template, ("ha_verify_key",), "config")
         return cls(
             enclave=EnclaveConfig(

@@ -14,7 +14,7 @@ import hashlib
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from cct import CheckedValue, ident, wire
+from cct import CheckedValue, ident, is_kind, wire
 from cct.ident import DEFAULT_RETENTION, IDENTIFIER_LEN
 
 # PBKDF2 numbers its blocks with a 32-bit counter from 1 (identifier_table)
@@ -74,15 +74,14 @@ class ContactTuple(CheckedValue, _ContactFields):
     __slots__ = ()
 
     def __new__(cls, interval: int, sent: bytes, received: bytes) -> "ContactTuple":
+        self = tuple.__new__(cls, (interval, sent, received))._checked()
         if len(sent) != IDENTIFIER_LEN or len(received) != IDENTIFIER_LEN:
             raise ValueError(f"identifiers must be {IDENTIFIER_LEN} bytes")
         if sent == received:
             raise ValueError("self-contact")
-        if not isinstance(interval, int) or isinstance(interval, bool):
-            raise ValueError("interval must be an integer")
         if interval < 0:
             raise ValueError("interval must be non-negative")
-        return tuple.__new__(cls, (interval, sent, received))
+        return self
 
     def to_wire(self) -> dict:
         return {
@@ -108,6 +107,8 @@ class ContactLog:
         retention_intervals: int = DEFAULT_RETENTION,
         tuples: Iterable[ContactTuple] = (),
     ) -> None:
+        if not is_kind(retention_intervals, int):  # the rule of ScenarioConfig.retention
+            raise ValueError("retention must be an integer")
         if retention_intervals < 0:
             raise ValueError("retention must be non-negative")
         self.retention_intervals = retention_intervals

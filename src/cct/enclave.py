@@ -80,17 +80,14 @@ class GpsPoint(CheckedValue, _GpsFields):
     __slots__ = ()
 
     def __new__(cls, lat: float, lon: float, t: float) -> "GpsPoint":
+        self = tuple.__new__(cls, (lat, lon, t))._checked()
         if not -90.0 <= lat <= 90.0:
             raise ValueError("latitude out of range")
         if not -180.0 < lon <= 180.0:
             raise ValueError("longitude out of range")
-        try:
-            finite = math.isfinite(t)
-        except (TypeError, OverflowError):  # not a number, or an int past any float
-            finite = False
-        if not finite:
+        if not wire.fits_float(t) or not math.isfinite(t):
             raise ValueError("time out of range")
-        return tuple.__new__(cls, (lat, lon, t))
+        return self
 
     def to_wire(self) -> dict:
         return {"lat": self.lat, "lon": self.lon, "t": self.t}
@@ -256,11 +253,14 @@ class EnclaveConfig(CheckedValue, _EnclaveFields):
 
     def __new__(cls, *args, **kwargs) -> "EnclaveConfig":
         self = super().__new__(cls, *args, **kwargs)
-        if type(self.retention) is not int:  # a bool or a float is refused, as in the file form
-            raise ValueError("retention must be an integer")
+        if len(self.ha_verify_key) != 32:  # as its file form's hex key
+            raise ValueError("ha_verify_key must be 32 bytes")
         for name in ("retention", "gps_d_max", "gps_tau"):
             if not getattr(self, name) >= 0:  # also refuses NaN
                 raise ValueError(f"{name} must be non-negative")
+        for name in ("gps_d_max", "gps_tau"):  # its file form holds only finite floats
+            if not wire.fits_float(getattr(self, name)) or getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
         return self
 
     def to_value(self) -> dict:

@@ -58,9 +58,6 @@ class TimeParams(CheckedValue, _TimeFields):
 
     def __new__(cls, *args, **kwargs) -> "TimeParams":
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("t0", "delta_t"):  # a bool or a float is refused, as in the file form
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer")
         if self.delta_t <= 0:
             raise ValueError("delta_t must be positive")
         if self.t0 < 0:

@@ -17,7 +17,7 @@ from typing import Any, NamedTuple
 from cct import CheckedValue
 from cct.config import read_object
 from cct.ident import DEFAULT_DELTA_T, DEFAULT_RETENTION, TimeParams
-from cct.wire import canonical_encode, lenient_decode
+from cct.wire import canonical_encode, fits_float, lenient_decode
 
 UPLOAD_MODES = ("tuple", "secret")
 
@@ -35,13 +35,17 @@ def material(seed: int, label: str, index: int) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
-class InfectionSpec(NamedTuple):
-    """One scheduled positive test: who, when, and whether/how they upload."""
-
+class _InfectionFields(NamedTuple):
     device: int
     test_interval: int
     uploads: bool = True
     mode: str = "tuple"
+
+
+class InfectionSpec(CheckedValue, _InfectionFields):
+    """One scheduled positive test: who, when, and whether/how they upload."""
+
+    __slots__ = ()
 
     def to_value(self) -> dict:
         return {
@@ -69,12 +73,13 @@ class EncounterEvent(CheckedValue, _EncounterFields):
     __slots__ = ()
 
     def __new__(cls, interval: int, device_i: int, device_j: int) -> "EncounterEvent":
+        self = tuple.__new__(cls, (interval, device_i, device_j))._checked()
         if device_i == device_j:
             raise ValueError("encounter requires two distinct devices")
         # normalize so (i, j) and (j, i) are the same event
         if device_i > device_j:
-            device_i, device_j = device_j, device_i
-        return tuple.__new__(cls, (interval, device_i, device_j))
+            return tuple.__new__(cls, (interval, device_j, device_i))
+        return self
 
     def to_value(self) -> dict:
         return {"device_i": self.device_i, "device_j": self.device_j, "interval": self.interval}
@@ -119,12 +124,10 @@ class ScenarioConfig(CheckedValue, _ScenarioFields):
             raise ValueError("n_intervals must be positive")
         if not self.encounter_rate >= 0:  # NaN included
             raise ValueError("encounter rate must be non-negative")
-        if self.encounter_rate == math.inf:
+        if not fits_float(self.encounter_rate) or self.encounter_rate == math.inf:
             raise ValueError("encounter rate must be finite")
         if self.poll_every < 0:
             raise ValueError("poll_every must be non-negative")
-        if type(self.retention) is not int:  # a bool or a float is refused, as in the file form
-            raise ValueError("retention must be an integer")
         if self.retention < 0:
             raise ValueError("retention must be non-negative")
         if not 0 <= self.seed < 2**64:

@@ -92,6 +92,15 @@ def test_prune_boundary_kept():
     assert len(log) == 1
 
 
+def test_retention_must_be_an_integer():
+    # a float or bool window would compare intervals against a float threshold
+    for bad in (1.5, 5.0, True):
+        with pytest.raises(ValueError, match="retention must be an integer"):
+            ContactLog(retention_intervals=bad)
+    with pytest.raises(ValueError, match="retention must be non-negative"):
+        ContactLog(retention_intervals=-1)
+
+
 def test_prune_empty_and_idempotent():
     log = ContactLog(retention_intervals=5)
     assert log.prune_expired(100) == 0
